@@ -7,7 +7,7 @@ section; the resulting rows are printed so that running
 
 produces the reproduced tables alongside the timing numbers.  Bench modules
 also push their rows into the session-scoped ``perf_record`` fixture, which
-is persisted as ``BENCH_PR10.json`` at the repo root when the session ends —
+is persisted as ``BENCH_PR13.json`` at the repo root when the session ends —
 the machine-readable perf trajectory consumed by later PRs (``BENCH_PR1``
 recorded the bit-packed kernel; PR2 the cached-pipeline sweep of the
 unified API; PR3 gate-netlist construction and gate-level differential
@@ -19,7 +19,8 @@ exact SAT backend's encode/solve costs and the optimality-gap table from
 ``bench_sat.py``; PR9 the prefork serving fleet's saturation throughput,
 tail latency and thundering-herd coalescing from ``bench_fleet.py``; PR10
 the observability subsystem's serving-overhead budget from
-``bench_obs.py``).
+``bench_obs.py``; since then also the packed two-level minimizer against
+its object reference from ``bench_minimize.py``).
 """
 
 from __future__ import annotations
@@ -89,19 +90,20 @@ _REQUIRED_SECTIONS = (
     "sat",
     "fleet",
     "obs",
+    "minimize",
 )
 
 
 @pytest.fixture(scope="session")
 def perf_record(request):
-    """Session-wide perf record, persisted as BENCH_PR10.json on teardown."""
+    """Session-wide perf record, persisted as BENCH_PR13.json on teardown."""
     record: dict = {
-        "pr": 10,
+        "pr": 13,
         "kernel": (
-            "repro.obs: end-to-end observability — cross-process distributed "
-            "tracing over X-Repro-Trace, an exactly-mergeable fleet metrics "
-            "registry with Prometheus /metrics exposition, and the repro top "
-            "dashboard — at near-zero serving overhead when off"
+            "packed two-level minimizer: literal-drop probes as big-int ANDs "
+            "over per-literal off-set columns, irredundancy cofactored "
+            "straight into the packed tautology check, Cube objects only for "
+            "the result; _reference_minimize kept as the oracle"
         ),
         "seed_baseline": SEED_BASELINE,
         "pr3_baseline": PR3_BASELINE,
@@ -209,4 +211,7 @@ def perf_record(request):
             "on_req_per_s": obs_results.get("on_req_per_s"),
             "on_over_off": obs_results.get("on_over_off"),
         }
-    write_perf_record(repo_root / "BENCH_PR10.json", record)
+    minimize_results = record["results"].get("minimize", {})
+    if minimize_results:
+        record["minimizer_speedup_vs_reference"] = minimize_results.get("speedup")
+    write_perf_record(repo_root / "BENCH_PR13.json", record)

@@ -728,7 +728,20 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle(self, method: str) -> None:
         body: Optional[dict] = None
         if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
+            try:
+                length = int(self.headers.get("Content-Length") or 0)
+            except ValueError:
+                length = -1
+            if length < 0:
+                # the unread body makes the connection unusable: close it
+                self.close_connection = True
+                self._send(
+                    400,
+                    _error_body(
+                        "bad_request", "Content-Length must be a non-negative integer"
+                    ),
+                )
+                return
             raw = self.rfile.read(length) if length else b"{}"
             try:
                 body = json.loads(raw.decode("utf-8") or "{}")

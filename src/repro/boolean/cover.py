@@ -16,7 +16,6 @@ integer operations.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from typing import Optional
 
 from repro.boolean.cube import Cube
 from repro.boolean.interning import mask_of_tuple
@@ -82,14 +81,6 @@ class Cover:
         cubes = [Cube.from_string(pattern, variables) for pattern in patterns]
         return cls(cubes, variables)
 
-    @classmethod
-    def from_vertices(
-        cls, vertices: Iterable[Mapping[str, int]], variables: Sequence[str]
-    ) -> "Cover":
-        """Build a cover of minterms from complete assignments."""
-        cubes = [Cube({v: vertex[v] for v in variables}) for vertex in vertices]
-        return cls(cubes, variables)
-
     # ------------------------------------------------------------------ #
     # Basic protocol
     # ------------------------------------------------------------------ #
@@ -134,11 +125,6 @@ class Cover:
             return "0"
         return " + ".join(cube.to_expression() for cube in self._cubes)
 
-    def to_strings(self, variables: Optional[Sequence[str]] = None) -> list[str]:
-        """Positional-cube strings for every cube."""
-        order = list(variables) if variables is not None else list(self._variables)
-        return [cube.to_string(order) for cube in self._cubes]
-
     def to_json(self) -> dict:
         """JSON-serializable form: the declared universe plus cube literals.
 
@@ -177,23 +163,13 @@ class Cover:
 
         Implemented as a tautology check of the cover cofactored by the cube.
         """
-        care = cube._care
-        value = cube._value
-        cofactored: list[tuple[int, int]] = []
-        for other in self._cubes:
-            other_care = other._care
-            if (other._value ^ value) & other_care & care:
-                continue  # disjoint from the cube
-            if not other_care & ~care:
-                return True  # cofactor is universal: single-cube containment
-            cofactored.append((other_care & ~care, other._value & ~care))
-        if not cofactored:
-            return False
-        return _is_tautology_packed(cofactored)
+        pairs = [(other._care, other._value) for other in self._cubes]
+        return _covers_packed(pairs, cube._care, cube._value)
 
     def contains_cover(self, other: "Cover") -> bool:
         """True if every vertex of ``other`` is covered by this cover."""
-        return all(self.covers_cube(cube) for cube in other)
+        pairs = [(cube._care, cube._value) for cube in self._cubes]
+        return all(_covers_packed(pairs, cube._care, cube._value) for cube in other)
 
     def intersects_cube(self, cube: Cube) -> bool:
         """True if the cover shares at least one vertex with ``cube``."""
@@ -237,17 +213,6 @@ class Cover:
     # ------------------------------------------------------------------ #
     # Algebraic operations
     # ------------------------------------------------------------------ #
-
-    def add_cube(self, cube: Cube) -> "Cover":
-        """Cover with one more cube (single-cube containment removed)."""
-        for other in self._cubes:
-            if other.covers(cube):
-                return self
-        kept = [other for other in self._cubes if not cube.covers(other)]
-        kept.append(cube)
-        if cube._care & ~self._mask:
-            return Cover(kept, self._variables)
-        return Cover._make(kept, self._variables, self._mask)
 
     def union(self, other: "Cover") -> "Cover":
         """Disjunction of two covers (with single-cube containment removal)."""
@@ -333,16 +298,8 @@ class Cover:
 
     def remove_contained(self) -> "Cover":
         """Remove cubes that are single-cube contained in another cube."""
-        kept: list[Cube] = []
-        cubes = sorted(self._cubes, key=Cube.num_literals)
-        for cube in cubes:
-            contained = False
-            for other in kept:
-                if other.covers(cube):
-                    contained = True
-                    break
-            if not contained:
-                kept.append(cube)
+        entries = [(cube, cube._care, cube._value) for cube in self._cubes]
+        kept = [cube for cube, _, _ in _remove_contained_packed(entries)]
         return Cover._make(kept, self._variables, self._mask)
 
     def restrict(self, variables: Iterable[str]) -> "Cover":
@@ -382,6 +339,37 @@ class Cover:
 # ---------------------------------------------------------------------- #
 # Unate-recursive helpers (bit-packed)
 # ---------------------------------------------------------------------- #
+
+
+def _covers_packed(pairs: list[tuple[int, int]], care: int, value: int) -> bool:
+    """True if the packed cubes ``pairs`` cover the cube ``(care, value)``:
+    a tautology check of the pairs cofactored by the cube."""
+    free = ~care
+    cofactored: list[tuple[int, int]] = []
+    for other_care, other_value in pairs:
+        if (other_value ^ value) & other_care & care:
+            continue  # disjoint from the cube
+        if not other_care & free:
+            return True  # cofactor is universal: single-cube containment
+        cofactored.append((other_care & free, other_value & free))
+    return bool(cofactored) and _is_tautology_packed(cofactored)
+
+
+def _remove_contained_packed(entries: list[tuple]) -> list[tuple]:
+    """Entries ``(item, care, value)`` not single-cube contained in another.
+
+    Entries are visited from fewest literals up (stable); one is dropped
+    when an already-kept entry covers it.
+    """
+    kept: list[tuple] = []
+    for entry in sorted(entries, key=lambda item: item[1].bit_count()):
+        _, care, value = entry
+        for _, other_care, other_value in kept:
+            if not other_care & ~care and not (other_value ^ value) & other_care:
+                break
+        else:
+            kept.append(entry)
+    return kept
 
 
 def _is_tautology_packed(pairs: list[tuple[int, int]]) -> bool:

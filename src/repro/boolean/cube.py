@@ -109,11 +109,6 @@ class Cube(Mapping[str, int]):
                 raise ValueError(f"invalid cube character {char!r}")
         return cls(literals)
 
-    @classmethod
-    def from_vertex(cls, vertex: Mapping[str, int]) -> "Cube":
-        """Build a minterm cube from a complete variable assignment."""
-        return cls(vertex)
-
     # ------------------------------------------------------------------ #
     # Mapping protocol
     # ------------------------------------------------------------------ #
@@ -280,22 +275,6 @@ class Cube(Mapping[str, int]):
         bit = 1 << _VAR_INDEX[variable]
         return Cube._raw(reduced, self._care & ~bit, self._value & ~bit)
 
-    def cofactor_cube(self, other: "Cube") -> Optional["Cube"]:
-        """Generalized cofactor of this cube with respect to another cube."""
-        if (self._value ^ other._value) & self._care & other._care:
-            return None
-        other_care = other._care
-        if not self._care & other_care:
-            return self
-        other_literals = other._literals
-        reduced = {
-            var: value
-            for var, value in self._literals.items()
-            if var not in other_literals
-        }
-        care = self._care & ~other_care
-        return Cube._raw(reduced, care, self._value & care)
-
     def expand_literal(self, variable: str) -> "Cube":
         """Return the cube with ``variable`` removed from its support."""
         if variable not in self._literals:
@@ -309,17 +288,6 @@ class Cube(Mapping[str, int]):
         """Project the cube onto a subset of variables."""
         allowed = set(variables)
         return Cube({var: val for var, val in self._literals.items() if var in allowed})
-
-    def with_literal(self, variable: str, value: int) -> "Cube":
-        """Return a new cube with ``variable`` bound to ``value``."""
-        merged = dict(self._literals)
-        merged[variable] = value
-        return Cube(merged)
-
-    def without_literals(self, variables: Iterable[str]) -> "Cube":
-        """Return a new cube with the given variables removed (made free)."""
-        drop = set(variables)
-        return Cube({var: val for var, val in self._literals.items() if var not in drop})
 
     def complement_cubes(self) -> list["Cube"]:
         """Complement of a single cube as a list of disjoint cubes.

@@ -13,7 +13,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from typing import Optional
 
 from repro.boolean.cover import Cover
-from repro.boolean.cube import Cube
 
 
 class BooleanFunction:
@@ -115,10 +114,6 @@ class BooleanFunction:
         if cover.intersects_cover(self._off):
             return False
         return True
-
-    def implementable_cube(self, cube: Cube) -> bool:
-        """True if the cube does not intersect the off-set (is an implicant)."""
-        return not self._off.intersects_cube(cube)
 
     # ------------------------------------------------------------------ #
     # Derived functions

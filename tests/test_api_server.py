@@ -7,6 +7,8 @@ smoke job uses from a separate process.
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -149,6 +151,36 @@ class TestErrors:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "-1"])
+    def test_invalid_content_length_is_a_400(self, served, length):
+        """A non-numeric or negative Content-Length gets a structured 400.
+
+        It used to kill the request thread without a response; ``-1``
+        blocked the thread reading until the client hung up.
+        """
+        server, _ = served
+        request = (
+            "POST /synthesize HTTP/1.1\r\n"
+            "Host: 127.0.0.1\r\n"
+            f"Content-Length: {length}\r\n"
+            "Content-Type: application/json\r\n\r\n"
+            '{"spec": "sequencer"}'
+        ).encode()
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            sock.sendall(request)
+            response = b""
+            while chunk := sock.recv(65536):  # the server closes after replying
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400"
+        assert json.loads(body) == {
+            "error": {
+                "code": "bad_request",
+                "message": "Content-Length must be a non-negative integer",
+                "retryable": False,
+            }
+        }
 
     def test_memory_cache_is_bounded_by_eviction(self, tmp_path):
         """A stream of distinct requests must not grow memory without bound."""

@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import repro.statebased.synthesis as statebased_synthesis
+from repro.api import Pipeline
+from repro.benchmarks.registry import get_benchmark, list_benchmarks
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
 from repro.boolean.function import BooleanFunction
-from repro.boolean.minimize import expand_cover, irredundant_cover, minimize_cover, single_cube_cover
+from repro.boolean.minimize import (
+    _reference_expand_cover,
+    _reference_irredundant_cover,
+    _reference_minimize,
+    expand_cover,
+    irredundant_cover,
+    minimize_cover,
+    single_cube_cover,
+)
 from repro.boolean.cost import literal_count, sop_transistor_estimate, transistor_estimate
+from repro.petri.reachability import StateSpaceLimitExceeded, count_reachable_markings
+from repro.statebased.synthesis import StateBasedSynthesisError
 
 VARS = ["a", "b", "c", "d"]
 
@@ -114,11 +127,117 @@ class TestMinimizer:
         assert not result.intersects_cover(off_set)
 
     @given(cover_strategy())
+    @settings(max_examples=100, deadline=None)
+    def test_remove_contained_matches_object_scan(self, cover):
+        kept = []
+        for cube in sorted(cover, key=Cube.num_literals):
+            if not any(other.covers(cube) for other in kept):
+                kept.append(cube)
+        assert [id(cube) for cube in cover.remove_contained()] == [id(cube) for cube in kept]
+        assert all(cover.contains_cover(Cover([cube], VARS)) for cube in cover)
+
+    @given(cover_strategy())
     @settings(max_examples=40, deadline=None)
     def test_complement_partitions_space(self, cover):
         complement = cover.complement()
         assert not complement.intersects_cover(cover)
         assert complement.union(cover).is_tautology() or cover.is_empty() and complement.is_tautology()
+
+
+#: differential-test variable pool; the names sort differently from the
+#: order in which they are first interned, so name-ordered literal probing
+#: is exercised against the packed bit order
+DIFF_VARS = ["q", "b7", "zeta", "a2", "m", "c", "x1", "k", "d0", "w"]
+
+
+def _cube_list(cover: Cover) -> list:
+    """A cover as its exact cube list: literal order included."""
+    return [list(cube.literals.items()) for cube in cover]
+
+
+@st.composite
+def minimizer_problem(draw):
+    """Random (on, off, dc) covers over 6-10 variables.
+
+    The off- and dc-sets are empty in a share of the examples; the off-set
+    is either arbitrary (it may meet the on-set) or the on-set's complement
+    within random noise.
+    """
+    variables = draw(st.permutations(DIFF_VARS))[: draw(st.integers(6, 10))]
+
+    def cover(max_size):
+        cube = st.dictionaries(
+            st.sampled_from(variables), st.integers(0, 1), max_size=len(variables)
+        ).map(Cube)
+        return st.lists(cube, max_size=max_size).map(lambda cubes: Cover(cubes, variables))
+
+    on_set = draw(cover(8))
+    off_set = draw(st.one_of(st.just(Cover.empty(variables)), cover(8)))
+    if draw(st.booleans()):
+        off_set = off_set.sharp(on_set)
+    dc_set = draw(st.one_of(st.none(), st.just(Cover.empty(variables)), cover(6)))
+    return on_set, off_set, dc_set
+
+
+class TestPackedMinimizerDifferential:
+    """The packed minimizer returns exactly the object reference's cubes."""
+
+    @given(minimizer_problem())
+    @example(  # empty off-set and empty dc-set: every literal drops
+        (
+            Cover.from_strings(["1-0-10", "0110--"], DIFF_VARS[:6]),
+            Cover.empty(DIFF_VARS[:6]),
+            Cover.empty(DIFF_VARS[:6]),
+        )
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_packed_matches_reference(self, problem):
+        on_set, off_set, dc_set = problem
+        expanded = expand_cover(on_set, off_set)
+        assert _cube_list(expanded) == _cube_list(_reference_expand_cover(on_set, off_set))
+        assert expanded.variables == on_set.variables
+        reduced = irredundant_cover(on_set, dc_set)
+        assert _cube_list(reduced) == _cube_list(_reference_irredundant_cover(on_set, dc_set))
+        result = minimize_cover(on_set, off_set, dc_set)
+        reference = _reference_minimize(on_set, off_set, dc_set)
+        assert _cube_list(result) == _cube_list(reference)
+        assert result.variables == reference.variables
+
+    def test_irredundant_keeps_reference_identity_semantics(self):
+        # the same cube object twice: neither copy is ever "the rest"
+        cube = Cube({"a": 1})
+        cover = Cover([cube, cube], VARS)
+        assert _cube_list(irredundant_cover(cover)) == _cube_list(
+            _reference_irredundant_cover(cover)
+        )
+
+    def test_state_based_registry_calls_replay_identically(self, monkeypatch):
+        """Every minimize_cover call of the state-based flow over the
+        enumerable registry specs matches the object reference."""
+        calls = []
+
+        def recording(on_set, off_set, dc_set=None):
+            result = minimize_cover(on_set, off_set, dc_set)
+            calls.append((on_set, off_set, dc_set, result))
+            return result
+
+        monkeypatch.setattr(statebased_synthesis, "minimize_cover", recording)
+        replayed = []
+        for name in list_benchmarks():
+            try:
+                count_reachable_markings(get_benchmark(name).net, max_markings=5_000)
+            except StateSpaceLimitExceeded:
+                continue
+            try:
+                Pipeline().run(name, backend="statebased")
+            except StateBasedSynthesisError as error:
+                assert "CSC" in str(error), (name, error)
+                continue
+            replayed.append(name)
+        assert len(replayed) >= 20, replayed
+        assert len(calls) >= 200, len(calls)
+        for on_set, off_set, dc_set, result in calls:
+            assert _cube_list(result) == _cube_list(_reference_minimize(on_set, off_set, dc_set))
 
 
 class TestBooleanFunction:
