@@ -7,7 +7,7 @@ section; the resulting rows are printed so that running
 
 produces the reproduced tables alongside the timing numbers.  Bench modules
 also push their rows into the session-scoped ``perf_record`` fixture, which
-is persisted as ``BENCH_PR13.json`` at the repo root when the session ends —
+is persisted as ``BENCH_PR14.json`` at the repo root when the session ends —
 the machine-readable perf trajectory consumed by later PRs (``BENCH_PR1``
 recorded the bit-packed kernel; PR2 the cached-pipeline sweep of the
 unified API; PR3 gate-netlist construction and gate-level differential
@@ -20,7 +20,9 @@ exact SAT backend's encode/solve costs and the optimality-gap table from
 tail latency and thundering-herd coalescing from ``bench_fleet.py``; PR10
 the observability subsystem's serving-overhead budget from
 ``bench_obs.py``; since then also the packed two-level minimizer against
-its object reference from ``bench_minimize.py``).
+its object reference from ``bench_minimize.py``, and the packed region-cover
+algebra against the object-level cover operations from
+``bench_region_covers.py``).
 """
 
 from __future__ import annotations
@@ -91,19 +93,20 @@ _REQUIRED_SECTIONS = (
     "fleet",
     "obs",
     "minimize",
+    "region_covers",
 )
 
 
 @pytest.fixture(scope="session")
 def perf_record(request):
-    """Session-wide perf record, persisted as BENCH_PR13.json on teardown."""
+    """Session-wide perf record, persisted as BENCH_PR14.json on teardown."""
     record: dict = {
-        "pr": 13,
+        "pr": 14,
         "kernel": (
-            "packed two-level minimizer: literal-drop probes as big-int ANDs "
-            "over per-literal off-set columns, irredundancy cofactored "
-            "straight into the packed tautology check, Cube objects only for "
-            "the result; _reference_minimize kept as the oracle"
+            "packed region-cover algebra: one k-way Cover.union_all scan in "
+            "place of union folds, sharp/intersect on packed (care, value) "
+            "entries, Cube objects only for the result; the object-level "
+            "operations kept as the _reference_* oracles"
         ),
         "seed_baseline": SEED_BASELINE,
         "pr3_baseline": PR3_BASELINE,
@@ -214,4 +217,4 @@ def perf_record(request):
     minimize_results = record["results"].get("minimize", {})
     if minimize_results:
         record["minimizer_speedup_vs_reference"] = minimize_results.get("speedup")
-    write_perf_record(repo_root / "BENCH_PR13.json", record)
+    write_perf_record(repo_root / "BENCH_PR14.json", record)

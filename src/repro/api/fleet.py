@@ -384,13 +384,16 @@ class FleetSupervisor:
             "run_dir": str(self._run_dir),
         }
         # -c instead of -m: the package __init__ imports this module, and
-        # runpy would warn about re-executing an already-imported module
+        # runpy would warn about re-executing an already-imported module.
+        # A drain (SIGTERM) that arrives while the worker is still importing,
+        # before worker_main installs its handler, exits it cleanly.
         process = subprocess.Popen(
             [
                 sys.executable,
                 "-c",
-                "import sys; from repro.api.fleet import main; "
-                "sys.exit(main(sys.argv[1:]))",
+                "import signal, sys; "
+                f"signal.signal(signal.SIGTERM, lambda *_: sys.exit({EXIT_DRAINED})); "
+                "from repro.api.fleet import main; sys.exit(main(sys.argv[1:]))",
                 "--worker",
                 json.dumps(worker_config),
             ],
@@ -486,15 +489,17 @@ class FleetSupervisor:
                 continue
             else:
                 reason = f"pid={worker.pid} heartbeat stale for {age:.1f}s"
-            self.hung_kills += 1
-            if self.obs is not None:
-                self.obs.fleet_events.inc(kind="hung_kill")
             try:
                 worker.process.kill()
                 worker.process.wait(timeout=10)
             except OSError:
                 pass
             self._respawn(slot, "respawn", reason + " (hung, killed)")
+            # counted only once the slot holds the replacement, so an
+            # observer of the count never sees the killed handle
+            self.hung_kills += 1
+            if self.obs is not None:
+                self.obs.fleet_events.inc(kind="hung_kill")
 
     def metrics(self) -> Optional[dict]:
         """Fleet-wide metric aggregation: merge every process's snapshot.
@@ -599,6 +604,16 @@ def worker_main(config: dict) -> int:
     from repro.api.pipeline import Pipeline
     from repro.api.server import create_server
 
+    # installed first, replacing the bootstrap's exit-on-SIGTERM: a drain
+    # requested during start-up is honoured once the server runs
+    drain = threading.Event()
+    recycle = threading.Event()
+
+    def _request_drain(signum, frame):  # noqa: ARG001 (signal signature)
+        drain.set()
+
+    signal.signal(signal.SIGTERM, _request_drain)
+
     slot = int(config.get("slot", 0))
     generation = int(config.get("generation", 1))
     worker_id = f"{slot}.{generation}"
@@ -626,14 +641,6 @@ def worker_main(config: dict) -> int:
         # its predecessor's kill decisions (which would loop forever)
         injector = get_injector(config["faults"]).scoped(f"worker{slot}g{generation}")
     pipeline = Pipeline(store=store, faults=injector, flights=flights, obs=obs)
-
-    drain = threading.Event()
-    recycle = threading.Event()
-
-    def _request_drain(signum, frame):  # noqa: ARG001 (signal signature)
-        drain.set()
-
-    signal.signal(signal.SIGTERM, _request_drain)
 
     server = create_server(
         host=config.get("host", "127.0.0.1"),

@@ -327,18 +327,6 @@ class Pipeline:
         counts: Counter = Counter(key[0] for key in self._cache)
         return dict(counts)
 
-    def store_info(self) -> dict:
-        """On-disk store statistics plus this pipeline's hit/miss counters."""
-        if self.store is None:
-            return {}
-        info = self.store.stats()
-        info["pipeline"] = {
-            "stage_calls": dict(self.stage_calls),
-            "store_hits": dict(self.store_hits),
-            "store_misses": dict(self.store_misses),
-        }
-        return info
-
     def evict_cache(self) -> int:
         """Drop the in-memory artifacts only; counters and store survive.
 
@@ -581,8 +569,8 @@ class Pipeline:
         spec = Spec.load(spec)
         options = options or SynthesisOptions()
         synthesis = self.synthesize(spec, options, backend=backend, max_markings=max_markings)
-        if synthesis.backend == "structural":
-            max_markings = None
+        # the bound stays in the key for every backend: the check enumerates
+        # the state space itself, even after a structural synthesis
         key = (
             "verify",
             spec.content_hash,
@@ -594,7 +582,9 @@ class Pipeline:
         def compute() -> VerificationArtifact:
             self.stage_calls["verify"] += 1
             start = time.perf_counter()
-            report = verify_speed_independence(spec.stg, synthesis.circuit)
+            report = verify_speed_independence(
+                spec.stg, synthesis.circuit, max_markings=max_markings
+            )
             return VerificationArtifact(
                 spec_name=spec.name,
                 spec_hash=spec.content_hash,

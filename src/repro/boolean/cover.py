@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from repro.boolean.cube import Cube
-from repro.boolean.interning import mask_of_tuple
+from repro.boolean.interning import _VAR_INDEX, mask_of_tuple
 
 
 class Cover:
@@ -215,86 +215,178 @@ class Cover:
     # ------------------------------------------------------------------ #
 
     def union(self, other: "Cover") -> "Cover":
-        """Disjunction of two covers (with single-cube containment removal)."""
-        variables, mask = self._merged_universe(other)
-        kept = list(self._cubes)
+        """Disjunction of two covers (with single-cube containment removal).
+
+        The cubes of ``self`` are kept as they are; each cube of ``other`` is
+        appended unless a kept cube covers it, and drops the kept cubes it
+        covers.
+        """
+        variables, mask = _merged_universe(self._variables, self._mask, other)
+        kept = [(cube, cube._care, cube._value) for cube in self._cubes]
         for cube in other._cubes:
-            covered = False
-            for own in kept:
-                if own.covers(cube):
-                    covered = True
+            care = cube._care
+            value = cube._value
+            for _, own_care, own_value in kept:
+                if not own_care & ~care and not (own_value ^ value) & own_care:
                     break
-            if covered:
-                continue
-            kept = [own for own in kept if not cube.covers(own)]
-            kept.append(cube)
-        return Cover._make(kept, variables, mask)
+            else:
+                kept = [
+                    entry for entry in kept
+                    if care & ~entry[1] or (value ^ entry[2]) & care
+                ]
+                kept.append((cube, care, value))
+        return Cover._make([cube for cube, _, _ in kept], variables, mask)
 
     def __or__(self, other: "Cover") -> "Cover":
         return self.union(other)
 
+    @classmethod
+    def union_all(cls, covers: Iterable["Cover"], variables: Iterable[str] = ()) -> "Cover":
+        """Disjunction of many covers.
+
+        Returns exactly the cubes, in exactly the order, that folding
+        :meth:`union` over ``covers`` from ``Cover.empty(variables)``
+        returns: a cube survives iff no other cube strictly covers it and no
+        earlier cube equals it.  One containment scan over all cubes,
+        visited fewest literals first (a strict cover has fewer literals),
+        finds them; the survivors are then put back in input order.
+        """
+        start = cls.empty(variables)
+        variables, mask = start._variables, start._mask
+        cubes: list[Cube] = []
+        for cover in covers:
+            variables, mask = _merged_universe(variables, mask, cover)
+            cubes.extend(cover._cubes)
+        entries = [(index, cube._care, cube._value) for index, cube in enumerate(cubes)]
+        survivors = sorted(index for index, _, _ in _remove_contained_packed(entries))
+        return cls._make([cubes[index] for index in survivors], variables, mask)
+
     def intersection(self, other: "Cover") -> "Cover":
         """Conjunction of two covers (pairwise cube products)."""
-        variables, mask = self._merged_universe(other)
-        products: list[Cube] = []
+        variables, mask = _merged_universe(self._variables, self._mask, other)
+        products: list[tuple] = []
         for left in self._cubes:
+            left_care = left._care
+            left_value = left._value
             for right in other._cubes:
-                product = left.intersect(right)
-                if product is not None:
-                    products.append(product)
-        return Cover._make(products, variables, mask).remove_contained()
+                if not (left_value ^ right._value) & left_care & right._care:
+                    products.append(
+                        ((left, right), left_care | right._care, left_value | right._value)
+                    )
+        cubes = []
+        for (left, right), care, value in _remove_contained_packed(products):
+            merged = dict(left._literals)
+            merged.update(right._literals)
+            cubes.append(Cube._raw(merged, care, value))
+        return Cover._make(cubes, variables, mask)
 
     def __and__(self, other: "Cover") -> "Cover":
         return self.intersection(other)
 
     def intersect_cube(self, cube: Cube) -> "Cover":
         """Conjunction of the cover with a single cube."""
-        products = []
-        for other in self._cubes:
-            product = other.intersect(cube)
-            if product is not None:
-                products.append(product)
-        if cube._care & ~self._mask:
-            return Cover(products, self._variables).remove_contained()
-        return Cover._make(products, self._variables, self._mask).remove_contained()
+        care = cube._care
+        value = cube._value
+        products = [
+            (own, own._care | care, own._value | value)
+            for own in self._cubes
+            if not (own._value ^ value) & own._care & care
+        ]
+        literals = cube._literals
+        cubes = []
+        for own, product_care, product_value in _remove_contained_packed(products):
+            merged = dict(own._literals)
+            merged.update(literals)
+            cubes.append(Cube._raw(merged, product_care, product_value))
+        variables, mask = self._variables, self._mask
+        if products and care & ~mask:
+            # every product carries all of the cube's literals, so the
+            # universe grows by its new variables in literal order
+            variables += tuple(var for var in literals if (1 << _VAR_INDEX[var]) & ~mask)
+            mask |= care
+        return Cover._make(cubes, variables, mask)
 
     def sharp_cube(self, cube: Cube) -> "Cover":
         """Difference ``cover \\ cube`` (sharp operation)."""
-        result: list[Cube] = []
-        for own in self._cubes:
-            if not own.intersects(cube):
-                result.append(own)
-                continue
-            if cube.covers(own):
-                continue
-            for piece in cube.complement_cubes():
-                product = own.intersect(piece)
-                if product is not None:
-                    result.append(product)
-        if cube._care & ~self._mask:
-            return Cover(result, self._variables).remove_contained()
-        return Cover._make(result, self._variables, self._mask).remove_contained()
+        return self._sharp_cubes((cube,))
 
     def sharp(self, other: "Cover") -> "Cover":
         """Difference ``cover \\ other``."""
-        result = self
-        for cube in other:
-            result = result.sharp_cube(cube)
-            if result.is_empty():
-                break
-        return result
+        if not other._cubes:
+            return self
+        return self._sharp_cubes(other._cubes)
 
     def __sub__(self, other: "Cover") -> "Cover":
         return self.sharp(other)
 
     def complement(self) -> "Cover":
         """Complement of the cover over its variable universe."""
-        result = Cover.universe(self._variables)
-        for cube in self._cubes:
-            result = result.sharp_cube(cube)
-            if result.is_empty():
+        return Cover.universe(self._variables)._sharp_cubes(self._cubes)
+
+    def _sharp_cubes(self, cubes: Sequence[Cube]) -> "Cover":
+        """Subtract ``cubes`` one after the other, on packed entries.
+
+        Each step keeps the entries disjoint from the cube, drops the ones
+        it covers, splits the rest over the telescoping complement of the
+        cube (``l1' + l1 l2' + ...``) and removes contained entries; it
+        stops once nothing is left.  An entry is ``(origin, care, value)``:
+        the origin is a cube of ``self`` or ``(parent origin, literal items
+        of the subtracted cube, k)`` for a product with its k-th complement
+        piece, from which the surviving cubes' literal dicts are rebuilt at
+        the end in the order :meth:`Cube.intersect` would have merged them.
+        """
+        variables = self._variables
+        mask = self._mask
+        entries = [(cube, cube._care, cube._value) for cube in self._cubes]
+        for cube in cubes:
+            care = cube._care
+            value = cube._value
+            pieces = None
+            longest = -1
+            result: list[tuple] = []
+            for entry in entries:
+                origin, own_care, own_value = entry
+                if (own_value ^ value) & own_care & care:
+                    result.append(entry)  # disjoint from the cube
+                    continue
+                if not care & ~own_care:
+                    continue  # covered by the cube
+                if pieces is None:
+                    items = tuple(cube._literals.items())
+                    pieces = []
+                    prefix_care = prefix_value = 0
+                    for var, bound in items:
+                        bit = 1 << _VAR_INDEX[var]
+                        pieces.append(
+                            (bit, prefix_care | bit, prefix_value | (0 if bound else bit))
+                        )
+                        prefix_care |= bit
+                        if bound:
+                            prefix_value |= bit
+                # the entry agrees with every literal of the cube it binds,
+                # so it meets piece k iff it leaves the k-th variable free
+                for k, (bit, piece_care, piece_value) in enumerate(pieces):
+                    if not own_care & bit:
+                        result.append(
+                            ((origin, items, k), own_care | piece_care, own_value | piece_value)
+                        )
+                        if k > longest:
+                            longest = k
+            if longest >= 0 and care & ~mask:
+                # the products add the cube's new variables in literal order
+                # up to the longest piece that produced one
+                new = [var for var, _ in items[: longest + 1] if (1 << _VAR_INDEX[var]) & ~mask]
+                variables += tuple(new)
+                for var in new:
+                    mask |= 1 << _VAR_INDEX[var]
+            entries = _remove_contained_packed(result)
+            if not entries:
                 break
-        return result
+        return Cover._make(
+            [_materialize(origin, care, value) for origin, care, value in entries],
+            variables,
+            mask,
+        )
 
     def remove_contained(self) -> "Cover":
         """Remove cubes that are single-cube contained in another cube."""
@@ -321,19 +413,87 @@ class Cover:
         """Return the same cover declared over a (larger) variable universe."""
         return Cover(self._cubes, variables)
 
-    # ------------------------------------------------------------------ #
-    # Internal helpers
-    # ------------------------------------------------------------------ #
 
-    def _merged_universe(self, other: "Cover") -> tuple[tuple[str, ...], int]:
-        """Universe (variables, mask) of a binary operation's result."""
-        if not other._mask & ~self._mask:
-            return self._variables, self._mask
-        seen = set(self._variables)
-        variables = self._variables + tuple(
-            v for v in other._variables if v not in seen
-        )
-        return variables, self._mask | other._mask
+def _merged_universe(
+    variables: tuple[str, ...], mask: int, other: Cover
+) -> tuple[tuple[str, ...], int]:
+    """Universe (variables, mask) of a binary operation's result."""
+    if not other._mask & ~mask:
+        return variables, mask
+    seen = set(variables)
+    return variables + tuple(v for v in other._variables if v not in seen), mask | other._mask
+
+
+def _materialize(origin, care: int, value: int) -> Cube:
+    """The cube of a packed sharp entry (see :meth:`Cover._sharp_cubes`)."""
+    if type(origin) is Cube:
+        return origin
+    steps = []
+    while type(origin) is not Cube:
+        origin, items, k = origin
+        steps.append((items, k))
+    literals = dict(origin._literals)
+    for items, k in reversed(steps):
+        for var, bound in items[:k]:
+            literals.setdefault(var, bound)
+        var, bound = items[k]
+        literals.setdefault(var, 1 - bound)
+    return Cube._raw(literals, care, value)
+
+
+# ---------------------------------------------------------------------- #
+# Object-level reference operations (differential-test oracles)
+# ---------------------------------------------------------------------- #
+
+
+def _reference_union(cover: Cover, other: Cover) -> Cover:
+    """Object-level :meth:`Cover.union`."""
+    variables, mask = _merged_universe(cover._variables, cover._mask, other)
+    kept = list(cover._cubes)
+    for cube in other._cubes:
+        if any(own.covers(cube) for own in kept):
+            continue
+        kept = [own for own in kept if not cube.covers(own)]
+        kept.append(cube)
+    return Cover._make(kept, variables, mask)
+
+
+def _reference_intersection(cover: Cover, other: Cover) -> Cover:
+    """Object-level :meth:`Cover.intersection`."""
+    variables, mask = _merged_universe(cover._variables, cover._mask, other)
+    products: list[Cube] = []
+    for left in cover._cubes:
+        for right in other._cubes:
+            product = left.intersect(right)
+            if product is not None:
+                products.append(product)
+    return Cover._make(products, variables, mask).remove_contained()
+
+
+def _reference_intersect_cube(cover: Cover, cube: Cube) -> Cover:
+    """Object-level :meth:`Cover.intersect_cube`."""
+    products = []
+    for other in cover._cubes:
+        product = other.intersect(cube)
+        if product is not None:
+            products.append(product)
+    return Cover(products, cover._variables).remove_contained()
+
+
+def _reference_sharp_cube(cover: Cover, cube: Cube) -> Cover:
+    """Object-level :meth:`Cover.sharp_cube`."""
+    result: list[Cube] = []
+    for own in cover._cubes:
+        if not own.intersects(cube):
+            result.append(own)
+            continue
+        if cube.covers(own):
+            continue
+        for piece in cube.complement_cubes():
+            product = own.intersect(piece)
+            if product is not None:
+                result.append(product)
+    return Cover(result, cover._variables).remove_contained()
 
 
 # ---------------------------------------------------------------------- #
@@ -359,16 +519,25 @@ def _remove_contained_packed(entries: list[tuple]) -> list[tuple]:
     """Entries ``(item, care, value)`` not single-cube contained in another.
 
     Entries are visited from fewest literals up (stable); one is dropped
-    when an already-kept entry covers it.
+    when an already-kept entry covers it.  The kept value masks are grouped
+    by care mask, so the scan tests each kept care once: a kept cube
+    ``(c, v)`` covers ``(care, value)`` iff ``c`` is within ``care`` and
+    ``value & c == v``.
     """
     kept: list[tuple] = []
+    by_care: dict[int, set[int]] = {}
     for entry in sorted(entries, key=lambda item: item[1].bit_count()):
         _, care, value = entry
-        for _, other_care, other_value in kept:
-            if not other_care & ~care and not (other_value ^ value) & other_care:
+        for other_care, values in by_care.items():
+            if not other_care & ~care and (value & other_care) in values:
                 break
         else:
             kept.append(entry)
+            values = by_care.get(care)
+            if values is None:
+                by_care[care] = {value}
+            else:
+                values.add(value)
     return kept
 
 

@@ -57,19 +57,6 @@ def is_free_choice(net: PetriNet) -> bool:
     return True
 
 
-def is_extended_free_choice(net: PetriNet) -> bool:
-    """Extended free-choice: conflicting transitions share all input places."""
-    for place in net.places:
-        successors = net.postset(place)
-        if len(successors) <= 1:
-            continue
-        presets = [net.preset(t) for t in successors]
-        first = presets[0]
-        if any(preset != first for preset in presets[1:]):
-            return False
-    return True
-
-
 def choice_places(net: PetriNet) -> list[str]:
     """Places with more than one output transition (choice places)."""
     return [p for p in net.places if len(net.postset(p)) > 1]

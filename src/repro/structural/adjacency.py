@@ -188,31 +188,3 @@ def structural_prev_relation(next_relation: dict[str, set[str]]) -> dict[str, se
         for successor in successors:
             prev.setdefault(successor, set()).add(transition)
     return prev
-
-
-def interleaved_places(
-    stg: STG,
-    concurrency: ConcurrencyRelation,
-    transition: str,
-    successors: Optional[set[str]] = None,
-) -> set[str]:
-    """Places interleaved between ``transition`` and its ``next`` transitions.
-
-    This is the structural computation behind the quiescent place sets of
-    Fig. 10: the places visited by the Property-4 search from the transition
-    (before any other transition of the signal is reached).  Unlike the
-    adjacency search, places concurrent to the signal are traversed as well —
-    they belong to the quiescent-region domain but their cover cube simply
-    leaves the signal as a don't-care.
-    """
-    signal = stg.signal_of(transition)
-
-    def allowed(_place: str) -> bool:
-        return True
-
-    found, places = _path_successors(stg, transition, signal, allowed)
-    if successors is not None and not successors >= found:
-        # The caller supplied a smaller successor set (e.g. after filtering);
-        # the place walk is unchanged, only reported for information.
-        pass
-    return places

@@ -147,12 +147,13 @@ class SignalRegionApproximation:
             for place in self.stg.net.preset(successor):
                 if place in places:
                     boundary.setdefault(place, set()).add(successor)
-        result = Cover.empty(self.stg.signal_names)
+        covers = []
         for place in sorted(places):
             cover = self.cover_functions[place]
             for successor in boundary.get(place, ()):
                 cover = cover.sharp(self.er_cover(successor))
-            result = result.union(cover)
+            covers.append(cover)
+        result = Cover.union_all(covers, self.stg.signal_names)
         anchor = self._signal_value_cube(transition, after_firing=True)
         if anchor is not None:
             result = result.intersect_cube(anchor)
@@ -176,20 +177,10 @@ class SignalRegionApproximation:
         return result
 
     def _br_cover_uncached(self, transition: str) -> Cover:
-        places = set(self.bps.get(transition, set()))
-        predecessors = {
-            prev for prev, nexts in self.next_relation.items()
-            if transition in nexts
-        }
-        boundary: dict[str, set[str]] = {}
-        for predecessor in predecessors:
-            for place in self.stg.net.postset(predecessor):
-                if place in places:
-                    boundary.setdefault(place, set()).add(predecessor)
-        result = Cover.empty(self.stg.signal_names)
-        for place in sorted(places):
-            cover = self.cover_functions[place]
-            result = result.union(cover)
+        places = sorted(self.bps.get(transition, ()))
+        result = Cover.union_all(
+            (self.cover_functions[place] for place in places), self.stg.signal_names
+        )
         # The excitation region of the transition itself is not part of BR,
         # and every marking of BR carries the signal's pre-firing value.
         result = result.sharp(self.er_cover(transition))
@@ -208,9 +199,13 @@ class SignalRegionApproximation:
         key = ("ger", signal, direction)
         cached = cache.get(key)
         if cached is None:
-            cached = Cover.empty(self.stg.signal_names)
-            for transition in self.stg.transitions_by_direction(signal, direction):
-                cached = cached.union(self.er_cover(transition))
+            cached = Cover.union_all(
+                (
+                    self.er_cover(transition)
+                    for transition in self.stg.transitions_by_direction(signal, direction)
+                ),
+                self.stg.signal_names,
+            )
             cache[key] = cached
         return cached
 
@@ -221,9 +216,13 @@ class SignalRegionApproximation:
         cached = cache.get(key)
         if cached is None:
             direction = "+" if value == 1 else "-"
-            cached = Cover.empty(self.stg.signal_names)
-            for transition in self.stg.transitions_by_direction(signal, direction):
-                cached = cached.union(self.qr_cover(transition, restricted=restricted))
+            cached = Cover.union_all(
+                (
+                    self.qr_cover(transition, restricted=restricted)
+                    for transition in self.stg.transitions_by_direction(signal, direction)
+                ),
+                self.stg.signal_names,
+            )
             cache[key] = cached
         return cached
 

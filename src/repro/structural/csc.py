@@ -123,42 +123,3 @@ def check_csc_structural(
         unresolved_places=unresolved,
         witnesses=witnesses,
     )
-
-
-def potential_csc_violation_places(
-    stg: STG,
-    cover_functions: dict[str, Cover],
-    sm_cover: list[StateMachineComponent],
-) -> list[tuple[str, str, str]]:
-    """Theorem 14: candidate witnesses of a CSC violation.
-
-    Returns triples ``(component_place, conflicting_place, output_transition)``
-    where ``component_place`` is in the preset of the output transition, is
-    not in the preset of any other transition of the same signal, and its
-    cover intersects the cover of ``conflicting_place`` in some SM-component.
-    Any real CSC violation produces at least one such triple; the converse
-    does not hold (the triple may come from an overestimated cover).
-    """
-    results: list[tuple[str, str, str]] = []
-    for transition in stg.transitions:
-        signal = stg.signal_of(transition)
-        if stg.is_input(signal):
-            continue
-        other_presets: set[str] = set()
-        for other in stg.transitions_of_signal(signal):
-            if other != transition:
-                other_presets |= stg.net.preset(other)
-        for place in stg.net.preset(transition):
-            if place in other_presets:
-                continue
-            for component in sm_cover:
-                if place not in component.places:
-                    continue
-                for other_place in component.places:
-                    if other_place == place:
-                        continue
-                    if cover_functions[place].intersects_cover(
-                        cover_functions[other_place]
-                    ):
-                        results.append((place, other_place, transition))
-    return results

@@ -245,22 +245,3 @@ def compute_backward_place_sets(
             backward_places & reach_forward
         )
     return result
-
-
-def qps_boundary_places(
-    stg: STG,
-    transition: str,
-    qps: set[str],
-    successors: set[str],
-) -> set[str]:
-    """Places of QPS(t) lying in the preset of a successor transition.
-
-    These are the boundary places whose cover function must be reduced by the
-    covers of the successor excitation regions to avoid overestimating the
-    quiescent region (Section VI-A).
-    """
-    boundary: set[str] = set()
-    for successor in successors:
-        boundary |= stg.net.preset(successor) & qps
-    del transition  # the boundary only depends on the successors
-    return boundary

@@ -65,9 +65,9 @@ def refine_place_by_component(
     ]
     if not relevant:
         return cover_functions[place]
-    union = Cover.empty(stg.signal_names)
-    for other in sorted(relevant):
-        union = union.union(cover_functions[other])
+    union = Cover.union_all(
+        (cover_functions[other] for other in sorted(relevant)), stg.signal_names
+    )
     return cover_functions[place].intersection(union).with_variables(stg.signal_names)
 
 

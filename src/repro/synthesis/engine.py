@@ -147,22 +147,20 @@ def _per_region_covers(
     result: dict[str, Cover] = {}
     opposite = "-" if direction == "+" else "+"
     value = 1 if direction == "+" else 0
-    base_off = approximation.ger_cover(signal, opposite).union(
-        approximation.gqr_cover(signal, 1 - value)
-    )
+    base_off = [
+        approximation.ger_cover(signal, opposite),
+        approximation.gqr_cover(signal, 1 - value),
+    ]
     for transition in stg.transitions_by_direction(signal, direction):
         own = approximation.er_cover(transition)
         allowed = own.union(approximation.qr_cover(transition, restricted=True))
-        off_set = base_off
+        covers = list(base_off)
         for other in stg.transitions_by_direction(signal, direction):
             if other == transition:
                 continue
-            off_set = off_set.union(
-                approximation.er_cover(other).sharp(allowed)
-            )
-            off_set = off_set.union(
-                approximation.qr_cover(other, restricted=True).sharp(allowed)
-            )
+            covers.append(approximation.er_cover(other).sharp(allowed))
+            covers.append(approximation.qr_cover(other, restricted=True).sharp(allowed))
+        off_set = Cover.union_all(covers, variables)
         expanded = _minimize_against(own, off_set, variables)
         if not check_cover_correctness(own, off_set, expanded):
             expanded = own
@@ -251,9 +249,13 @@ def _backward_expand(
     """
     stg = approximation.stg
     variables = tuple(stg.signal_names)
-    backward = Cover.empty(variables)
-    for transition in stg.transitions_by_direction(signal, direction):
-        backward = backward.union(approximation.br_cover(transition))
+    backward = Cover.union_all(
+        (
+            approximation.br_cover(transition)
+            for transition in stg.transitions_by_direction(signal, direction)
+        ),
+        variables,
+    )
     usable = backward.intersection(opposite_cover)
     if usable.is_empty():
         return cover
@@ -354,12 +356,8 @@ def _synthesize_signal(
         set_regions = _per_region_covers(approximation, signal, "+")
         reset_regions = _per_region_covers(approximation, signal, "-")
         variables = tuple(approximation.stg.signal_names)
-        set_cover = Cover.empty(variables)
-        for cover in set_regions.values():
-            set_cover = set_cover.union(cover)
-        reset_cover = Cover.empty(variables)
-        for cover in reset_regions.values():
-            reset_cover = reset_cover.union(cover)
+        set_cover = Cover.union_all(set_regions.values(), variables)
+        reset_cover = Cover.union_all(reset_regions.values(), variables)
         return latch_implementation(
             signal,
             set_cover,

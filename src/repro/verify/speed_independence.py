@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.petri.reachability import build_reachability_graph
 from repro.statebased.nextstate import implied_value_bitsets
 from repro.statebased.regions import SignalRegions, compute_signal_regions
 from repro.stg.encoding import encode_reachability_graph
@@ -43,6 +44,7 @@ def verify_speed_independence(
     circuit: Circuit,
     regions: Optional[SignalRegions] = None,
     signals: Optional[list[str]] = None,
+    max_markings: Optional[int] = None,
 ) -> VerificationReport:
     """Verify that ``circuit`` implements ``stg`` without hazards.
 
@@ -56,12 +58,16 @@ def verify_speed_independence(
     must be monotonic over the exact quiescent regions (Property 1); for
     combinational implementations monotonicity reduces to functional
     correctness, which was already checked.
+
+    ``max_markings`` bounds the enumeration of the reachable markings when
+    ``regions`` is not given (``StateSpaceLimitExceeded`` beyond it).
     """
     targets = signals if signals is not None else [
         s for s in circuit.signals if s in stg.non_input_signals
     ]
     if regions is None:
-        encoded = encode_reachability_graph(stg)
+        graph = build_reachability_graph(stg.net, max_markings=max_markings)
+        encoded = encode_reachability_graph(stg, graph)
         regions = compute_signal_regions(stg, encoded, signals=targets)
     encoded = regions.encoded
 

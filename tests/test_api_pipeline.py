@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.api import Pipeline, Report, Spec, SynthesisError, SynthesisOptions, run
+from repro.petri.reachability import StateSpaceLimitExceeded
 from repro.synthesis.engine import prepare_approximation, synthesize
 
 
@@ -162,6 +163,20 @@ class TestErrorPaths:
         # latch_ctrl is the classic benchmark with the CSC violation
         with pytest.raises(SynthesisError, match="CSC"):
             Pipeline().synthesize("latch_ctrl", SynthesisOptions())
+
+    def test_structural_verify_honours_max_markings(self):
+        # independent_cells_20 has 2^40 reachable markings: the structural
+        # flow synthesizes it without enumeration, but the verify stage
+        # enumerates, so the caller's bound must reach the enumeration
+        pipeline = Pipeline()
+        with pytest.raises(StateSpaceLimitExceeded, match="1000"):
+            pipeline.run("independent_cells_20", verify=True, max_markings=1000)
+        assert pipeline.stage_calls["synthesize"] == 1
+        # the bound is part of the verify key: an unbounded call of a small
+        # spec does not answer a bounded one from the cache
+        assert pipeline.verify("glatch_3").speed_independent
+        with pytest.raises(StateSpaceLimitExceeded):
+            pipeline.verify("glatch_3", max_markings=1)
 
 
 class TestLegacyShims:

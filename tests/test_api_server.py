@@ -134,6 +134,22 @@ class TestErrors:
         assert excinfo.value.status == 400
         assert "CSC" in excinfo.value.message
 
+    def test_structural_verify_over_the_bound_is_a_state_space_limit(self, served):
+        # without the bound reaching the verifier this request would try to
+        # enumerate all 2^40 markings of independent_cells_20
+        server, client = served
+        with pytest.raises(ClientError) as excinfo:
+            client.synthesize("independent_cells_20", verify=True, max_markings=1000)
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "state_space_limit"
+        status, body = _post_json(
+            server.server_address[1],
+            "/synthesize",
+            {"spec": "independent_cells_20", "verify": True, "max_markings": 1000},
+        )
+        assert status == 400
+        assert body["error"]["code"] == "state_space_limit"
+
     def test_unknown_endpoint_is_a_404(self, served):
         _, client = served
         with pytest.raises(ClientError) as excinfo:

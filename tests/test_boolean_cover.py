@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import example, given, settings, strategies as st
 
 import repro.statebased.synthesis as statebased_synthesis
-from repro.api import Pipeline
+from repro.api import Pipeline, SynthesisOptions
 from repro.benchmarks.registry import get_benchmark, list_benchmarks
-from repro.boolean.cover import Cover
+from repro.boolean.cover import (
+    Cover,
+    _reference_intersect_cube,
+    _reference_intersection,
+    _reference_sharp_cube,
+    _reference_union,
+)
 from repro.boolean.cube import Cube
 from repro.boolean.function import BooleanFunction
 from repro.boolean.minimize import (
@@ -20,6 +28,7 @@ from repro.boolean.minimize import (
     single_cube_cover,
 )
 from repro.boolean.cost import literal_count, sop_transistor_estimate, transistor_estimate
+from repro.experiments.optimality_gap import GAP_SPECS
 from repro.petri.reachability import StateSpaceLimitExceeded, count_reachable_markings
 from repro.statebased.synthesis import StateBasedSynthesisError
 
@@ -238,6 +247,165 @@ class TestPackedMinimizerDifferential:
         assert len(calls) >= 200, len(calls)
         for on_set, off_set, dc_set, result in calls:
             assert _cube_list(result) == _cube_list(_reference_minimize(on_set, off_set, dc_set))
+
+
+# ---------------------------------------------------------------------- #
+# Packed cover algebra vs. the object-level reference operations
+# ---------------------------------------------------------------------- #
+
+#: names never in a drawn universe: cubes over them exercise the
+#: universe-extension branch of the operations
+OUTSIDE_VARS = ["u1", "u2"]
+
+
+def _reference_sharp(cover: Cover, other: Cover) -> Cover:
+    result = cover
+    for cube in other:
+        result = _reference_sharp_cube(result, cube)
+        if result.is_empty():
+            break
+    return result
+
+
+def _reference_complement(cover: Cover) -> Cover:
+    return _reference_sharp(Cover.universe(cover.variables), cover)
+
+
+def _reference_union_all(covers, variables=()) -> Cover:
+    result = Cover.empty(variables)
+    for cover in covers:
+        result = _reference_union(result, cover)
+    return result
+
+
+def _exact(cover: Cover) -> tuple:
+    """A cover as its exact cube list (literal order included) and universe."""
+    return _cube_list(cover), cover.variables
+
+
+@st.composite
+def algebra_problem(draw):
+    """Random operands over 6-10 variables.
+
+    The left cover is a raw cube list (duplicates and contained cubes
+    included) and may be empty; the right covers, the single cube and the
+    ``union_all`` operands may bind variables outside the left universe.
+    """
+    variables = draw(st.permutations(DIFF_VARS))[: draw(st.integers(6, 10))]
+    wide = variables + OUTSIDE_VARS
+
+    def cube(names):
+        literals = st.dictionaries(st.sampled_from(names), st.integers(0, 1), max_size=len(names))
+        return literals.map(Cube)
+
+    def cover(names, max_size):
+        universe = st.sampled_from([variables, wide, variables[:3], []])
+        return st.tuples(st.lists(cube(names), max_size=max_size), universe).map(
+            lambda pair: Cover(*pair)
+        )
+
+    left = Cover(draw(st.lists(cube(variables), max_size=7)), variables)
+    right = draw(cover(draw(st.sampled_from([variables, wide])), 6))
+    single = draw(cube(draw(st.sampled_from([variables, wide]))))
+    many = draw(st.lists(cover(wide, 4), max_size=5))
+    universe = draw(st.sampled_from([variables, [], variables + variables[:2]]))
+    return left, right, single, many, universe
+
+
+#: the structural_scalable benchmark workload's specs
+SCALABLE_SPECS = (
+    "muller_pipeline_8",
+    "muller_pipeline_16",
+    "muller_pipeline_32",
+    "independent_cells_20",
+    "independent_cells_45",
+    "philosophers_5",
+    "philosophers_8",
+    "glatch_5",
+    "glatch_8",
+)
+
+
+def _without_timings(data):
+    """A report document with every wall-clock field removed."""
+    if isinstance(data, dict):
+        return {
+            key: _without_timings(value)
+            for key, value in data.items()
+            if not key.endswith("seconds")
+        }
+    if isinstance(data, list):
+        return [_without_timings(value) for value in data]
+    return data
+
+
+class TestPackedCoverAlgebraDifferential:
+    """The packed cover operations return exactly the reference's covers."""
+
+    @given(algebra_problem())
+    @example(  # a cube outside the left universe that splits a left cube
+        (
+            Cover.from_strings(["1-0---", "11----"], DIFF_VARS[:6]),
+            Cover([Cube({"u1": 1, "q": 1, "u2": 0})], ["u1", "q", "u2"]),
+            Cube({"u2": 1, "b7": 0}),
+            [Cover.empty(), Cover([Cube({"u1": 0})], ["u1"])],
+            [],
+        )
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_packed_matches_reference(self, problem):
+        left, right, single, many, universe = problem
+        assert _exact(left.union(right)) == _exact(_reference_union(left, right))
+        assert _exact(right.union(left)) == _exact(_reference_union(right, left))
+        assert _exact(Cover.union_all(many, universe)) == _exact(
+            _reference_union_all(many, universe)
+        )
+        assert _exact(Cover.union_all([left, right], universe)) == _exact(
+            _reference_union_all([left, right], universe)
+        )
+        assert _exact(left.sharp(right)) == _exact(_reference_sharp(left, right))
+        assert _exact(left.sharp_cube(single)) == _exact(_reference_sharp_cube(left, single))
+        assert _exact(left.complement()) == _exact(_reference_complement(left))
+        assert _exact(left.intersect_cube(single)) == _exact(
+            _reference_intersect_cube(left, single)
+        )
+        assert _exact(left.intersection(right)) == _exact(_reference_intersection(left, right))
+        assert _exact(right.intersection(left)) == _exact(_reference_intersection(right, left))
+
+    def test_registry_reports_match_the_reference_ops(self, monkeypatch):
+        """Every structural_scalable spec and every `repro gap` spec gives
+        byte-identical reports (timings excluded) with the reference ops."""
+        runs = [(name, SynthesisOptions()) for name in SCALABLE_SPECS] + [
+            (name, SynthesisOptions(level=level, assume_csc=True))
+            for name in GAP_SPECS
+            for level in (1, 2, 3, 4, 5)
+        ]
+
+        def reports() -> list[str]:
+            return [
+                json.dumps(
+                    _without_timings(Pipeline().run(name, options, map_technology=True).to_json())
+                )
+                for name, options in runs
+            ]
+
+        packed = reports()
+        with monkeypatch.context() as patch:
+            patch.setattr(Cover, "union", _reference_union)
+            patch.setattr(
+                Cover,
+                "union_all",
+                classmethod(lambda cls, covers, variables=(): _reference_union_all(covers, variables)),
+            )
+            patch.setattr(Cover, "intersection", _reference_intersection)
+            patch.setattr(Cover, "intersect_cube", _reference_intersect_cube)
+            patch.setattr(Cover, "sharp_cube", _reference_sharp_cube)
+            patch.setattr(Cover, "sharp", _reference_sharp)
+            patch.setattr(Cover, "complement", _reference_complement)
+            reference = reports()
+        assert len(packed) == len(SCALABLE_SPECS) + 5 * len(GAP_SPECS) == 74
+        for (name, options), mine, theirs in zip(runs, packed, reference):
+            assert mine == theirs, (name, options.level)
 
 
 class TestBooleanFunction:

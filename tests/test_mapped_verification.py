@@ -129,7 +129,7 @@ class TestPipelineStage:
     def test_bounded_call_is_not_served_from_the_unbounded_cache(self):
         # the differential check enumerates the state space itself, so the
         # marking bound must stay in the memo key even for the structural
-        # backend (unlike `verify`, whose compute ignores the bound)
+        # backend (as for `verify`)
         pipeline = Pipeline()
         spec = Spec.from_benchmark("glatch_3")
         assert pipeline.verify_mapped(spec).equivalent
