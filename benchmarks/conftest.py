@@ -7,7 +7,7 @@ section; the resulting rows are printed so that running
 
 produces the reproduced tables alongside the timing numbers.  Bench modules
 also push their rows into the session-scoped ``perf_record`` fixture, which
-is persisted as ``BENCH_PR14.json`` at the repo root when the session ends —
+is persisted as ``BENCH_PR15.json`` at the repo root when the session ends —
 the machine-readable perf trajectory consumed by later PRs (``BENCH_PR1``
 recorded the bit-packed kernel; PR2 the cached-pipeline sweep of the
 unified API; PR3 gate-netlist construction and gate-level differential
@@ -99,9 +99,9 @@ _REQUIRED_SECTIONS = (
 
 @pytest.fixture(scope="session")
 def perf_record(request):
-    """Session-wide perf record, persisted as BENCH_PR14.json on teardown."""
+    """Session-wide perf record, persisted as BENCH_PR15.json on teardown."""
     record: dict = {
-        "pr": 14,
+        "pr": 15,
         "kernel": (
             "packed region-cover algebra: one k-way Cover.union_all scan in "
             "place of union folds, sharp/intersect on packed (care, value) "
@@ -217,4 +217,4 @@ def perf_record(request):
     minimize_results = record["results"].get("minimize", {})
     if minimize_results:
         record["minimizer_speedup_vs_reference"] = minimize_results.get("speedup")
-    write_perf_record(repo_root / "BENCH_PR14.json", record)
+    write_perf_record(repo_root / "BENCH_PR15.json", record)

@@ -372,9 +372,6 @@ class SynthesisArtifact:
     refinement: Optional[RefinementArtifact] = field(
         default=None, repr=False, compare=False
     )
-    #: the exact signal regions the state-based backend computed (reused by
-    #: the differential mode to avoid a second reachability enumeration)
-    regions: object = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         data = {
@@ -402,10 +399,9 @@ class SynthesisArtifact:
     def to_json(self) -> dict:
         """Lossless JSON document including the full circuit.
 
-        The ``refinement``/``regions`` handles are deliberately dropped: a
-        store-backed pipeline re-resolves the refinement through its own
-        ``refine`` stage (a store hit), and the exact regions only serve as
-        an in-process shortcut for the differential mode.
+        The ``refinement`` handle is deliberately dropped: a store-backed
+        pipeline re-resolves the refinement through its own ``refine`` stage
+        (a store hit).
         """
         return _envelope(
             "synthesize",

@@ -21,6 +21,13 @@ stages::
   optional ``verify_mapped`` leg that differentially checks the mapped
   netlist's gate-level simulation against the behavioural circuit.
 
+A sixth stage, ``states``, is the state-space front-end every state-based
+consumer reads: the reachability graph, its encoding and the exact regions
+(:func:`repro.statebased.regions.state_space`), computed once per spec and
+``max_markings`` bound.  It lives in memory only — the consumers' own
+artifacts are persisted, so a request served from the store never asks
+for it.
+
 Every stage memoises its artifact keyed on the spec's content hash plus the
 options that influence it.  The key design point is that the *analysis* key
 does not include the minimization level, so a level sweep (like Fig. 13's
@@ -61,6 +68,7 @@ from repro.obs import ObsLike, activate, get_obs
 from repro.gates.library import get_library
 from repro.gates.verify import verify_mapped_netlist
 from repro.petri.smcover import compute_sm_components, compute_sm_cover
+from repro.statebased.regions import SignalRegions, state_space
 from repro.structural.approximation import approximate_signal_regions
 from repro.structural.concurrency import compute_concurrency_relation
 from repro.structural.consistency import check_consistency_structural
@@ -114,7 +122,7 @@ class Pipeline:
 
     One pipeline instance owns one in-memory artifact cache; share an
     instance across calls (sweeps, batches, experiments) to reuse the staged
-    artifacts.  Create with ``cache=False`` for always-fresh computation.
+    artifacts.
 
     ``store`` attaches a durable backing
     (:class:`~repro.api.store.ArtifactStore` instance or a path): stage
@@ -156,18 +164,15 @@ class Pipeline:
     locally — coalescing is an optimization, never a correctness gate.
     """
 
-    STAGES = ("analyze", "refine", "synthesize", "map", "verify", "verify_mapped")
-
     def __init__(
         self,
-        cache: bool = True,
         store: Union[ArtifactStore, str, os.PathLike, None] = None,
         on_event: Optional[EventCallback] = None,
         faults: FaultsLike = None,
         flights=None,
         obs: ObsLike = None,
     ):
-        self._cache: Optional[dict] = {} if cache else None
+        self._cache: dict = {}
         self.store: Optional[ArtifactStore] = get_store(store)
         self.on_event = on_event
         self.faults = get_injector(faults)
@@ -205,17 +210,16 @@ class Pipeline:
     def _memo(self, key: tuple, compute, spec: Optional[Spec] = None, artifact_cls=None):
         """Resolve one stage: memory cache → artifact store → computation."""
         stage = key[0]
-        if self._cache is not None:
-            try:
-                value = self._cache[key]
-            except KeyError:
-                pass
-            else:
-                if self.obs is not None:
-                    self.obs.stage_resolutions.inc(stage=stage, source="memory")
-                if spec is not None:
-                    self._emit(spec, stage, "memory")
-                return value
+        try:
+            value = self._cache[key]
+        except KeyError:
+            pass
+        else:
+            if self.obs is not None:
+                self.obs.stage_resolutions.inc(stage=stage, source="memory")
+            if spec is not None:
+                self._emit(spec, stage, "memory")
+            return value
         if self.store is not None and artifact_cls is not None:
             value = self._from_document(key, self.store.get(key), artifact_cls)
             if value is not None:
@@ -239,8 +243,7 @@ class Pipeline:
         except (ValueError, KeyError, TypeError):
             # a malformed entry degrades to recomputation
             return None
-        if self._cache is not None:
-            self._cache[key] = value
+        self._cache[key] = value
         return value
 
     def _memo_flight(self, key: tuple, compute, spec, artifact_cls):
@@ -303,8 +306,7 @@ class Pipeline:
             )
         else:
             value = compute()
-        if self._cache is not None:
-            self._cache[key] = value
+        self._cache[key] = value
         if self.store is not None and artifact_cls is not None:
             try:
                 self.store.put(
@@ -322,8 +324,6 @@ class Pipeline:
 
     def cache_info(self) -> dict:
         """Cached artifact count per stage (for introspection and tests)."""
-        if self._cache is None:
-            return {}
         counts: Counter = Counter(key[0] for key in self._cache)
         return dict(counts)
 
@@ -335,20 +335,37 @@ class Pipeline:
         next request instead of recomputing.  Returns the number of entries
         dropped.
         """
-        if self._cache is None:
-            return 0
         dropped = len(self._cache)
         self._cache.clear()
         return dropped
 
     def clear_cache(self) -> None:
         """Drop the in-memory cache and counters (the store is untouched)."""
-        if self._cache is not None:
-            self._cache.clear()
+        self._cache.clear()
         self.stage_calls.clear()
         self.store_hits.clear()
         self.store_misses.clear()
         self.coalesced.clear()
+
+    # ------------------------------------------------------------------ #
+    # Stage: states (memory only)
+    # ------------------------------------------------------------------ #
+
+    def states(self, spec: SpecLike, max_markings: Optional[int] = None) -> SignalRegions:
+        """The spec's state space: reachability graph, encoding and regions.
+
+        Resolved from memory or computed, never from the store: every stage
+        that consumes it persists its own artifact.
+        """
+        spec = Spec.load(spec)
+
+        def compute() -> SignalRegions:
+            self.stage_calls["states"] += 1
+            return state_space(spec.stg, max_markings=max_markings)
+
+        return self._memo(
+            ("states", spec.content_hash, max_markings), compute, spec=spec
+        )
 
     # ------------------------------------------------------------------ #
     # Stage: analyze
@@ -569,8 +586,8 @@ class Pipeline:
         spec = Spec.load(spec)
         options = options or SynthesisOptions()
         synthesis = self.synthesize(spec, options, backend=backend, max_markings=max_markings)
-        # the bound stays in the key for every backend: the check enumerates
-        # the state space itself, even after a structural synthesis
+        # the bound stays in the key for every backend: the check reads the
+        # state space, even after a structural synthesis
         key = (
             "verify",
             spec.content_hash,
@@ -583,7 +600,7 @@ class Pipeline:
             self.stage_calls["verify"] += 1
             start = time.perf_counter()
             report = verify_speed_independence(
-                spec.stg, synthesis.circuit, max_markings=max_markings
+                spec.stg, synthesis.circuit, regions=self.states(spec, max_markings)
             )
             return VerificationArtifact(
                 spec_name=spec.name,
@@ -622,16 +639,14 @@ class Pipeline:
         mapping = self.map(
             spec, options, backend=backend, library=library, max_markings=max_markings
         )
-        # unlike `verify`, the bound stays in the key even for the structural
-        # backend: the differential check itself enumerates the state space,
-        # so a bounded and an unbounded call are different computations
-        state_bound = max_markings
+        # as in `verify`, the bound stays in the key for every backend: the
+        # check reads the state space, even after a structural synthesis
         key = (
             "verify_mapped",
             spec.content_hash,
             synthesis.backend,
             _options_key(options),
-            state_bound,
+            max_markings,
             _library_key(library),
         )
 
@@ -642,7 +657,7 @@ class Pipeline:
                 spec.stg,
                 synthesis.circuit,
                 mapping.netlist,
-                max_markings=state_bound,
+                encoded=self.states(spec, max_markings).encoded,
             )
             elapsed = time.perf_counter() - start
             if self.obs is not None and elapsed > 0:
@@ -692,7 +707,6 @@ class Pipeline:
         analysis = refinement = None
         if synthesis.backend == "structural":
             # reuse the exact front-end artifacts the circuit was built from
-            # (avoids recomputation when the cache is disabled)
             refinement = synthesis.refinement
             if refinement is None:
                 refinement = self.refine(spec, options)

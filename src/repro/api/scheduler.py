@@ -183,12 +183,11 @@ def _strip_report(report: Report) -> Report:
     """Drop the analysis-side in-memory handles before pickling.
 
     Only the plain-data fields and the circuit/netlist travel back from a
-    pool worker; the worker's approximation/regions objects would dominate
+    pool worker; the worker's approximation objects would dominate
     the pickle payload for nothing (the artifact store already persisted
     their serial forms).
     """
     report.synthesis.refinement = None
-    report.synthesis.regions = None
     if report.analysis is not None:
         report.analysis.approximation = None
         report.analysis.concurrency = None

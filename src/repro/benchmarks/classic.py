@@ -262,11 +262,3 @@ def load_classic(name: str) -> STG:
     except KeyError as error:
         raise KeyError(f"unknown classic benchmark {name!r}") from error
     return parse_g(source, name=name)
-
-
-def load_all_classic(synthesizable_only: bool = False) -> dict[str, STG]:
-    """Parse the whole classic suite."""
-    return {
-        name: load_classic(name)
-        for name in classic_names(synthesizable_only=synthesizable_only)
-    }

@@ -171,8 +171,3 @@ def independent_cells(cells: int) -> STG:
 def independent_cells_marking_count(cells: int) -> int:
     """Closed-form marking count of :func:`independent_cells` (``4^cells``)."""
     return 4 ** cells
-
-
-def pipeline_cells_marking_count(stages: int) -> int:
-    """Marking count of :func:`muller_pipeline` computed by enumeration."""
-    return muller_pipeline_marking_count(stages)

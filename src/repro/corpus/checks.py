@@ -26,6 +26,7 @@ from typing import Optional
 
 from repro.api.backends import compare
 from repro.api.faults import FaultInjector
+from repro.api.pipeline import Pipeline
 from repro.api.spec import Spec
 from repro.gates.ir import GateKind
 from repro.gates.verify import _reference_verify_mapped_netlist, verify_mapped_netlist
@@ -51,6 +52,7 @@ from repro.stg.consistency import (
     find_semimodularity_violations,
 )
 from repro.stg.encoding import (
+    EncodedReachabilityGraph,
     EncodingError,
     _reference_encode_reachability_graph,
     encode_reachability_graph,
@@ -288,6 +290,8 @@ def run_check_suite(
     )
     if synthesizable:
         options = SynthesisOptions(assume_csc=True)
+        if pipeline is None:
+            pipeline = Pipeline()
         try:
             comparison = compare(
                 spec, options, pipeline=pipeline, max_markings=max_markings
@@ -307,7 +311,13 @@ def run_check_suite(
                 )
             else:
                 _check_mapped(
-                    report, fail, spec, comparison, max_markings, faults, force_flip
+                    report,
+                    fail,
+                    spec,
+                    comparison,
+                    pipeline.states(spec, max_markings).encoded,
+                    faults,
+                    force_flip,
                 )
                 if report.states <= SAT_CHECK_MAX_STATES:
                     _check_sat(report, fail, spec, options, max_markings, pipeline)
@@ -372,7 +382,7 @@ def _check_mapped(
     fail,
     spec: Spec,
     comparison,
-    max_markings: int,
+    encoded: EncodedReachabilityGraph,
     faults: Optional[FaultInjector],
     force_flip: bool,
 ) -> None:
@@ -394,10 +404,10 @@ def _check_mapped(
         flipped = False  # no SOP gate to corrupt; nothing planted
     try:
         verdict = verify_mapped_netlist(
-            stg, comparison.structural.circuit, netlist, max_markings=max_markings
+            stg, comparison.structural.circuit, netlist, encoded=encoded
         )
         reference = _reference_verify_mapped_netlist(
-            stg, comparison.structural.circuit, netlist, max_markings=max_markings
+            stg, comparison.structural.circuit, netlist, encoded=encoded
         )
     except Exception as error:  # noqa: BLE001
         fail("mapped", f"crash: {type(error).__name__}: {error}", injected=flipped)

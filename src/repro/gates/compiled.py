@@ -189,10 +189,6 @@ class CompiledNetlistEvaluator:
 
         return {signal: computed[index] for signal, index in self._outputs}
 
-    def evaluate_code(self, code: Mapping[str, int]) -> dict[str, int]:
-        """Single-code evaluation (``width == 1``)."""
-        return self.evaluate(code, 1)
-
 
 def compile_netlist(netlist: GateNetlist) -> CompiledNetlistEvaluator:
     """Compiled evaluator for a netlist.

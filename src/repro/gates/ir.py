@@ -190,13 +190,6 @@ class GateNetlist:
     # Connectivity
     # ------------------------------------------------------------------ #
 
-    def driver_of(self, net: str) -> Optional[GateInstance]:
-        """The gate driving a net, or ``None`` for primary inputs."""
-        for gate in self.gates:
-            if gate.output == net:
-                return gate
-        return None
-
     def drivers(self) -> dict[str, GateInstance]:
         """Map of net name to its driving gate."""
         table: dict[str, GateInstance] = {}

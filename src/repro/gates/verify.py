@@ -31,7 +31,6 @@ from repro.boolean.interning import var_index
 from repro.gates.compiled import c_latch_column, compile_netlist, signal_columns
 from repro.gates.ir import GateNetlist
 from repro.gates.simulate import GateLevelSimulator
-from repro.petri.reachability import build_reachability_graph
 from repro.stg.encoding import EncodedReachabilityGraph, encode_reachability_graph
 from repro.stg.stg import STG
 from repro.synthesis.netlist import Circuit
@@ -97,18 +96,17 @@ def verify_mapped_netlist(
     circuit: Circuit,
     netlist: GateNetlist,
     encoded: Optional[EncodedReachabilityGraph] = None,
-    max_markings: Optional[int] = None,
 ) -> MappedVerificationReport:
     """Check the mapped netlist against the behavioural circuit.
 
     For every distinct reachable state code of ``stg``, the settled outputs
     of the gate-level evaluation must equal ``circuit.next_values`` on that
-    code.  Pass a pre-computed ``encoded`` reachability graph to reuse the
-    enumeration of an earlier verification stage.
+    code.  Pass a pre-computed ``encoded`` reachability graph (the
+    ``.encoded`` of :func:`repro.statebased.regions.state_space`) to reuse
+    an earlier enumeration.
     """
     if encoded is None:
-        graph = build_reachability_graph(stg.net, max_markings=max_markings)
-        encoded = encode_reachability_graph(stg, graph)
+        encoded = encode_reachability_graph(stg)
     evaluator = compile_netlist(netlist)
     signals = [s for s in circuit.signals if s in stg.non_input_signals] or list(
         circuit.signals
@@ -172,12 +170,10 @@ def _reference_verify_mapped_netlist(
     circuit: Circuit,
     netlist: GateNetlist,
     encoded: Optional[EncodedReachabilityGraph] = None,
-    max_markings: Optional[int] = None,
 ) -> MappedVerificationReport:
     """Reference check: one event-driven ``settle`` per distinct code."""
     if encoded is None:
-        graph = build_reachability_graph(stg.net, max_markings=max_markings)
-        encoded = encode_reachability_graph(stg, graph)
+        encoded = encode_reachability_graph(stg)
     simulator = GateLevelSimulator(netlist)
     signals = [s for s in circuit.signals if s in stg.non_input_signals] or list(
         circuit.signals

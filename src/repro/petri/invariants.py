@@ -196,14 +196,6 @@ def minimal_place_invariants(net: PetriNet) -> list[frozenset[str]]:
     return [frozenset(inv) for inv in place_invariants(net)]
 
 
-def is_covered_by_invariants(net: PetriNet, invariants: list[dict[str, int]]) -> bool:
-    """True if every place appears in the support of some invariant."""
-    covered: set[str] = set()
-    for invariant in invariants:
-        covered.update(invariant)
-    return covered >= set(net.places)
-
-
 def token_count_of_invariant(net: PetriNet, invariant: dict[str, int]) -> int:
     """Weighted token count of the initial marking over an invariant.
 

@@ -99,14 +99,6 @@ class Marking(Mapping[str, int]):
         """Total number of tokens in the marking."""
         return sum(self._tokens.values())
 
-    def marks_all(self, places: Iterable[str]) -> bool:
-        """True if every place in ``places`` carries at least one token."""
-        return all(self._tokens.get(place, 0) > 0 for place in places)
-
-    def marks_any(self, places: Iterable[str]) -> bool:
-        """True if some place in ``places`` carries at least one token."""
-        return any(self._tokens.get(place, 0) > 0 for place in places)
-
     def is_safe(self) -> bool:
         """True if no place carries more than one token."""
         return all(count <= 1 for count in self._tokens.values())
@@ -114,7 +106,3 @@ class Marking(Mapping[str, int]):
     def to_dict(self) -> dict[str, int]:
         """A mutable copy of the token mapping."""
         return dict(self._tokens)
-
-    def to_key(self) -> frozenset[str]:
-        """Canonical key for safe markings (the set of marked places)."""
-        return frozenset(self._tokens)

@@ -57,11 +57,6 @@ def is_free_choice(net: PetriNet) -> bool:
     return True
 
 
-def choice_places(net: PetriNet) -> list[str]:
-    """Places with more than one output transition (choice places)."""
-    return [p for p in net.places if len(net.postset(p)) > 1]
-
-
 def is_connected(net: PetriNet) -> bool:
     """True if the underlying undirected flow graph is connected."""
     graph = nx.Graph()
@@ -128,16 +123,6 @@ def is_live(
         if fired != all_transitions:
             return False
     return True
-
-
-def is_reversible(
-    net: PetriNet,
-    graph: Optional[ReachabilityGraph] = None,
-) -> bool:
-    """True if the initial marking is reachable from every reachable marking."""
-    if graph is None:
-        graph = build_reachability_graph(net)
-    return graph.is_strongly_connected()
 
 
 def redundant_places(

@@ -178,14 +178,6 @@ class ReachabilityGraph:
         self._ensure_materialized()
         return [m for m in self._successors if self.is_deadlock(m)]
 
-    def fired_transitions(self) -> set[str]:
-        """Transitions appearing as an edge label somewhere in the graph."""
-        self._ensure_materialized()
-        labels: set[str] = set()
-        for items in self._successors.values():
-            labels.update(label for label, _ in items)
-        return labels
-
     def is_strongly_connected(self) -> bool:
         """True if every marking can reach every other marking."""
         self._ensure_materialized()

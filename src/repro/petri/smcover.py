@@ -302,10 +302,3 @@ def compute_sm_cover(
             f"places not covered by any SM-component: {sorted(remaining)}"
         )
     return cover
-
-
-def sm_components_containing(
-    components: list[StateMachineComponent], place: str
-) -> list[StateMachineComponent]:
-    """The components of a list that contain a given place."""
-    return [component for component in components if place in component.places]

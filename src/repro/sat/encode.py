@@ -189,10 +189,6 @@ class SignalEncoding:
         """Indices of the selected candidates under a satisfying model."""
         return [i for i, var in enumerate(self.select_vars) if model.get(var)]
 
-    def masks_of_model(self, model: dict[int, bool]) -> list[tuple[int, int]]:
-        """The selected candidate cubes of a satisfying model."""
-        return [self.candidates[i] for i in self.selection_of_model(model)]
-
 
 def build_encoding(
     problem: CoverProblem, budget: int = 4096, primes_only: bool = False

@@ -45,11 +45,11 @@ from repro.sat.encode import (
     cover_of_masks,
 )
 from repro.sat.solver import new_solver
-from repro.statebased.coding import analyze_state_coding
-from repro.statebased.regions import SignalRegions, compute_signal_regions
-from repro.statebased.synthesis import StateBasedSynthesisError
-from repro.stg.consistency import check_consistency_state_based
-from repro.stg.encoding import encode_reachability_graph
+from repro.statebased.regions import SignalRegions, state_space
+from repro.statebased.synthesis import (
+    StateBasedSynthesisError,
+    check_state_based_specification,
+)
 from repro.stg.stg import STG
 from repro.synthesis.netlist import (
     Architecture,
@@ -421,7 +421,7 @@ def exact_synthesize(
     stg: STG,
     signals: Optional[list[str]] = None,
     check_specification: bool = True,
-    max_markings: Optional[int] = None,
+    regions: Optional[SignalRegions] = None,
     assume_csc: bool = False,
     candidate_budget: int = 4096,
     max_solutions: int = 64,
@@ -431,36 +431,25 @@ def exact_synthesize(
     """Synthesize the provably minimum-literal circuit of a specification.
 
     Mirrors :func:`repro.statebased.synthesis.synthesize_state_based`'s
-    contract (same reachability analysis, specification checks and region
-    extraction) but replaces heuristic two-level minimization with the SAT
-    descent of :func:`minimize_problem`, then picks the cheapest of the
-    three implementation architectures per signal.  ``candidate_budget``
-    bounds the per-problem implicant space and ``max_solutions`` the
-    enumeration; blowing the former raises
+    contract (same state space ``regions``, computed here when omitted, and
+    the same specification check) but replaces heuristic two-level
+    minimization with the SAT descent of :func:`minimize_problem`, then
+    picks the cheapest of the three implementation architectures per
+    signal.  ``candidate_budget`` bounds the per-problem implicant space and
+    ``max_solutions`` the enumeration; blowing the former raises
     :class:`~repro.sat.encode.SatBudgetExceeded` (a capacity skip, not a
     synthesis failure).
     """
     start = time.perf_counter()
-    stats: dict = {}
-    from repro.petri.reachability import build_reachability_graph
-
-    graph = build_reachability_graph(stg.net, max_markings=max_markings)
-    stats["markings"] = len(graph)
-    encoded = encode_reachability_graph(stg, graph)
-
+    if regions is None:
+        regions = state_space(stg)
+    stats: dict = {"markings": len(regions.encoded)}
     if check_specification:
-        report = check_consistency_state_based(stg, graph)
-        if not report.consistent:
-            raise ExactSynthesisError(f"inconsistent STG: {report.message}")
-        if not assume_csc:
-            coding = analyze_state_coding(stg, encoded)
-            if not coding.satisfies_csc:
-                raise ExactSynthesisError(
-                    f"CSC violations: {len(coding.csc_conflicts)} conflicting pairs"
-                )
+        check_state_based_specification(
+            stg, regions, assume_csc, error=ExactSynthesisError
+        )
 
     targets = signals if signals is not None else stg.non_input_signals
-    regions = compute_signal_regions(stg, encoded, signals=targets)
     variables = tuple(stg.signal_names)
 
     circuit = Circuit(name=stg.name, signal_order=variables)

@@ -38,6 +38,7 @@ from typing import Iterable, Optional, Union
 
 from repro.boolean.cover import Cover
 from repro.petri.marking import Marking
+from repro.petri.reachability import build_reachability_graph
 from repro.stg.encoding import EncodedReachabilityGraph, encode_reachability_graph
 from repro.stg.stg import STG
 
@@ -80,18 +81,6 @@ class SignalRegions:
     def er_bits(self, transition: str) -> int:
         """Excitation region of a transition as a state-index bitset."""
         return self._er[transition]
-
-    def qr_bits(self, transition: str) -> int:
-        """Quiescent region bitset."""
-        return self._qr[transition]
-
-    def rqr_bits(self, transition: str) -> int:
-        """Restricted quiescent region bitset."""
-        return self._rqr[transition]
-
-    def br_bits(self, transition: str) -> int:
-        """Backward quiescent region bitset."""
-        return self._br[transition]
 
     def ger_bits(self, signal: str, direction: str) -> int:
         """Generalized excitation region bitset (cached union).
@@ -166,11 +155,6 @@ class SignalRegions:
         return {t: self.qr(t) for t in self._qr}
 
     @property
-    def restricted_quiescent(self) -> dict[str, set[Marking]]:
-        """Materialised RQR map (copies)."""
-        return {t: self.rqr(t) for t in self._rqr}
-
-    @property
     def backward(self) -> dict[str, set[Marking]]:
         """Materialised BR map (copies)."""
         return {t: self.br(t) for t in self._br}
@@ -190,10 +174,6 @@ class SignalRegions:
     def er_codes(self, transition: str) -> Cover:
         """Binary codes of ER(t)."""
         return self.encoded.cover_of_bits(self._er[transition])
-
-    def qr_codes(self, transition: str) -> Cover:
-        """Binary codes of QR(t)."""
-        return self.encoded.cover_of_bits(self._qr[transition])
 
     def ger_codes(self, signal: str, direction: str) -> Cover:
         """Binary codes of GER(signal direction)."""
@@ -343,6 +323,23 @@ def compute_signal_regions(
                 others |= regions._qr[other]
         regions._rqr[transition] = quiescent & ~others
     return regions
+
+
+def state_space(stg: STG, max_markings: Optional[int] = None) -> SignalRegions:
+    """The state-based front-end: reachability graph, encoding and regions.
+
+    Enumerates the reachable markings (``StateSpaceLimitExceeded`` beyond
+    ``max_markings``), encodes them strictly from the inferred initial
+    values (``EncodingError`` on a switchover violation) and computes the
+    regions of every signal (a caller may synthesize any subset, inputs
+    included).  Backward regions are skipped: no state-based consumer reads
+    them.  Every state-based consumer — both state-based synthesis backends
+    and both verifiers — reads this one result; the pipeline memoises it as
+    its ``states`` stage.
+    """
+    graph = build_reachability_graph(stg.net, max_markings=max_markings)
+    encoded = encode_reachability_graph(stg, graph)
+    return compute_signal_regions(stg, encoded, compute_backward=False)
 
 
 # ---------------------------------------------------------------------- #

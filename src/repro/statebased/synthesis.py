@@ -25,9 +25,8 @@ from typing import Optional
 from repro.boolean.cover import Cover
 from repro.boolean.minimize import minimize_cover
 from repro.statebased.coding import analyze_state_coding
-from repro.statebased.regions import SignalRegions, compute_signal_regions
+from repro.statebased.regions import SignalRegions, state_space
 from repro.stg.consistency import check_consistency_state_based
-from repro.stg.encoding import encode_reachability_graph
 from repro.stg.stg import STG
 from repro.synthesis.conditions import (
     check_cover_correctness,
@@ -53,48 +52,57 @@ class StateBasedResult:
     statistics: dict = field(default_factory=dict)
 
 
+def check_state_based_specification(
+    stg: STG,
+    regions: SignalRegions,
+    assume_csc: bool = False,
+    error: type[StateBasedSynthesisError] = StateBasedSynthesisError,
+) -> None:
+    """The specification check of the state-based flows, on their state space.
+
+    Raises ``error`` when the STG is inconsistent or, unless ``assume_csc``,
+    when it violates CSC.
+    """
+    report = check_consistency_state_based(stg, encoded=regions.encoded)
+    if not report.consistent:
+        raise error(f"inconsistent STG: {report.message}")
+    if not assume_csc:
+        coding = analyze_state_coding(stg, regions.encoded)
+        if not coding.satisfies_csc:
+            raise error(
+                f"CSC violations: {len(coding.csc_conflicts)} conflicting pairs"
+            )
+
+
 def synthesize_state_based(
     stg: STG,
     signals: Optional[list[str]] = None,
     allow_combinational: bool = True,
     check_specification: bool = True,
-    max_markings: Optional[int] = None,
+    regions: Optional[SignalRegions] = None,
     assume_csc: bool = False,
 ) -> StateBasedResult:
     """Synthesize a circuit by exhaustive reachability analysis.
 
     Parameters
     ----------
-    max_markings:
-        Optional bound on the explored state space; exceeding it raises
-        :class:`repro.petri.reachability.StateSpaceLimitExceeded` (used by the
-        scalability experiments to document where the baseline gives up).
+    regions:
+        The specification's state space from
+        :func:`repro.statebased.regions.state_space` (computed here when
+        omitted); the pipeline passes its memoised ``states`` stage.
     assume_csc:
         Skip only the CSC part of the specification check (the caller takes
         responsibility, mirroring the structural flow's ``assume_csc``);
         consistency is still verified when ``check_specification`` is set.
     """
     start = time.perf_counter()
-    stats: dict = {}
-    from repro.petri.reachability import build_reachability_graph
-
-    graph = build_reachability_graph(stg.net, max_markings=max_markings)
-    stats["markings"] = len(graph)
-    encoded = encode_reachability_graph(stg, graph)
-
+    if regions is None:
+        regions = state_space(stg)
+    stats: dict = {"markings": len(regions.encoded)}
     if check_specification:
-        report = check_consistency_state_based(stg, graph)
-        if not report.consistent:
-            raise StateBasedSynthesisError(f"inconsistent STG: {report.message}")
-        if not assume_csc:
-            coding = analyze_state_coding(stg, encoded)
-            if not coding.satisfies_csc:
-                raise StateBasedSynthesisError(
-                    f"CSC violations: {len(coding.csc_conflicts)} conflicting pairs"
-                )
+        check_state_based_specification(stg, regions, assume_csc)
 
     targets = signals if signals is not None else stg.non_input_signals
-    regions = compute_signal_regions(stg, encoded, signals=targets)
     variables = tuple(stg.signal_names)
     used_codes = regions.used_code_set()
     unreachable = regions.dc_codes()

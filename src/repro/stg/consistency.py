@@ -22,7 +22,12 @@ from typing import Optional
 
 from repro.petri.marking import Marking
 from repro.petri.reachability import ReachabilityGraph, build_reachability_graph
-from repro.stg.encoding import EncodingError, encode_reachability_graph, infer_initial_values
+from repro.stg.encoding import (
+    EncodedReachabilityGraph,
+    EncodingError,
+    encode_reachability_graph,
+    infer_initial_values,
+)
 from repro.stg.stg import STG
 
 
@@ -116,22 +121,28 @@ def check_consistency_state_based(
     stg: STG,
     graph: Optional[ReachabilityGraph] = None,
     check_semimodularity: bool = True,
+    encoded: Optional[EncodedReachabilityGraph] = None,
 ) -> ConsistencyReport:
     """Full state-based consistency check of an STG.
 
     Checks (1) nonautoconcurrency, (2) switchover correctness via the marking
-    encoding, and optionally (3) output semimodularity.
+    encoding, and optionally (3) output semimodularity.  A strict
+    ``encoded`` graph (the default of :func:`encode_reachability_graph`)
+    already proves (2) and supplies the graph, so nothing is re-encoded.
     """
-    if graph is None:
+    if encoded is not None:
+        graph = encoded.graph
+    elif graph is None:
         graph = build_reachability_graph(stg.net)
     autoconcurrent = find_autoconcurrent_pairs(stg, graph)
     switchover: list[str] = []
-    try:
-        encode_reachability_graph(
-            stg, graph, initial_values=infer_initial_values(stg, graph), strict=True
-        )
-    except EncodingError as error:
-        switchover.append(str(error))
+    if encoded is None:
+        try:
+            encode_reachability_graph(
+                stg, graph, initial_values=infer_initial_values(stg, graph), strict=True
+            )
+        except EncodingError as error:
+            switchover.append(str(error))
     semimodularity: list[tuple[str, str]] = []
     if check_semimodularity:
         semimodularity = find_semimodularity_violations(stg, graph)

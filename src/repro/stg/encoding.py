@@ -332,13 +332,6 @@ class EncodedReachabilityGraph:
         """Transitions enabled at a marking."""
         return self.graph.enabled_transitions(marking)
 
-    def enabled_output_transitions(self, marking: Marking) -> set[str]:
-        """Non-input transitions enabled at a marking (for CSC checks)."""
-        return {
-            t for t in self.graph.enabled_transitions(marking)
-            if not self.stg.is_input(self.stg.signal_of(t))
-        }
-
 
 def infer_initial_values(
     stg: STG,

@@ -80,14 +80,6 @@ class SignalTransition:
         """Value of the signal required for the transition to be consistent."""
         return 1 - self.target_value
 
-    def opposite_direction(self) -> str:
-        """The opposite switching direction (``+`` <-> ``-``)."""
-        if self.direction == "+":
-            return "-"
-        if self.direction == "-":
-            return "+"
-        return "~"
-
     def name(self) -> str:
         """Canonical transition name, e.g. ``a+`` or ``a-/2``."""
         base = f"{self.signal}{self.direction}"
@@ -112,8 +104,3 @@ def parse_transition_label(label: str) -> SignalTransition:
     direction = match.group("direction") or "~"
     index = int(match.group("index") or 0)
     return SignalTransition(signal, direction, index)
-
-
-def format_transition(signal: str, direction: str, index: int = 0) -> str:
-    """Canonical label for a signal transition."""
-    return SignalTransition(signal, direction, index).name()

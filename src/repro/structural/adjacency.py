@@ -179,12 +179,3 @@ def structural_next_relation_checked(
             extra = found
         result[transition] = necessary.get(transition, set()) | extra
     return result
-
-
-def structural_prev_relation(next_relation: dict[str, set[str]]) -> dict[str, set[str]]:
-    """``prev`` relation (predecessors) obtained by inverting ``next``."""
-    prev: dict[str, set[str]] = {t: set() for t in next_relation}
-    for transition, successors in next_relation.items():
-        for successor in successors:
-            prev.setdefault(successor, set()).add(transition)
-    return prev

@@ -230,22 +230,6 @@ class SignalRegionApproximation:
     # Sets used by the synthesis correctness checks (Section VIII-B)
     # ------------------------------------------------------------------ #
 
-    def set_function_on_set(self, signal: str) -> Cover:
-        """On-set required for the set function of a signal: GER(signal+)."""
-        return self.ger_cover(signal, "+")
-
-    def set_function_off_set(self, signal: str) -> Cover:
-        """Off-set of the set function: GER(signal-) ∪ GQR(signal=0)."""
-        return self.ger_cover(signal, "-").union(self.gqr_cover(signal, 0))
-
-    def reset_function_on_set(self, signal: str) -> Cover:
-        """On-set required for the reset function of a signal: GER(signal-)."""
-        return self.ger_cover(signal, "-")
-
-    def reset_function_off_set(self, signal: str) -> Cover:
-        """Off-set of the reset function: GER(signal+) ∪ GQR(signal=1)."""
-        return self.ger_cover(signal, "+").union(self.gqr_cover(signal, 1))
-
     def next_state_on_set(self, signal: str) -> Cover:
         """On-set of the next-state function: GER(signal+) ∪ GQR(signal=1)."""
         return self.ger_cover(signal, "+").union(self.gqr_cover(signal, 1))

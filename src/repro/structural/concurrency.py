@@ -95,29 +95,6 @@ class ConcurrencyRelation:
             row ^= low
         return result
 
-    def concurrent_nodes(self, node: str) -> frozenset[str]:
-        """All nodes concurrent with ``node``."""
-        index = self._index.get(node)
-        if index is None:
-            return frozenset()
-        return frozenset(self._row_names(self._rows[index]))
-
-    def concurrent_places(self, node: str) -> frozenset[str]:
-        """Places concurrent with ``node``."""
-        index = self._index.get(node)
-        if index is None:
-            return frozenset()
-        place_mask = (1 << self._num_places) - 1
-        return frozenset(self._row_names(self._rows[index] & place_mask))
-
-    def concurrent_transitions(self, node: str) -> frozenset[str]:
-        """Transitions concurrent with ``node``."""
-        index = self._index.get(node)
-        if index is None:
-            return frozenset()
-        place_mask = (1 << self._num_places) - 1
-        return frozenset(self._row_names(self._rows[index] & ~place_mask))
-
     def _signal_mask(self, signal: str) -> int:
         """Bitmask of the node indices of a signal's transitions (memoised)."""
         mask = self._signal_masks.get(signal)
@@ -142,13 +119,6 @@ class ConcurrencyRelation:
         if index is None:
             return False
         return bool(self._rows[index] & self._signal_mask(signal))
-
-    def signals_concurrent_with(self, node: str) -> set[str]:
-        """All signals concurrent with a node."""
-        return {
-            signal for signal in self.stg.signal_names
-            if self.node_concurrent_with_signal(node, signal)
-        }
 
     def pairs(self) -> set[frozenset[str]]:
         """All concurrent pairs as frozensets."""
@@ -176,14 +146,6 @@ class ConcurrencyRelation:
                 result.add(frozenset((names[i], names[base + low.bit_length() - 1])))
                 row ^= low
         return result
-
-    def place_table(self) -> dict[str, dict[str, bool]]:
-        """Place-versus-place concurrency table (Table II of the paper)."""
-        places = self.stg.places
-        return {
-            row: {column: self.are_concurrent(row, column) for column in places}
-            for row in places
-        }
 
     # ------------------------------------------------------------------ #
     # Serialization

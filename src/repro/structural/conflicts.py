@@ -70,27 +70,3 @@ def find_structural_conflicts(
                     seen.add(key)
                     conflicts.append(StructuralConflict(component, first, second))
     return conflicts
-
-
-def conflicting_places(conflicts: list[StructuralConflict]) -> set[str]:
-    """The set of places involved in at least one conflict."""
-    result: set[str] = set()
-    for conflict in conflicts:
-        result |= conflict.places
-    return result
-
-
-def conflicts_of_place(
-    conflicts: list[StructuralConflict], place: str
-) -> list[StructuralConflict]:
-    """The conflicts involving a given place."""
-    return [conflict for conflict in conflicts if place in conflict.places]
-
-
-def is_conflict_free(
-    stg: STG,
-    cover_functions: dict[str, Cover],
-    sm_cover: list[StateMachineComponent],
-) -> bool:
-    """True if the STG has no structural coding conflicts over the SM-cover."""
-    return not find_structural_conflicts(stg, cover_functions, sm_cover)

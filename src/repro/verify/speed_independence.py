@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.petri.reachability import build_reachability_graph
 from repro.statebased.nextstate import implied_value_bitsets
-from repro.statebased.regions import SignalRegions, compute_signal_regions
-from repro.stg.encoding import encode_reachability_graph
+from repro.statebased.regions import SignalRegions, state_space
 from repro.stg.stg import STG
 from repro.synthesis.conditions import check_monotonicity_state_based
 from repro.synthesis.netlist import Circuit
@@ -44,7 +42,6 @@ def verify_speed_independence(
     circuit: Circuit,
     regions: Optional[SignalRegions] = None,
     signals: Optional[list[str]] = None,
-    max_markings: Optional[int] = None,
 ) -> VerificationReport:
     """Verify that ``circuit`` implements ``stg`` without hazards.
 
@@ -59,16 +56,15 @@ def verify_speed_independence(
     combinational implementations monotonicity reduces to functional
     correctness, which was already checked.
 
-    ``max_markings`` bounds the enumeration of the reachable markings when
-    ``regions`` is not given (``StateSpaceLimitExceeded`` beyond it).
+    ``regions`` is the specification's state space
+    (:func:`repro.statebased.regions.state_space`, computed here when
+    omitted).
     """
     targets = signals if signals is not None else [
         s for s in circuit.signals if s in stg.non_input_signals
     ]
     if regions is None:
-        graph = build_reachability_graph(stg.net, max_markings=max_markings)
-        encoded = encode_reachability_graph(stg, graph)
-        regions = compute_signal_regions(stg, encoded, signals=targets)
+        regions = state_space(stg)
     encoded = regions.encoded
 
     functional: list[str] = []

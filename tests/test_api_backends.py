@@ -85,6 +85,15 @@ class TestDifferentialMode:
         compare("sequencer", options, pipeline=pipeline)
         assert pipeline.stage_calls["synthesize"] == calls  # all cached
 
+    def test_compare_checks_only_the_requested_signals(self):
+        """With a signal subset both circuits implement only that signal;
+        the cross-check must not ask them for the other outputs."""
+        report = compare("fig1", SynthesisOptions(signals=["c"]))
+        assert report.matching, report.mismatches
+        assert report.checked_markings > 0
+        assert set(report.structural.circuit.signals) == {"c"}
+        assert set(report.statebased.circuit.signals) == {"c"}
+
     def test_mismatch_detection(self):
         """A deliberately broken circuit must be flagged, not rubber-stamped."""
         from repro.api import Spec

@@ -288,8 +288,7 @@ class TestCacheCommand:
         from repro.api.store import ArtifactStore
 
         store = ArtifactStore(tmp_path / "store", lru_size=16)
-        # cache=False: repeat reads go to the store, exercising its hot LRU
-        pipeline = Pipeline(store=store, flights=SingleFlight(store), cache=False)
+        pipeline = Pipeline(store=store, flights=SingleFlight(store))
         server = create_server(port=0, pipeline=pipeline)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -297,6 +296,8 @@ class TestCacheCommand:
         try:
             client = Client(url)
             client.synthesize("sequencer", assume_csc=True)
+            # evicted memory: the repeat reads go to the store's hot LRU
+            pipeline.evict_cache()
             client.synthesize("sequencer", assume_csc=True)  # hot-LRU hits
 
             code, out, _ = run_cli(capsys, "cache", "stats", "--url", url)

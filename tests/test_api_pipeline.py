@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
 from repro.api import Pipeline, Report, Spec, SynthesisError, SynthesisOptions, run
+from repro.api import compare as pipeline_compare
 from repro.petri.reachability import StateSpaceLimitExceeded
 from repro.synthesis.engine import prepare_approximation, synthesize
 
@@ -45,16 +47,9 @@ class TestStageMemoisation:
         assert pipeline.stage_calls["analyze"] == 1
         assert pipeline.stage_calls["synthesize"] == 1
 
-    def test_cache_disabled(self):
-        pipeline = Pipeline(cache=False)
-        options = SynthesisOptions(assume_csc=True)
-        pipeline.synthesize("handshake_seq", options)
-        pipeline.synthesize("handshake_seq", options)
-        assert pipeline.stage_calls["synthesize"] == 2
-
-    def test_run_without_cache_computes_the_front_end_once(self):
+    def test_run_computes_the_front_end_once(self):
         """run() reuses the artifacts its circuit was synthesized from."""
-        pipeline = Pipeline(cache=False)
+        pipeline = Pipeline()
         report = pipeline.run("handshake_seq", SynthesisOptions(assume_csc=True))
         assert pipeline.stage_calls["analyze"] == 1
         assert pipeline.stage_calls["refine"] == 1
@@ -78,6 +73,97 @@ class TestStageMemoisation:
         pipeline.clear_cache()
         assert pipeline.cache_info() == {}
         assert pipeline.stage_calls == {}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count calls of the reachability and encoding kernels.
+
+    Every ``repro`` module binding of the two functions is replaced, so a
+    consumer that enumerates on its own is counted too.
+    """
+    import repro.petri.reachability as reachability
+    import repro.stg.encoding as encoding
+
+    calls = {"build_reachability_graph": 0, "encode_reachability_graph": 0}
+    for module, name in (
+        (reachability, "build_reachability_graph"),
+        (encoding, "encode_reachability_graph"),
+    ):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for loaded in list(sys.modules.values()):
+            if not getattr(loaded, "__name__", "").startswith("repro"):
+                continue
+            for attr, value in list(vars(loaded).items()):
+                if value is original:
+                    monkeypatch.setattr(loaded, attr, counted)
+    return calls
+
+
+class TestStateSpaceStage:
+    """One enumeration, one encoding per (spec, max_markings)."""
+
+    @pytest.mark.parametrize("backend", ["statebased", "structural"])
+    def test_run_with_both_verifies_enumerates_once(self, backend, kernel_calls):
+        pipeline = Pipeline()
+        report = pipeline.run(
+            "muller_pipeline_8",
+            SynthesisOptions(assume_csc=True),
+            backend=backend,
+            verify=True,
+            verify_mapped=True,
+        )
+        assert report.verification.speed_independent
+        assert report.mapped_verification.equivalent
+        assert pipeline.stage_calls["states"] == 1
+        assert kernel_calls == {
+            "build_reachability_graph": 1,
+            "encode_reachability_graph": 1,
+        }
+
+    def test_compare_enumerates_once(self, kernel_calls):
+        pipeline = Pipeline()
+        report = pipeline_compare(
+            "muller_pipeline_8", SynthesisOptions(assume_csc=True), pipeline=pipeline
+        )
+        assert report.matching
+        assert pipeline.stage_calls["states"] == 1
+        assert kernel_calls == {
+            "build_reachability_graph": 1,
+            "encode_reachability_graph": 1,
+        }
+
+    def test_a_different_bound_is_a_second_state_space(self, kernel_calls):
+        pipeline = Pipeline()
+        options = SynthesisOptions(assume_csc=True)
+        pipeline.run("muller_pipeline_8", options, backend="statebased", verify=True)
+        pipeline.run(
+            "muller_pipeline_8",
+            options,
+            backend="statebased",
+            verify=True,
+            max_markings=10_000,
+        )
+        assert pipeline.stage_calls["states"] == 2
+        assert kernel_calls["build_reachability_graph"] == 2
+        assert kernel_calls["encode_reachability_graph"] == 2
+
+    def test_state_space_is_memory_only(self, tmp_path):
+        store_path = tmp_path / "store"
+        options = SynthesisOptions(assume_csc=True)
+        first = Pipeline(store=store_path)
+        first.run("sequencer", options, backend="statebased", verify=True)
+        assert first.stage_calls["states"] == 1
+        assert "states" not in first.store_misses
+        # a fresh pipeline served from the store never asks for the states
+        second = Pipeline(store=store_path)
+        second.run("sequencer", options, backend="statebased", verify=True)
+        assert second.stage_calls == {}
 
 
 class TestStages:

@@ -283,7 +283,8 @@ class TestFreshProcessResume:
             return json.loads(result.stdout)
 
         first = run_once()
-        assert sum(first["stage_calls"].values()) == 6
+        # analyze, refine, synthesize, map, verify, verify_mapped + states
+        assert sum(first["stage_calls"].values()) == 7
 
         second = run_once()
         assert second["stage_calls"] == {}, "fresh process must compute nothing"

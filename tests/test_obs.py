@@ -436,11 +436,12 @@ class TestPipelineObs:
     def test_store_reads_and_writes_are_counted(self, tmp_path):
         obs = Obs()
         store = ArtifactStore(tmp_path / "store", lru_size=8, obs=obs)
-        pipeline = Pipeline(store=store, cache=False, obs=obs)
+        pipeline = Pipeline(store=store, obs=obs)
         pipeline.run("sequencer", OPTIONS)
         assert obs.store_writes.value() == store.writes
         assert obs.store_reads.value(outcome="miss") == store.misses
-        pipeline.run("sequencer", OPTIONS)  # cache off: hot-LRU hits
+        pipeline.evict_cache()
+        pipeline.run("sequencer", OPTIONS)  # memory evicted: hot-LRU hits
         assert (
             obs.store_reads.value(outcome="hit")
             + obs.store_reads.value(outcome="lru_hit")
