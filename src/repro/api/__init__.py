@@ -161,6 +161,7 @@ __all__ = [
     "ArtifactStore",
     "Backend",
     "BACKEND_NAMES",
+    "CircuitOpenError",
     "Client",
     "ClientError",
     "ComparisonReport",
@@ -168,6 +169,8 @@ __all__ = [
     "EventLog",
     "FaultInjector",
     "FaultRule",
+    "FleetConfig",
+    "FleetSupervisor",
     "InjectedFault",
     "Job",
     "JobResult",
@@ -182,6 +185,7 @@ __all__ = [
     "Report",
     "RetryPolicy",
     "Scheduler",
+    "SingleFlight",
     "Spec",
     "SpecError",
     "SpecLike",

@@ -29,8 +29,9 @@ from typing import Optional, Protocol, Union, runtime_checkable
 
 from repro.api.artifacts import Report, SynthesisArtifact, _clean
 from repro.api.spec import Spec, SpecLike
-from repro.statebased.nextstate import implied_value_bitsets
+from repro.statebased.nextstate import implied_value_bitsets, next_state_value
 from repro.statebased.synthesis import synthesize_state_based
+from repro.stg.encoding import state_indices
 from repro.synthesis.engine import SynthesisError, SynthesisOptions
 from repro.synthesis.engine import synthesize as _structural_synthesize
 
@@ -299,11 +300,13 @@ def compare(
 ) -> ComparisonReport:
     """Run two backends and cross-check the circuits' next-state functions.
 
-    Every reachable marking of the specification is encoded and both
-    circuits are evaluated on its code; disagreements (between the circuits,
-    or between either circuit and the spec-implied next-state value) are
-    collected as mismatch records.  Requires an enumerable state space — the
-    comparison *is* the state-based cost the structural flow avoids.
+    Both circuits are evaluated on every reachable state at once by the
+    column evaluator (:meth:`~repro.synthesis.netlist.Circuit.next_value_columns`).
+    With columns ``a``/``b`` and the implied-value bitsets ``on``/``off``, a
+    signal's mismatching states are ``(a ^ b) | (on & ~a) | (off & ~on & a)``,
+    recorded in state order, then signal order, up to ``max_mismatches``;
+    ``matching`` keys on the full count.  Requires an enumerable state space
+    — the comparison *is* the state-based cost the structural flow avoids.
 
     ``backends`` selects the pair (first fills the report's ``structural``
     slot, second the ``statebased`` slot); the default reproduces the
@@ -327,57 +330,41 @@ def compare(
     # the signals both circuits implement
     signals = options.signals if options.signals is not None else spec.stg.non_input_signals
     encoded = regions.encoded
-    # per-signal implied-value bitsets; circuit evaluations cached per
-    # distinct packed code (both circuits are functions of the code alone)
+    columns, mask = encoded.state_columns(), encoded.state_mask
     on_bits, off_bits = implied_value_bitsets(regions, signals)
-    packed = encoded.packed_codes
-    eval_cache: dict[int, dict[str, tuple[int, int]]] = {}
+    first = structural.circuit.next_value_columns(columns, mask, signals)
+    second = statebased.circuit.next_value_columns(columns, mask, signals)
+    mismatch_of = {
+        s: (first[s] ^ second[s])
+        | (on_bits[s] & ~first[s])
+        | (off_bits[s] & ~on_bits[s] & first[s])
+        for s in signals
+    }
+    # matching keys on the count; the detail records are capped
+    mismatch_count = sum(mismatch_of[s].bit_count() for s in signals)
     mismatches: list[dict] = []
-    mismatch_count = 0
-    checked = 0
-    for index in range(len(packed)):
-        code_int = packed[index]
-        state_bit = 1 << index
-        checked += 1
-        values = eval_cache.get(code_int)
-        if values is None:
-            code = encoded.code_dict_of_int(code_int)
-            values = {
-                signal: (
-                    structural.circuit.next_value(signal, code),
-                    statebased.circuit.next_value(signal, code),
-                )
-                for signal in signals
-            }
-            eval_cache[code_int] = values
+    for index in state_indices(*mismatch_of.values()):
+        if len(mismatches) >= max_mismatches:
+            break
+        marking = encoded.marking_list[index]
         for signal in signals:
-            if on_bits[signal] & state_bit:
-                implied: Optional[int] = 1
-            elif off_bits[signal] & state_bit:
-                implied = 0
-            else:
-                implied = None
-            s_value, b_value = values[signal]
-            if s_value == b_value and (implied is None or implied == s_value):
+            if not mismatch_of[signal] >> index & 1:
                 continue
-            mismatch_count += 1
-            # matching keys on the count; the detail records are capped
-            if len(mismatches) < max_mismatches:
-                marking = encoded.marking_list[index]
-                mismatches.append(
-                    {
-                        "signal": signal,
-                        "code": encoded.code_string(marking),
-                        "structural": s_value,
-                        "statebased": b_value,
-                        "specified": implied,
-                    }
-                )
+            mismatches.append(
+                {
+                    "signal": signal,
+                    "code": encoded.code_string(marking),
+                    "structural": first[signal] >> index & 1,
+                    "statebased": second[signal] >> index & 1,
+                    "specified": next_state_value(spec.stg, regions, signal, index),
+                }
+            )
+    del mismatches[max(max_mismatches, 0):]
     return ComparisonReport(
         spec_name=spec.name,
         spec_hash=spec.content_hash,
         level=options.level,
-        checked_markings=checked,
+        checked_markings=len(encoded),
         matching=mismatch_count == 0,
         mismatches=mismatches,
         structural=structural,

@@ -291,6 +291,7 @@ class Pipeline:
             # injected latency and/or a retryable InjectedStageError —
             # nothing is cached for a failed stage, so a retry recomputes
             self.faults.stage_enter(stage)
+        self.stage_calls[stage] += 1
         if self.obs is not None:
             # the span nests under the caller's current span (e.g. the
             # worker's HTTP span); `activate` exposes the bundle to layers
@@ -360,7 +361,6 @@ class Pipeline:
         spec = Spec.load(spec)
 
         def compute() -> SignalRegions:
-            self.stage_calls["states"] += 1
             return state_space(spec.stg, max_markings=max_markings)
 
         return self._memo(
@@ -382,7 +382,6 @@ class Pipeline:
         key = ("analyze", spec.content_hash, _analysis_key(options))
 
         def compute() -> AnalysisArtifact:
-            self.stage_calls["analyze"] += 1
             start = time.perf_counter()
             stg = spec.stg
             concurrency = compute_concurrency_relation(stg)
@@ -440,7 +439,6 @@ class Pipeline:
         key = ("refine", spec.content_hash, _analysis_key(options))
 
         def compute() -> RefinementArtifact:
-            self.stage_calls["refine"] += 1
             start = time.perf_counter()
             stg = spec.stg
             # a store-loaded analysis artifact rebuilds its handles here
@@ -510,7 +508,6 @@ class Pipeline:
         )
 
         def compute() -> SynthesisArtifact:
-            self.stage_calls["synthesize"] += 1
             return backend.synthesize(self, spec, options, max_markings=max_markings)
 
         return self._memo(key, compute, spec=spec, artifact_cls=SynthesisArtifact)
@@ -550,7 +547,6 @@ class Pipeline:
         )
 
         def compute() -> MappingArtifact:
-            self.stage_calls["map"] += 1
             start = time.perf_counter()
             mapped = map_circuit(synthesis.circuit, library)
             netlist = mapped.netlist
@@ -597,7 +593,6 @@ class Pipeline:
         )
 
         def compute() -> VerificationArtifact:
-            self.stage_calls["verify"] += 1
             start = time.perf_counter()
             report = verify_speed_independence(
                 spec.stg, synthesis.circuit, regions=self.states(spec, max_markings)
@@ -651,7 +646,6 @@ class Pipeline:
         )
 
         def compute() -> MappedVerificationArtifact:
-            self.stage_calls["verify_mapped"] += 1
             start = time.perf_counter()
             report = verify_mapped_netlist(
                 spec.stg,

@@ -63,19 +63,6 @@ def muller_pipeline(stages: int) -> STG:
     return stg
 
 
-def muller_pipeline_marking_count(stages: int) -> int:
-    """Closed-form number of reachable markings of :func:`muller_pipeline`.
-
-    The 4-phase pipeline with an environment behaves like a chain of
-    ``stages + 1`` half-buffers; its reachability graph size follows the
-    Fibonacci-like recurrence counted here by explicit dynamic programming
-    over the per-stage phases (kept simple and exact for reporting purposes).
-    """
-    from repro.petri.reachability import count_reachable_markings
-
-    return count_reachable_markings(muller_pipeline(stages).net)
-
-
 def dining_philosophers(philosophers: int) -> STG:
     """Dining philosophers as an STG (Table VII, a non-free-choice example).
 

@@ -23,7 +23,7 @@ need.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.api.spec import Spec

@@ -24,7 +24,8 @@ Gate semantics over columns (``mask`` is the all-ones column):
   empty term is constant 1.
 * C-latch (pins ``set``, ``reset``): ``(set & ~reset) | (hold & current)``
   with ``hold = ~(set ^ reset)`` — rises where set wins, falls where reset
-  wins, holds elsewhere.
+  wins, holds elsewhere (:func:`repro.synthesis.netlist.c_latch_column`,
+  shared with the behavioural circuit's column evaluator).
 * Gated latch (pins ``enable``, ``data`` with recorded polarity):
   ``(enable & data') | (~enable & current)`` where ``data'`` is the data
   column at the latch's polarity.
@@ -39,7 +40,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.gates.ir import GateInstance, GateKind, GateNetlist
+from repro.gates.ir import GateKind, GateNetlist
+from repro.synthesis.netlist import c_latch_column
 
 
 class SimulationError(RuntimeError):
@@ -55,20 +57,6 @@ class SimulationError(RuntimeError):
 _OP_SOP = 0
 _OP_C_LATCH = 1
 _OP_GATED_LATCH = 2
-
-
-def c_latch_column(set_column: int, reset_column: int, current: int) -> int:
-    """Column form of the C-latch next value.
-
-    Rises where set wins, falls where reset wins, holds elsewhere — the
-    single definition shared by the netlist evaluator and the vectorized
-    behavioural-circuit evaluation in :mod:`repro.gates.verify` (the scalar
-    form lives in :meth:`repro.synthesis.netlist.SignalImplementation.next_value`).
-    The caller masks the result to the column width.
-    """
-    return (set_column & ~reset_column) | (
-        current & ~(set_column ^ reset_column)
-    )
 
 
 class CompiledNetlistEvaluator:
@@ -204,30 +192,8 @@ def compile_netlist(netlist: GateNetlist) -> CompiledNetlistEvaluator:
     return CompiledNetlistEvaluator(netlist)
 
 
-def signal_columns(
-    codes: list[int], signal_bits: list[tuple[str, int]]
-) -> dict[str, int]:
-    """Transpose packed state codes into per-signal value columns.
-
-    ``codes[j]`` is the packed code of state ``j`` (bit positions from the
-    global interner); ``signal_bits`` lists ``(signal, bit_index)`` pairs.
-    Returns one column per signal with bit ``j`` set iff the signal is 1
-    under code ``j``.
-    """
-    columns = {signal: 0 for signal, _ in signal_bits}
-    for j, code in enumerate(codes):
-        if not code:
-            continue
-        state_bit = 1 << j
-        for signal, bit in signal_bits:
-            if code >> bit & 1:
-                columns[signal] |= state_bit
-    return columns
-
-
 __all__ = [
     "CompiledNetlistEvaluator",
     "SimulationError",
     "compile_netlist",
-    "signal_columns",
 ]

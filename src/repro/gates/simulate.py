@@ -13,9 +13,9 @@ combinational complex gate and the feedback of a latch both pass through a
 clamped net, so propagation always terminates.  Because validation already
 rejects cyclic interiors, settling needs no event queue at all —
 :meth:`GateLevelSimulator.settle` executes the compiled straight-line
-program of :mod:`repro.gates.compiled` at width 1, and
-:meth:`GateLevelSimulator.settle_batch` evaluates many codes in one
-bit-parallel pass.  The original event-driven stabilization loop is kept as
+program of :mod:`repro.gates.compiled` at width 1; whole code sets run
+through the same program in :func:`repro.gates.verify.verify_mapped_netlist`.
+The original event-driven stabilization loop is kept as
 :meth:`GateLevelSimulator._reference_settle` — the oracle of the
 differential tests and the executable statement of the semantics (including
 the oscillation guard for netlists that bypass validation).
@@ -24,13 +24,9 @@ the oscillation guard for netlists that bypass validation).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
-from repro.gates.compiled import (
-    CompiledNetlistEvaluator,
-    SimulationError,
-    signal_columns,
-)
+from repro.gates.compiled import CompiledNetlistEvaluator, SimulationError
 from repro.gates.ir import GateNetlist, NetlistError
 
 
@@ -38,10 +34,7 @@ class GateLevelSimulator:
     """Evaluator of a :class:`~repro.gates.ir.GateNetlist`.
 
     Construction validates the netlist and compiles the topological
-    straight-line program, so repeated :meth:`settle` calls (one per
-    reachable state in the differential check) stay cheap and
-    :meth:`settle_batch` amortises whole code sets into single big-int
-    operations.
+    straight-line program, so repeated :meth:`settle` calls stay cheap.
     """
 
     def __init__(self, netlist: GateNetlist):
@@ -80,18 +73,6 @@ class GateLevelSimulator:
         :meth:`repro.synthesis.netlist.Circuit.next_values`.
         """
         return self._evaluator.evaluate(code, 1)
-
-    def settle_batch(
-        self, codes: Sequence[int], signal_bits: list[tuple[str, int]]
-    ) -> dict[str, int]:
-        """Settle many packed codes at once (bit-parallel).
-
-        ``codes[j]`` is the packed state code of column bit ``j`` (bit
-        positions per ``signal_bits``); the result maps each output signal
-        to its next-value column.
-        """
-        columns = signal_columns(list(codes), signal_bits)
-        return self._evaluator.evaluate(columns, len(codes))
 
     # ------------------------------------------------------------------ #
     # Reference event-driven loop (differential-test oracle)

@@ -11,12 +11,15 @@ state code of the specification.  Any divergence — a dropped region gate, a
 mis-collapsed gated latch, a wrong OR-tree — surfaces as a concrete state
 code plus the disagreeing signal.
 
-Both sides of the comparison are vectorized: the distinct reachable codes
-are transposed into per-signal bit columns, the mapped netlist runs through
-the compiled straight-line program of :mod:`repro.gates.compiled` once, and
-the behavioural circuit's covers are evaluated as column expressions (a
-cube is an AND of literal columns).  No per-code dict is ever built unless a
-mismatch needs reporting.  The per-code loop over the event simulator is
+Both sides of the comparison are vectorized over the state space's
+per-signal columns (:meth:`~repro.stg.encoding.EncodedReachabilityGraph.state_columns`,
+bit ``i`` = state ``i``): the mapped netlist runs through the compiled
+straight-line program of :mod:`repro.gates.compiled` once, and the
+behavioural circuit through the column evaluator
+:meth:`~repro.synthesis.netlist.Circuit.next_value_columns` — the same one
+the speed-independence verifier and ``compare()`` use.  No per-code dict is
+built; mismatches are read off the XOR of the two columns, one report per
+distinct code.  The per-code loop over the event simulator is
 retained as :func:`_reference_verify_mapped_netlist` — the oracle pinning
 the vectorized path in the differential tests.
 """
@@ -26,12 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.boolean.cover import Cover
-from repro.boolean.interning import var_index
-from repro.gates.compiled import c_latch_column, compile_netlist, signal_columns
+from repro.gates.compiled import compile_netlist
 from repro.gates.ir import GateNetlist
 from repro.gates.simulate import GateLevelSimulator
-from repro.stg.encoding import EncodedReachabilityGraph, encode_reachability_graph
+from repro.stg.encoding import (
+    EncodedReachabilityGraph,
+    encode_reachability_graph,
+    state_indices,
+)
 from repro.stg.stg import STG
 from repro.synthesis.netlist import Circuit
 
@@ -51,44 +56,6 @@ class MappedVerificationReport:
 
     def __bool__(self) -> bool:
         return self.equivalent
-
-
-def _cover_column(cover: Cover, columns: dict[str, int], mask: int) -> int:
-    """Column of a cover: bit ``j`` set iff the cover is on under code ``j``."""
-    result = 0
-    for cube in cover:
-        acc = mask
-        for variable, value in cube.items():
-            column = columns.get(variable)
-            if column is None:
-                # variable outside the state-code universe: the vertex test
-                # can never match (mirrors ``covers_vertex`` on a dict)
-                acc = 0
-                break
-            acc &= column if value else ~column & mask
-            if not acc:
-                break
-        result |= acc
-        if result == mask:
-            break
-    return result
-
-
-def _circuit_columns(
-    circuit: Circuit, signals: list[str], columns: dict[str, int], mask: int
-) -> dict[str, int]:
-    """Vectorized :meth:`Circuit.next_values` restricted to ``signals``."""
-    results: dict[str, int] = {}
-    for signal in signals:
-        implementation = circuit[signal]
-        set_column = _cover_column(implementation.set_cover, columns, mask)
-        if not implementation.uses_latch:
-            results[signal] = set_column
-            continue
-        reset_column = _cover_column(implementation.reset_cover, columns, mask)
-        current = columns.get(signal, 0)
-        results[signal] = c_latch_column(set_column, reset_column, current) & mask
-    return results
 
 
 def verify_mapped_netlist(
@@ -112,48 +79,36 @@ def verify_mapped_netlist(
         circuit.signals
     )
 
-    order = list(stg.signal_names)
-    signal_bits = [(signal, var_index(signal)) for signal in order]
+    packed = encoded.packed_codes
+    columns = encoded.state_columns()
+    actual = evaluator.evaluate(columns, len(packed))
+    expected = circuit.next_value_columns(columns, encoded.state_mask, signals)
+    difference_of = {signal: actual[signal] ^ expected[signal] for signal in signals}
 
-    # distinct reachable codes, first-occurrence order
-    seen: set[int] = set()
-    unique_codes: list[int] = []
-    for code in encoded.packed_codes:
-        if code not in seen:
-            seen.add(code)
-            unique_codes.append(code)
-    width = len(unique_codes)
-    mask = (1 << width) - 1
-
-    columns = signal_columns(unique_codes, signal_bits)
-    actual = evaluator.evaluate(columns, width)
-    expected = _circuit_columns(circuit, signals, columns, mask)
-
+    # states sharing a code evaluate alike: report each differing code once,
+    # at its first state
     mismatches: list[str] = []
     mismatch_count = 0
-    difference_of = {
-        signal: (actual[signal] ^ expected[signal]) & mask for signal in signals
-    }
-    if any(difference_of.values()):
-        for j, code in enumerate(unique_codes):
-            state_bit = 1 << j
-            for signal in signals:
-                if not difference_of[signal] & state_bit:
-                    continue
-                mismatch_count += 1
-                if len(mismatches) < MAX_REPORTED_MISMATCHES:
-                    bits = "".join(
-                        str(code >> bit & 1) for _, bit in signal_bits
-                    )
-                    mismatches.append(
-                        f"signal {signal}: gates produce "
-                        f"{actual[signal] >> j & 1}, behaviour implies "
-                        f"{expected[signal] >> j & 1} at code {bits} "
-                        f"(signals {' '.join(order)})"
-                    )
+    reported: set[int] = set()
+    for index in state_indices(*difference_of.values()):
+        code = packed[index]
+        if code in reported:
+            continue
+        reported.add(code)
+        for signal in signals:
+            if not difference_of[signal] >> index & 1:
+                continue
+            mismatch_count += 1
+            if len(mismatches) < MAX_REPORTED_MISMATCHES:
+                bits = "".join(map(str, encoded.code_tuple_of_int(code)))
+                mismatches.append(
+                    f"signal {signal}: gates produce {actual[signal] >> index & 1}, "
+                    f"behaviour implies {expected[signal] >> index & 1} at code "
+                    f"{bits} (signals {' '.join(stg.signal_names)})"
+                )
     return MappedVerificationReport(
         equivalent=mismatch_count == 0,
-        checked_codes=width,
+        checked_codes=len(set(packed)),
         checked_markings=len(encoded),
         mismatches=mismatches,
         mismatch_count=mismatch_count,

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.obs.expose import load_snapshots, merge_snapshots, render_prometheus
-from repro.obs.metrics import DEFAULT_BUCKETS, Registry
+from repro.obs.metrics import Registry
 from repro.obs.trace import TRACE_HEADER, Tracer, parse_header
 
 __all__ = [

@@ -34,7 +34,7 @@ decoded back into a :class:`~repro.boolean.cover.Cover`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube

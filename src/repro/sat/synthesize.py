@@ -38,7 +38,6 @@ from repro.obs import current_obs
 from repro.boolean.interning import mask_of_tuple
 from repro.sat.encode import (
     CoverProblem,
-    SatBudgetExceeded,
     SignalEncoding,
     add_counter,
     build_encoding,
@@ -50,6 +49,7 @@ from repro.statebased.synthesis import (
     StateBasedSynthesisError,
     check_state_based_specification,
 )
+from repro.stg.encoding import state_indices
 from repro.stg.stg import STG
 from repro.synthesis.netlist import (
     Architecture,
@@ -289,16 +289,8 @@ def _signal_problems(
     codes = encoded.packed_codes
     signals_mask = mask_of_tuple(tuple(encoded.stg.signal_names))
 
-    def states_of(bits: int) -> list[int]:
-        states = []
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            states.append(low.bit_length() - 1)
-        return states
-
     def quiescent_of(bits: int):
-        states = tuple((s, codes[s]) for s in states_of(bits))
+        states = tuple((s, codes[s]) for s in state_indices(bits))
         edges = tuple(
             (source, state)
             for state, _ in states

@@ -110,7 +110,7 @@ def analyze_state_coding(
             continue
         # conflicts are the rare case; only they materialize Marking objects
         marking_list = indexed.marking_list
-        code_tuple = tuple(encoded.code_dict_of_int(code)[s] for s in order)
+        code_tuple = encoded.code_tuple_of_int(code)
         signatures = [output_signature(state) for state in states]
         for i in range(len(states)):
             for j in range(i + 1, len(states)):

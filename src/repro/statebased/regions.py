@@ -39,7 +39,11 @@ from typing import Iterable, Optional, Union
 from repro.boolean.cover import Cover
 from repro.petri.marking import Marking
 from repro.petri.reachability import build_reachability_graph
-from repro.stg.encoding import EncodedReachabilityGraph, encode_reachability_graph
+from repro.stg.encoding import (
+    EncodedReachabilityGraph,
+    encode_reachability_graph,
+    state_indices,
+)
 from repro.stg.stg import STG
 
 RegionLike = Union[int, Iterable[Marking]]
@@ -290,12 +294,7 @@ def compute_signal_regions(
             excitation = regions._er[transition]
             seen = excitation
             region = 0
-            stack = []
-            bits = excitation
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                stack.append(low.bit_length() - 1)
+            stack = list(state_indices(excitation))
             while stack:
                 current = stack.pop()
                 for _, source in pred[current]:

@@ -22,7 +22,7 @@ the differential tests and the documentation of the semantics.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
@@ -36,6 +36,38 @@ from repro.petri.reachability import (
 from repro.stg.stg import STG
 
 
+def state_indices(*bitsets: int) -> Iterator[int]:
+    """The state indices set in any of the bitsets, ascending."""
+    bits = 0
+    for bitset in bitsets:
+        bits |= bitset
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        yield low.bit_length() - 1
+
+
+def signal_columns(
+    codes: list[int], signal_bits: list[tuple[str, int]]
+) -> dict[str, int]:
+    """Transpose packed state codes into per-signal value columns.
+
+    ``codes[j]`` is the packed code of state ``j`` (bit positions from the
+    global interner); ``signal_bits`` lists ``(signal, bit_index)`` pairs.
+    Returns one column per signal with bit ``j`` set iff the signal is 1
+    under code ``j``.
+    """
+    columns = {signal: 0 for signal, _ in signal_bits}
+    for j, code in enumerate(codes):
+        if not code:
+            continue
+        state_bit = 1 << j
+        for signal, bit in signal_bits:
+            if code >> bit & 1:
+                columns[signal] |= state_bit
+    return columns
+
+
 class EncodingError(ValueError):
     """Raised when no consistent binary encoding of the markings exists."""
 
@@ -47,7 +79,8 @@ class EncodedReachabilityGraph:
     ``packed_codes[i]``; bit ``var_index(s)`` of the code is the value of
     signal ``s``.  The name-based accessors (:meth:`code_of`,
     :meth:`value`, :meth:`code_string`) are thin boundary shims over the
-    packed arrays.
+    packed arrays; :meth:`state_columns` is their transpose, the input of
+    the circuit column evaluator.
     """
 
     __slots__ = (
@@ -61,6 +94,7 @@ class EncodedReachabilityGraph:
         "_signals_mask",
         "_dict_cache",
         "_cube_cache",
+        "_columns",
     )
 
     def __init__(
@@ -114,6 +148,7 @@ class EncodedReachabilityGraph:
         self._signals_mask = mask_of_tuple(order)
         self._dict_cache: dict[int, dict[str, int]] = {}
         self._cube_cache: dict[int, Cube] = {}
+        self._columns: Optional[dict[str, int]] = None
 
     # ------------------------------------------------------------------ #
     # Index-space accessors (non-copying; the compiled synthesis/verify
@@ -141,6 +176,27 @@ class EncodedReachabilityGraph:
     def code_int(self, marking: Marking) -> int:
         """Packed code of a marking over the global variable order."""
         return self._packed[self.index(marking)]
+
+    def state_columns(self) -> dict[str, int]:
+        """Per-signal value columns, transposed once (do not mutate).
+
+        Bit ``i`` is the value in state ``i``, the index space of the region
+        bitsets; :attr:`state_mask` is the all-ones column.
+        """
+        if self._columns is None:
+            self._columns = signal_columns(
+                self._packed, list(zip(self._signal_order, self._signal_bits))
+            )
+        return self._columns
+
+    @property
+    def state_mask(self) -> int:
+        """The all-ones column over the states."""
+        return (1 << len(self._packed)) - 1
+
+    def code_tuple_of_int(self, code: int) -> tuple[int, ...]:
+        """A packed code as a value tuple over the signal order."""
+        return tuple((code >> bit) & 1 for bit in self._signal_bits)
 
     def code_dict_of_int(self, code: int) -> dict[str, int]:
         """Shared name→value dict of a packed code (do not mutate)."""
@@ -183,12 +239,7 @@ class EncodedReachabilityGraph:
     def markings_of_bits(self, bits: int) -> set[Marking]:
         """Markings of a state-index bitset (a fresh set)."""
         marking_list = self.marking_list
-        result: set[Marking] = set()
-        while bits:
-            low = bits & -bits
-            result.add(marking_list[low.bit_length() - 1])
-            bits ^= low
-        return result
+        return {marking_list[index] for index in state_indices(bits)}
 
     def cover_of_bits(self, bits: int) -> Cover:
         """Characteristic cover of a state-index bitset.
@@ -200,10 +251,8 @@ class EncodedReachabilityGraph:
         packed = self._packed
         seen: set[int] = set()
         cubes: list[Cube] = []
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            code = packed[low.bit_length() - 1]
+        for index in state_indices(bits):
+            code = packed[index]
             if code not in seen:
                 seen.add(code)
                 cubes.append(self.minterm_cube(code))
@@ -212,12 +261,7 @@ class EncodedReachabilityGraph:
     def code_set_of_bits(self, bits: int) -> set[int]:
         """Distinct packed codes of a state-index bitset."""
         packed = self._packed
-        codes: set[int] = set()
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            codes.add(packed[low.bit_length() - 1])
-        return codes
+        return {packed[index] for index in state_indices(bits)}
 
     def _prefix_cube(self, care: int, value: int) -> Cube:
         literals = {
@@ -323,10 +367,7 @@ class EncodedReachabilityGraph:
 
     def used_codes(self) -> set[tuple[int, ...]]:
         """The set of binary codes (tuples over the signal order) in use."""
-        bits = self._signal_bits
-        return {
-            tuple((code >> bit) & 1 for bit in bits) for code in self._packed
-        }
+        return {self.code_tuple_of_int(code) for code in self._packed}
 
     def enabled_transitions(self, marking: Marking) -> set[str]:
         """Transitions enabled at a marking."""

@@ -86,15 +86,6 @@ class ConcurrencyRelation:
             return False
         return bool(self._rows[i] >> j & 1)
 
-    def _row_names(self, row: int) -> list[str]:
-        names = self._names
-        result = []
-        while row:
-            low = row & -row
-            result.append(names[low.bit_length() - 1])
-            row ^= low
-        return result
-
     def _signal_mask(self, signal: str) -> int:
         """Bitmask of the node indices of a signal's transitions (memoised)."""
         mask = self._signal_masks.get(signal)

@@ -16,7 +16,6 @@ directly (used by the verifier and by the tests).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.boolean.cover import Cover
 from repro.statebased.regions import SignalRegions

@@ -12,20 +12,54 @@ implementation is:
   set/reset inputs of the C-latch (Fig. 3(c));
 * ``GATED_LATCH`` — the collapsed memory element of Appendix D.
 
-The netlist knows how to evaluate itself on a binary signal vector (used by
-the verifier) and how to report its cost in literals and estimated
-transistors (used by the area experiments).
+The netlist knows how to evaluate itself on one binary signal vector
+(:meth:`Circuit.next_value`) or, as *columns*, on many state codes at once
+(:meth:`Circuit.next_value_columns`: bit ``j`` of an int column is a value
+under code ``j``, ``mask`` the all-ones column) — the one evaluator every
+whole-state-space check runs on.  It also reports its cost in literals and
+estimated transistors (used by the area experiments).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from typing import Optional
 
 from repro.boolean.cost import CLATCH_TRANSISTORS, sop_transistor_estimate
 from repro.boolean.cover import Cover
+
+
+def c_latch_column(set_column: int, reset_column: int, current: int) -> int:
+    """Column form of the C-latch next value.
+
+    Rises where set wins, falls where reset wins, holds ``current``
+    elsewhere; shared with the gate-level evaluator of
+    :mod:`repro.gates.compiled`.  The caller masks the result.
+    """
+    return (set_column & ~reset_column) | (current & ~(set_column ^ reset_column))
+
+
+def cover_column(cover: Cover, columns: Mapping[str, int], mask: int) -> int:
+    """Column of a cover: bit ``j`` set iff the cover is on under code ``j``."""
+    result = 0
+    for cube in cover:
+        acc = mask
+        for variable, value in cube.items():
+            column = columns.get(variable)
+            if column is None:
+                # variable outside the state-code universe: the vertex test
+                # can never match (mirrors ``covers_vertex`` on a dict)
+                acc = 0
+                break
+            acc &= column if value else ~column & mask
+            if not acc:
+                break
+        result |= acc
+        if result == mask:
+            break
+    return result
 
 
 class Architecture(Enum):
@@ -109,6 +143,15 @@ class SignalImplementation:
         if reset_on and not set_on:
             return 0
         return current
+
+    def next_value_column(self, columns: Mapping[str, int], mask: int) -> int:
+        """Column form of :meth:`next_value` over many codes at once."""
+        set_column = cover_column(self.set_cover, columns, mask)
+        if not self.uses_latch:
+            return set_column
+        reset_column = cover_column(self.reset_cover, columns, mask)
+        current = columns.get(self.signal, 0)
+        return c_latch_column(set_column, reset_column, current) & mask
 
     def set_expression(self) -> str:
         """Human-readable SOP of the set network (or the single gate)."""
@@ -214,6 +257,15 @@ class Circuit:
     def next_value(self, signal: str, vector: Mapping[str, int]) -> int:
         """Next value of one signal."""
         return self.implementations[signal].next_value(vector)
+
+    def next_value_columns(
+        self, columns: Mapping[str, int], mask: int, signals: Iterable[str]
+    ) -> dict[str, int]:
+        """Next-value column of each of ``signals`` (see the module notes)."""
+        return {
+            signal: self.implementations[signal].next_value_column(columns, mask)
+            for signal in signals
+        }
 
     def describe(self) -> str:
         """Multi-line human readable netlist."""

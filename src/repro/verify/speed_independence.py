@@ -4,20 +4,29 @@ The check follows the theory of Section III: a circuit in the
 complex-gate-per-excitation-function architecture is speed independent iff
 its set and reset covers are *correct* (equation (2)) and *monotonic*
 (Property 1).  Rather than re-checking cover inclusions symbolically, the
-verifier walks every reachable marking of the specification and compares the
-circuit's behaviour with the implied next-state value, then checks
-monotonicity of the covers over the exact quiescent regions.  This is
-exhaustive and independent of how the circuit was obtained, so it validates
-the structural flow end to end.
+verifier compares the circuit's behaviour with the implied next-state value
+at every reachable marking of the specification, then checks monotonicity
+of the covers over the exact quiescent regions.  This is exhaustive and
+independent of how the circuit was obtained, so it validates the structural
+flow end to end.
+
+Correctness is bitset algebra over state indices: the column evaluator
+:meth:`~repro.synthesis.netlist.Circuit.next_value_columns` yields, per
+signal, the column ``v`` of next values over every state at once, and with
+the implied-value bitsets ``on``/``off`` the erroneous states are
+``(on & ~v) | (off & ~on & v)``.  The per-marking loop over dict codes is
+retained as :func:`_reference_verify_speed_independence`, the
+differential-test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
-from repro.statebased.nextstate import implied_value_bitsets
+from repro.statebased.nextstate import implied_value_bitsets, next_state_value
 from repro.statebased.regions import SignalRegions, state_space
+from repro.stg.encoding import state_indices
 from repro.stg.stg import STG
 from repro.synthesis.conditions import check_monotonicity_state_based
 from repro.synthesis.netlist import Circuit
@@ -49,7 +58,8 @@ def verify_speed_independence(
     signal's next value (with C-latch hold semantics, evaluated on the
     marking's binary code) must equal the specification's implied value —
     1 inside GER+ ∪ GQR1, 0 inside GER- ∪ GQR0 (markings with no implied
-    value only occur for inconsistent specifications).
+    value only occur for inconsistent specifications).  Errors are listed
+    by state index, then in signal order.
 
     Hazard freeness: the set and reset covers of every latch-based signal
     must be monotonic over the exact quiescent regions (Property 1); for
@@ -60,66 +70,102 @@ def verify_speed_independence(
     (:func:`repro.statebased.regions.state_space`, computed here when
     omitted).
     """
+    return _verify(stg, circuit, regions, signals, _functional_errors)
+
+
+def _functional_errors(
+    stg: STG, circuit: Circuit, regions: SignalRegions, targets: list[str]
+) -> list[str]:
+    """Correctness as bitset algebra over the circuit's state columns."""
+    encoded = regions.encoded
+    on_bits, off_bits = implied_value_bitsets(regions, targets)
+    values = circuit.next_value_columns(
+        encoded.state_columns(), encoded.state_mask, targets
+    )
+    errors_of = {
+        s: (on_bits[s] & ~values[s]) | (off_bits[s] & ~on_bits[s] & values[s])
+        for s in targets
+    }
+    errors: list[str] = []
+    for index in state_indices(*errors_of.values()):
+        marking = encoded.marking_list[index]
+        for signal in targets:
+            if errors_of[signal] >> index & 1:
+                implied = on_bits[signal] >> index & 1
+                errors.append(_error(signal, 1 - implied, implied, marking, encoded))
+    return errors
+
+
+def _error(signal, actual, implied, marking, encoded) -> str:
+    return (
+        f"signal {signal}: circuit produces {actual}, specification implies "
+        f"{implied} at marking {marking} (code {encoded.code_string(marking)})"
+    )
+
+
+def _verify(
+    stg: STG,
+    circuit: Circuit,
+    regions: Optional[SignalRegions],
+    signals: Optional[list[str]],
+    functional_errors: Callable[..., list[str]],
+) -> VerificationReport:
+    """Both halves of the check; ``functional_errors`` does correctness."""
     targets = signals if signals is not None else [
         s for s in circuit.signals if s in stg.non_input_signals
     ]
     if regions is None:
         regions = state_space(stg)
-    encoded = regions.encoded
-
-    functional: list[str] = []
+    functional = functional_errors(stg, circuit, regions, targets)
     hazards: list[str] = []
-
-    # Per-signal implied-value bitsets and a per-distinct-code evaluation
-    # cache: the circuit is evaluated once per (signal, code) instead of
-    # once per (signal, marking).
-    on_bits, off_bits = implied_value_bitsets(regions, targets)
-    packed = encoded.packed_codes
-    value_cache: dict[tuple[str, int], int] = {}
-    for index in range(len(packed)):
-        code_int = packed[index]
-        state_bit = 1 << index
-        for signal in targets:
-            if on_bits[signal] & state_bit:
-                implied = 1
-            elif off_bits[signal] & state_bit:
-                implied = 0
-            else:
-                continue
-            key = (signal, code_int)
-            actual = value_cache.get(key)
-            if actual is None:
-                actual = circuit.next_value(
-                    signal, encoded.code_dict_of_int(code_int)
-                )
-                value_cache[key] = actual
-            if actual != implied:
-                marking = encoded.marking_list[index]
-                functional.append(
-                    f"signal {signal}: circuit produces {actual}, specification "
-                    f"implies {implied} at marking {marking} (code "
-                    f"{encoded.code_string(marking)})"
-                )
-
     for signal in targets:
         implementation = circuit[signal]
         if not implementation.uses_latch:
             continue
-        set_report = check_monotonicity_state_based(
-            stg, regions, signal, implementation.set_cover, "+"
-        )
-        if not set_report:
-            hazards.extend(set_report.violations)
-        reset_report = check_monotonicity_state_based(
-            stg, regions, signal, implementation.reset_cover, "-"
-        )
-        if not reset_report:
-            hazards.extend(reset_report.violations)
-
+        for cover, direction in (
+            (implementation.set_cover, "+"),
+            (implementation.reset_cover, "-"),
+        ):
+            hazards.extend(
+                check_monotonicity_state_based(
+                    stg, regions, signal, cover, direction
+                ).violations
+            )
     return VerificationReport(
         speed_independent=not functional and not hazards,
         functional_errors=functional,
         hazard_errors=hazards,
-        checked_markings=len(encoded),
+        checked_markings=len(regions.encoded),
         checked_signals=list(targets),
     )
+
+
+# ---------------------------------------------------------------------- #
+# Per-marking reference implementation (differential-test oracle)
+# ---------------------------------------------------------------------- #
+
+
+def _reference_functional_errors(
+    stg: STG, circuit: Circuit, regions: SignalRegions, targets: list[str]
+) -> list[str]:
+    """One dict-based ``next_value`` per (marking, signal)."""
+    encoded = regions.encoded
+    errors: list[str] = []
+    for marking in encoded.marking_list:
+        code = encoded.code_view(marking)
+        for signal in targets:
+            implied = next_state_value(stg, regions, signal, marking)
+            actual = circuit.next_value(signal, code)
+            if implied is not None and actual != implied:
+                errors.append(_error(signal, actual, implied, marking, encoded))
+    return errors
+
+
+def _reference_verify_speed_independence(
+    stg: STG,
+    circuit: Circuit,
+    regions: Optional[SignalRegions] = None,
+    signals: Optional[list[str]] = None,
+) -> VerificationReport:
+    """Reference check: :func:`verify_speed_independence` per marking."""
+    return _verify(stg, circuit, regions, signals, _reference_functional_errors)
