@@ -35,8 +35,8 @@ workers sharing one store — crashed or hung workers are respawned,
 recycled workers drain gracefully, thundering herds on one cold spec are
 coalesced to a single computation fleet-wide
 (:class:`~repro.api.fleet.SingleFlight`), and the
-:class:`~repro.api.client.Client` grows a per-endpoint circuit breaker,
-hedged reads, and a retry wall-clock budget.
+:class:`~repro.api.client.Client` grows a per-endpoint circuit breaker
+and a retry wall-clock budget.
 
 Since PR 10 the system is *observable* end to end (:mod:`repro.obs`, the
 ``obs=`` keyword, ``$REPRO_OBS``): spans propagate across process

@@ -1,23 +1,28 @@
 """Typed, JSON-serializable artifacts produced by the pipeline stages.
 
 Every stage of :class:`repro.api.pipeline.Pipeline` returns one of these
-dataclasses.  Each artifact separates two layers:
+dataclasses, and each dataclass declaration is its own schema:
 
-* plain-data fields (numbers, strings, lists, dicts) that ``to_dict()``
-  summarizes for reports, the CLI text output, and perf records;
-* in-memory *handles* (the approximation object, the circuit, the mapping)
-  that downstream stages consume.
+* *plain fields* are the ``compare=True`` fields (numbers, strings, lists,
+  dicts).  ``to_dict()`` summarizes them for reports, the CLI text output
+  and perf records (``seconds`` rounded, unset optional fields left out).
+  ``to_json()`` writes them verbatim under their own names (``spec_name``
+  travels as ``spec``), and ``from_json()`` reads them back, coercing each
+  value by its annotated type.  A field without a default is required on
+  load; one with a default falls back to it, so a document written before
+  the field existed still loads.
+* *handles* are the ``compare=False`` fields: in-memory objects (the
+  approximation object, the circuit, the netlist) that downstream stages
+  consume.  Each class writes and reads only the payload of the handles a
+  later stage may need — refined cover functions, the concurrency
+  relation's bitset rows, the SM-cover, the circuit, the gate netlist (cubes
+  re-intern their packed masks exactly like ``Cube.__reduce__`` does for
+  pickling).
 
-Since PR 5 every artifact also carries a *lossless, versioned* serial form:
-``to_json()`` emits every plain field verbatim (no rounding) plus the
-serializable payload of the handles a later stage may need — refined cover
-functions, the concurrency relation's bitset rows, the SM-cover, the
-circuit, the gate netlist — and ``from_json()`` reconstructs the artifact in
-any process (cubes re-intern their packed masks exactly like
-``Cube.__reduce__`` does for pickling).  This is what lets the on-disk
-:class:`repro.api.store.ArtifactStore` back the pipeline cache across
-processes: a stage artifact loaded from the store behaves identically to a
-freshly computed one.
+The serial form is lossless and versioned (``ARTIFACT_VERSION``), so the
+on-disk :class:`repro.api.store.ArtifactStore` backs the pipeline cache
+across processes: a stage artifact loaded from the store behaves
+identically to a freshly computed one.
 
 Heavy handles are *rehydrated lazily*: a deserialized analysis/refinement
 artifact keeps its serialized payload in ``frozen_handles`` and only
@@ -32,8 +37,11 @@ JSON round-trippable (``Report.to_json``/``Report.from_json``).
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Optional
+import functools
+import types
+import typing
+from dataclasses import MISSING, dataclass, field
+from typing import Callable, ClassVar, Optional, Union
 
 from repro.structural.approximation import SignalRegionApproximation
 from repro.synthesis.netlist import Circuit
@@ -41,6 +49,11 @@ from repro.synthesis.netlist import Circuit
 #: Schema version of the artifact JSON documents.  Bump when a field changes
 #: meaning; the on-disk store additionally gates on its own code version.
 ARTIFACT_VERSION = 1
+
+#: the ``to_json`` key of a plain field, where it is not the field name
+_JSON_KEYS = {"spec_name": "spec"}
+#: the ``to_dict`` key of a plain field, where it is not the ``to_json`` key
+_SUMMARY_KEYS = {"gate_count": "gates", "net_count": "nets", "latch_count": "latches"}
 
 
 def _clean(value):
@@ -52,13 +65,6 @@ def _clean(value):
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return str(value)
-
-
-def _envelope(stage: str, fields: dict) -> dict:
-    """The common document envelope of one serialized artifact."""
-    data = {"stage": stage, "version": ARTIFACT_VERSION}
-    data.update(fields)
-    return data
 
 
 def _check_envelope(data: dict, stage: str) -> dict:
@@ -75,8 +81,153 @@ def _check_envelope(data: dict, stage: str) -> dict:
     return data
 
 
+def _optional(coerce: Optional[Callable]) -> Optional[Callable]:
+    if coerce is None:
+        return None
+    return lambda value: None if value is None else coerce(value)
+
+
+def _coercers(hint) -> tuple:
+    """``(load, dump)`` of one annotated type; ``None`` passes a value as is.
+
+    ``load`` coerces a document value: ``int``/``float``/``bool``, lists,
+    dicts with coerced values, ``Optional[...]``.  ``dump`` copies a
+    container on the way out; scalars are written as they are.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (Union, types.UnionType):
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        load, dump = _coercers(inner)
+        return _optional(load), _optional(dump)
+    if hint is list or origin is list:
+        return list, list
+    if hint is dict or origin is dict:
+        value = _coercers(args[1])[0] if args else None
+        if value is None:
+            return dict, dict
+
+        def coerce(data):
+            return {key: value(item) for key, item in data.items()}
+
+        return coerce, coerce
+    if hint in (int, float, bool):
+        return hint, None
+    return None, None
+
+
+def _is_stage(hint) -> bool:
+    """Whether ``hint`` names a stage artifact (a :class:`Report` stage)."""
+    return any(
+        isinstance(arg, type) and issubclass(arg, _Artifact)
+        for arg in (hint, *typing.get_args(hint))
+    )
+
+
+@functools.cache
+def _schema(cls) -> tuple:
+    """The plain fields of ``cls``, resolved once per class: as ``to_json``
+    writes them ``(name, key, copy)``, as ``from_json`` reads them
+    ``(name, key, coerce, default)`` and as ``to_dict`` reports them
+    ``(name, key, rounded, optional)``."""
+    hints = typing.get_type_hints(cls)
+    dump, load, summary = [], [], []
+    for declared in dataclasses.fields(cls):
+        hint = hints[declared.name]
+        if not declared.compare or _is_stage(hint):
+            continue
+        key = _JSON_KEYS.get(declared.name, declared.name)
+        coerce, copy = _coercers(hint)
+        dump.append((declared.name, key, copy))
+        load.append((declared.name, key, coerce, declared.default))
+        summary_key = _SUMMARY_KEYS.get(declared.name, key)
+        rounded, optional = hint is float, declared.default is None
+        summary.append((declared.name, summary_key, rounded, optional))
+    order = getattr(cls, "_summary_order", None)
+    if order:
+        summary.sort(key=lambda entry: order.index(entry[0]))
+    return tuple(dump), tuple(load), tuple(summary)
+
+
+def _dump(obj) -> dict:
+    """The plain fields of ``obj`` as ``to_json`` writes them."""
+    values = vars(obj)
+    data = {}
+    for name, key, copy in _schema(type(obj))[0]:
+        data[key] = values[name] if copy is None else copy(values[name])
+    return data
+
+
+def _load(cls, data: dict) -> dict:
+    """The plain-field keyword arguments of ``cls`` read from ``data``."""
+    kwargs = {}
+    for name, key, coerce, default in _schema(cls)[1]:
+        value = data[key] if default is MISSING else data.get(key, default)
+        kwargs[name] = value if coerce is None else coerce(value)
+    return kwargs
+
+
+def _summarize(obj) -> dict:
+    """The plain fields of ``obj`` as ``to_dict`` reports them."""
+    values = vars(obj)
+    data = {}
+    for name, key, rounded, optional in _schema(type(obj))[2]:
+        value = values[name]
+        if value is None and optional:
+            continue  # an optional field that is not set
+        data[key] = round(value, 6) if rounded else value
+    return data
+
+
+class _Artifact:
+    """Base of the stage artifacts: serial forms derived from the fields.
+
+    A subclass names its document tag (``class X(_Artifact, stage="map")``)
+    and writes only its handle payload (``_dump_handles``/``_load_handles``).
+    """
+
+    #: the ``stage`` tag of the documents
+    stage: ClassVar[str]
+
+    def __init_subclass__(cls, stage: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.stage = stage
+        # bound on every class itself: the traced benchmark wraps these
+        # methods through the class's own ``__dict__``
+        for name in ("to_dict", "to_json", "from_json"):
+            setattr(cls, name, vars(_Artifact)[name])
+
+    def to_dict(self) -> dict:
+        """A pure-JSON summary of the plain fields."""
+        return _clean({"stage": self.stage, **_summarize(self)})
+
+    def to_json(self) -> dict:
+        """Lossless, versioned document: the plain fields verbatim (no
+        rounding), then the handle payload."""
+        return {
+            "stage": self.stage,
+            "version": ARTIFACT_VERSION,
+            **_dump(self),
+            **self._dump_handles(),
+        }
+
+    @classmethod
+    def from_json(cls, data: dict):
+        """Rebuild the artifact from :meth:`to_json` output."""
+        _check_envelope(data, cls.stage)
+        return cls(**_load(cls, data), **cls._load_handles(data))
+
+    def _dump_handles(self) -> dict:
+        """The serialized payload of the handles a later stage needs."""
+        return {}
+
+    @classmethod
+    def _load_handles(cls, data: dict) -> dict:
+        """The handle keyword arguments rebuilt from a document."""
+        return {}
+
+
 @dataclass
-class AnalysisArtifact:
+class AnalysisArtifact(_Artifact, stage="analyze"):
     """Stage ``analyze``: concurrency, consistency, approximation, SM-cover."""
 
     spec_name: str
@@ -98,35 +249,12 @@ class AnalysisArtifact:
     #: serialized handle payload kept by ``from_json`` for lazy rehydration
     frozen_handles: Optional[dict] = field(default=None, repr=False, compare=False)
 
-    def to_dict(self) -> dict:
-        return _clean(
-            {
-                "stage": "analyze",
-                "spec": self.spec_name,
-                "spec_hash": self.spec_hash,
-                "places": self.places,
-                "transitions": self.transitions,
-                "signals": self.signals,
-                "non_input_signals": self.non_input_signals,
-                "consistent": self.consistent,
-                "sm_components": self.sm_components,
-                "sm_cover_size": self.sm_cover_size,
-                "seconds": round(self.seconds, 6),
-            }
-        )
-
-    # ------------------------------------------------------------------ #
-    # Lossless serialization
-    # ------------------------------------------------------------------ #
-
-    def to_json(self) -> dict:
-        """Lossless, versioned JSON document of the analysis stage.
-
-        Besides the plain fields, the document carries the handle payloads a
-        downstream ``refine`` miss needs: the concurrency relation's bitset
-        rows, the structural initial values, and the SM-cover.  The raw
-        (single-cube) cover functions are *not* shipped — they are a
-        deterministic function of those three and are rebuilt on demand.
+    def _dump_handles(self) -> dict:
+        """The payloads a downstream ``refine`` miss needs: the concurrency
+        relation's bitset rows, the structural initial values, and the
+        SM-cover.  The raw (single-cube) cover functions are *not* shipped —
+        they are a deterministic function of those three and are rebuilt on
+        demand.
         """
         handles = self.frozen_handles
         if handles is None and self.approximation is not None:
@@ -135,40 +263,12 @@ class AnalysisArtifact:
                 "initial_values": dict(self.approximation.initial_values),
                 "sm_cover": [component.to_json() for component in self.sm_cover],
             }
-        return _envelope(
-            "analyze",
-            {
-                "spec": self.spec_name,
-                "spec_hash": self.spec_hash,
-                "places": self.places,
-                "transitions": self.transitions,
-                "signals": list(self.signals),
-                "non_input_signals": list(self.non_input_signals),
-                "consistent": self.consistent,
-                "sm_components": self.sm_components,
-                "sm_cover_size": self.sm_cover_size,
-                "seconds": self.seconds,
-                "handles": handles,
-            },
-        )
+        return {"handles": handles}
 
     @classmethod
-    def from_json(cls, data: dict) -> "AnalysisArtifact":
-        """Rebuild the artifact; handles stay frozen until ``ensure_handles``."""
-        _check_envelope(data, "analyze")
-        return cls(
-            spec_name=data["spec"],
-            spec_hash=data["spec_hash"],
-            places=int(data["places"]),
-            transitions=int(data["transitions"]),
-            signals=list(data["signals"]),
-            non_input_signals=list(data["non_input_signals"]),
-            consistent=bool(data["consistent"]),
-            sm_components=int(data["sm_components"]),
-            sm_cover_size=int(data["sm_cover_size"]),
-            seconds=float(data["seconds"]),
-            frozen_handles=data.get("handles"),
-        )
+    def _load_handles(cls, data: dict) -> dict:
+        # handles stay frozen until ``ensure_handles``
+        return {"frozen_handles": data.get("handles")}
 
     def ensure_handles(self, stg) -> "AnalysisArtifact":
         """Rehydrate ``approximation``/``concurrency``/``sm_cover`` from ``stg``.
@@ -211,7 +311,7 @@ class AnalysisArtifact:
 
 
 @dataclass
-class RefinementArtifact:
+class RefinementArtifact(_Artifact, stage="refine"):
     """Stage ``refine``: cover-function refinement plus the structural CSC check."""
 
     spec_name: str
@@ -230,29 +330,9 @@ class RefinementArtifact:
     #: serialized handle payload kept by ``from_json`` for lazy rehydration
     frozen_handles: Optional[dict] = field(default=None, repr=False, compare=False)
 
-    def to_dict(self) -> dict:
-        return _clean(
-            {
-                "stage": "refine",
-                "spec": self.spec_name,
-                "spec_hash": self.spec_hash,
-                "conflicts_before": self.conflicts_before,
-                "conflicts_after": self.conflicts_after,
-                "csc_certified": self.csc_certified,
-                "unresolved_places": self.unresolved_places,
-                "cubes": self.cubes,
-                "seconds": round(self.seconds, 6),
-            }
-        )
-
-    # ------------------------------------------------------------------ #
-    # Lossless serialization
-    # ------------------------------------------------------------------ #
-
-    def to_json(self) -> dict:
-        """Lossless JSON document: plain fields plus the *refined* cover
-        functions (the product of the Section VII algorithm — the one handle
-        that cannot be recomputed cheaply).
+    def _dump_handles(self) -> dict:
+        """The *refined* cover functions (the product of the Section VII
+        algorithm — the one handle that cannot be recomputed cheaply).
 
         The linked analysis artifact is deliberately **not** nested: it has
         its own document (and its own store entry), and every reader that
@@ -267,36 +347,12 @@ class RefinementArtifact:
                     for place, cover in self.approximation.cover_functions.items()
                 },
             }
-        return _envelope(
-            "refine",
-            {
-                "spec": self.spec_name,
-                "spec_hash": self.spec_hash,
-                "conflicts_before": self.conflicts_before,
-                "conflicts_after": self.conflicts_after,
-                "csc_certified": self.csc_certified,
-                "unresolved_places": list(self.unresolved_places),
-                "cubes": self.cubes,
-                "seconds": self.seconds,
-                "handles": handles,
-            },
-        )
+        return {"handles": handles}
 
     @classmethod
-    def from_json(cls, data: dict) -> "RefinementArtifact":
-        """Rebuild the artifact; handles stay frozen until ``ensure_handles``."""
-        _check_envelope(data, "refine")
-        return cls(
-            spec_name=data["spec"],
-            spec_hash=data["spec_hash"],
-            conflicts_before=int(data["conflicts_before"]),
-            conflicts_after=int(data["conflicts_after"]),
-            csc_certified=bool(data["csc_certified"]),
-            unresolved_places=list(data["unresolved_places"]),
-            cubes=int(data["cubes"]),
-            seconds=float(data["seconds"]),
-            frozen_handles=data.get("handles"),
-        )
+    def _load_handles(cls, data: dict) -> dict:
+        # handles stay frozen until ``ensure_handles``
+        return {"frozen_handles": data.get("handles")}
 
     def ensure_handles(self, stg) -> "RefinementArtifact":
         """Rehydrate the refined approximation object from ``stg``.
@@ -351,7 +407,7 @@ class RefinementArtifact:
 
 
 @dataclass
-class SynthesisArtifact:
+class SynthesisArtifact(_Artifact, stage="synthesize"):
     """Stage ``synthesize``: the circuit of one backend at one level."""
 
     spec_name: str
@@ -373,76 +429,20 @@ class SynthesisArtifact:
         default=None, repr=False, compare=False
     )
 
-    def to_dict(self) -> dict:
-        data = {
-            "stage": "synthesize",
-            "spec": self.spec_name,
-            "spec_hash": self.spec_hash,
-            "backend": self.backend,
-            "level": self.level,
-            "literals": self.literals,
-            "transistors": self.transistors,
-            "latches": self.latches,
-            "architectures": self.architectures,
-            "seconds": round(self.seconds, 6),
-        }
-        if self.markings is not None:
-            data["markings"] = self.markings
-        if self.details is not None:
-            data["details"] = self.details
-        return _clean(data)
-
-    # ------------------------------------------------------------------ #
-    # Lossless serialization
-    # ------------------------------------------------------------------ #
-
-    def to_json(self) -> dict:
-        """Lossless JSON document including the full circuit.
-
-        The ``refinement`` handle is deliberately dropped: a store-backed
-        pipeline re-resolves the refinement through its own ``refine`` stage
-        (a store hit).
-        """
-        return _envelope(
-            "synthesize",
-            {
-                "spec": self.spec_name,
-                "spec_hash": self.spec_hash,
-                "backend": self.backend,
-                "level": self.level,
-                "literals": self.literals,
-                "transistors": self.transistors,
-                "latches": self.latches,
-                "architectures": dict(self.architectures),
-                "seconds": self.seconds,
-                "markings": self.markings,
-                "details": self.details,
-                "circuit": self.circuit.to_json() if self.circuit is not None else None,
-            },
-        )
+    def _dump_handles(self) -> dict:
+        """The full circuit.  The ``refinement`` handle is deliberately
+        dropped: a store-backed pipeline re-resolves the refinement through
+        its own ``refine`` stage (a store hit)."""
+        return {"circuit": None if self.circuit is None else self.circuit.to_json()}
 
     @classmethod
-    def from_json(cls, data: dict) -> "SynthesisArtifact":
-        _check_envelope(data, "synthesize")
+    def _load_handles(cls, data: dict) -> dict:
         circuit = data.get("circuit")
-        return cls(
-            spec_name=data["spec"],
-            spec_hash=data["spec_hash"],
-            backend=data["backend"],
-            level=int(data["level"]),
-            literals=int(data["literals"]),
-            transistors=int(data["transistors"]),
-            latches=int(data["latches"]),
-            architectures=dict(data["architectures"]),
-            seconds=float(data["seconds"]),
-            markings=None if data.get("markings") is None else int(data["markings"]),
-            details=data.get("details"),
-            circuit=Circuit.from_json(circuit) if circuit else None,
-        )
+        return {"circuit": Circuit.from_json(circuit) if circuit else None}
 
 
 @dataclass
-class MappingArtifact:
+class MappingArtifact(_Artifact, stage="map"):
     """Stage ``map``: technology mapping onto the gate library.
 
     Besides the area report, the artifact carries the constructed
@@ -464,71 +464,28 @@ class MappingArtifact:
     #: the typed gate-graph IR (repro.gates.ir.GateNetlist)
     netlist: object = field(default=None, repr=False, compare=False)
 
-    def to_dict(self) -> dict:
-        return _clean(
-            {
-                "stage": "map",
-                "spec": self.spec_name,
-                "spec_hash": self.spec_hash,
-                "library": self.library,
-                "total_area": self.total_area,
-                "gates": self.gate_count,
-                "nets": self.net_count,
-                "latches": self.latch_count,
-                "per_signal_area": self.per_signal_area,
-                "cells_used": self.cells_used,
-                "seconds": round(self.seconds, 6),
-            }
-        )
+    #: ``to_dict`` key order: the library and the counts lead the summary
+    _summary_order: ClassVar[tuple] = (
+        "spec_name", "spec_hash", "library", "total_area", "gate_count",
+        "net_count", "latch_count", "per_signal_area", "cells_used", "seconds",
+    )
 
-    # ------------------------------------------------------------------ #
-    # Lossless serialization
-    # ------------------------------------------------------------------ #
-
-    def to_json(self) -> dict:
-        """Lossless JSON document including the gate-level netlist (the
-        exporters' and ``verify_mapped``'s input); the transient
-        ``mapped`` handle is derived data and is not shipped."""
-        return _envelope(
-            "map",
-            {
-                "spec": self.spec_name,
-                "spec_hash": self.spec_hash,
-                "total_area": self.total_area,
-                "per_signal_area": dict(self.per_signal_area),
-                "cells_used": {s: list(c) for s, c in self.cells_used.items()},
-                "seconds": self.seconds,
-                "library": self.library,
-                "gate_count": self.gate_count,
-                "net_count": self.net_count,
-                "latch_count": self.latch_count,
-                "netlist": self.netlist.to_json() if self.netlist is not None else None,
-            },
-        )
+    def _dump_handles(self) -> dict:
+        """The gate-level netlist (the exporters' and ``verify_mapped``'s
+        input); the transient ``mapped`` handle is derived data and is not
+        shipped."""
+        return {"netlist": None if self.netlist is None else self.netlist.to_json()}
 
     @classmethod
-    def from_json(cls, data: dict) -> "MappingArtifact":
+    def _load_handles(cls, data: dict) -> dict:
         from repro.gates.ir import GateNetlist
 
-        _check_envelope(data, "map")
         netlist = data.get("netlist")
-        return cls(
-            spec_name=data["spec"],
-            spec_hash=data["spec_hash"],
-            total_area=int(data["total_area"]),
-            per_signal_area={k: int(v) for k, v in data["per_signal_area"].items()},
-            cells_used={s: list(c) for s, c in data["cells_used"].items()},
-            seconds=float(data["seconds"]),
-            library=data.get("library", ""),
-            gate_count=int(data.get("gate_count", 0)),
-            net_count=int(data.get("net_count", 0)),
-            latch_count=int(data.get("latch_count", 0)),
-            netlist=GateNetlist.from_json(netlist) if netlist else None,
-        )
+        return {"netlist": GateNetlist.from_json(netlist) if netlist else None}
 
 
 @dataclass
-class VerificationArtifact:
+class VerificationArtifact(_Artifact, stage="verify"):
     """Stage ``verify``: state-based speed-independence verification."""
 
     spec_name: str
@@ -542,51 +499,9 @@ class VerificationArtifact:
     def __bool__(self) -> bool:
         return self.speed_independent
 
-    def to_dict(self) -> dict:
-        return _clean(
-            {
-                "stage": "verify",
-                "spec": self.spec_name,
-                "spec_hash": self.spec_hash,
-                "speed_independent": self.speed_independent,
-                "checked_markings": self.checked_markings,
-                "functional_errors": self.functional_errors,
-                "hazard_errors": self.hazard_errors,
-                "seconds": round(self.seconds, 6),
-            }
-        )
-
-    def to_json(self) -> dict:
-        """Lossless JSON document (the artifact is pure plain data)."""
-        return _envelope(
-            "verify",
-            {
-                "spec": self.spec_name,
-                "spec_hash": self.spec_hash,
-                "speed_independent": self.speed_independent,
-                "checked_markings": self.checked_markings,
-                "functional_errors": [str(e) for e in self.functional_errors],
-                "hazard_errors": [str(e) for e in self.hazard_errors],
-                "seconds": self.seconds,
-            },
-        )
-
-    @classmethod
-    def from_json(cls, data: dict) -> "VerificationArtifact":
-        _check_envelope(data, "verify")
-        return cls(
-            spec_name=data["spec"],
-            spec_hash=data["spec_hash"],
-            speed_independent=bool(data["speed_independent"]),
-            checked_markings=int(data["checked_markings"]),
-            functional_errors=list(data["functional_errors"]),
-            hazard_errors=list(data["hazard_errors"]),
-            seconds=float(data["seconds"]),
-        )
-
 
 @dataclass
-class MappedVerificationArtifact:
+class MappedVerificationArtifact(_Artifact, stage="verify_mapped"):
     """Stage ``verify_mapped``: gate-level differential verification.
 
     The settled outputs of the mapped netlist's event simulation are
@@ -607,53 +522,16 @@ class MappedVerificationArtifact:
     def __bool__(self) -> bool:
         return self.equivalent
 
-    def to_dict(self) -> dict:
-        return _clean(
-            {
-                "stage": "verify_mapped",
-                "spec": self.spec_name,
-                "spec_hash": self.spec_hash,
-                "equivalent": self.equivalent,
-                "checked_codes": self.checked_codes,
-                "checked_markings": self.checked_markings,
-                "gates": self.gate_count,
-                "library": self.library,
-                "mismatches": self.mismatches,
-                "seconds": round(self.seconds, 6),
-            }
-        )
 
-    def to_json(self) -> dict:
-        """Lossless JSON document (the artifact is pure plain data)."""
-        return _envelope(
-            "verify_mapped",
-            {
-                "spec": self.spec_name,
-                "spec_hash": self.spec_hash,
-                "equivalent": self.equivalent,
-                "checked_codes": self.checked_codes,
-                "checked_markings": self.checked_markings,
-                "gate_count": self.gate_count,
-                "library": self.library,
-                "mismatches": [str(m) for m in self.mismatches],
-                "seconds": self.seconds,
-            },
-        )
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MappedVerificationArtifact":
-        _check_envelope(data, "verify_mapped")
-        return cls(
-            spec_name=data["spec"],
-            spec_hash=data["spec_hash"],
-            equivalent=bool(data["equivalent"]),
-            checked_codes=int(data["checked_codes"]),
-            checked_markings=int(data["checked_markings"]),
-            gate_count=int(data["gate_count"]),
-            library=data["library"],
-            mismatches=list(data["mismatches"]),
-            seconds=float(data["seconds"]),
-        )
+#: the optional stages of a report in document order, as (attribute, class);
+#: each travels under its class's ``stage`` tag
+_OPTIONAL_STAGES = (
+    ("analysis", AnalysisArtifact),
+    ("refinement", RefinementArtifact),
+    ("mapping", MappingArtifact),
+    ("verification", VerificationArtifact),
+    ("mapped_verification", MappedVerificationArtifact),
+)
 
 
 @dataclass
@@ -697,18 +575,11 @@ class Report:
 
     @property
     def total_seconds(self) -> float:
-        return sum(
-            stage.seconds
-            for stage in (
-                self.analysis,
-                self.refinement,
-                self.synthesis,
-                self.mapping,
-                self.verification,
-                self.mapped_verification,
-            )
-            if stage is not None
+        stages = (
+            self.analysis, self.refinement, self.synthesis,
+            self.mapping, self.verification, self.mapped_verification,
         )
+        return sum(stage.seconds for stage in stages if stage is not None)
 
     @property
     def speed_independent(self) -> Optional[bool]:
@@ -718,27 +589,15 @@ class Report:
 
     def to_dict(self) -> dict:
         data = {
-            "spec": self.spec_name,
-            "spec_hash": self.spec_hash,
-            "backend": self.backend,
-            "level": self.level,
+            **_summarize(self),
             "total_seconds": round(self.total_seconds, 6),
             "synthesize": self.synthesis.to_dict(),
         }
-        for key, stage in (
-            ("analyze", self.analysis),
-            ("refine", self.refinement),
-            ("map", self.mapping),
-            ("verify", self.verification),
-            ("verify_mapped", self.mapped_verification),
-        ):
+        for attribute, stage_cls in _OPTIONAL_STAGES:
+            stage = getattr(self, attribute)
             if stage is not None:
-                data[key] = stage.to_dict()
+                data[stage_cls.stage] = stage.to_dict()
         return data
-
-    # ------------------------------------------------------------------ #
-    # Lossless serialization
-    # ------------------------------------------------------------------ #
 
     def to_json(self) -> dict:
         """Versioned, lossless JSON document of the full run.
@@ -750,21 +609,13 @@ class Report:
         data = {
             "format": "repro-report",
             "version": ARTIFACT_VERSION,
-            "spec": self.spec_name,
-            "spec_hash": self.spec_hash,
-            "backend": self.backend,
-            "level": self.level,
+            **_dump(self),
             "total_seconds": self.total_seconds,
             "synthesize": self.synthesis.to_json(),
         }
-        for key, stage in (
-            ("analyze", self.analysis),
-            ("refine", self.refinement),
-            ("map", self.mapping),
-            ("verify", self.verification),
-            ("verify_mapped", self.mapped_verification),
-        ):
-            data[key] = stage.to_json() if stage is not None else None
+        for attribute, stage_cls in _OPTIONAL_STAGES:
+            stage = getattr(self, attribute)
+            data[stage_cls.stage] = stage.to_json() if stage is not None else None
         return data
 
     @classmethod
@@ -779,27 +630,18 @@ class Report:
                 f"unsupported report version {data.get('version')!r} "
                 f"(this code reads version {ARTIFACT_VERSION})"
             )
-
-        def load(key, artifact_cls):
-            stage = data.get(key)
-            return artifact_cls.from_json(stage) if stage else None
-
-        analysis = load("analyze", AnalysisArtifact)
-        refinement = load("refine", RefinementArtifact)
+        stages = {}
+        for attribute, stage_cls in _OPTIONAL_STAGES:
+            document = data.get(stage_cls.stage)
+            stages[attribute] = stage_cls.from_json(document) if document else None
+        refinement = stages["refinement"]
         if refinement is not None and refinement.analysis is None:
             # the refine document does not nest the analysis; re-link it
-            refinement.analysis = analysis
+            refinement.analysis = stages["analysis"]
         return cls(
-            spec_name=data["spec"],
-            spec_hash=data["spec_hash"],
-            backend=data["backend"],
-            level=int(data["level"]),
+            **_load(cls, data),
             synthesis=SynthesisArtifact.from_json(data["synthesize"]),
-            analysis=analysis,
-            refinement=refinement,
-            mapping=load("map", MappingArtifact),
-            verification=load("verify", VerificationArtifact),
-            mapped_verification=load("verify_mapped", MappedVerificationArtifact),
+            **stages,
         )
 
     def describe(self) -> str:

@@ -32,7 +32,7 @@ from repro.api.spec import Spec, SpecLike
 from repro.statebased.nextstate import implied_value_bitsets, next_state_value
 from repro.statebased.synthesis import synthesize_state_based
 from repro.stg.encoding import state_indices
-from repro.synthesis.engine import SynthesisError, SynthesisOptions
+from repro.synthesis.engine import SynthesisOptions, require_csc
 from repro.synthesis.engine import synthesize as _structural_synthesize
 
 
@@ -65,13 +65,7 @@ class StructuralBackend:
         max_markings: Optional[int] = None,
     ) -> SynthesisArtifact:
         refinement = pipeline.refine(spec, options)
-        if not refinement.csc_certified and not options.assume_csc:
-            raise SynthesisError(
-                "CSC could not be certified structurally for places "
-                f"{set(refinement.unresolved_places)}; state-signal insertion "
-                "would be required (pass assume_csc=True to override after an "
-                "external CSC check)"
-            )
+        require_csc(refinement, options)
         # a refinement loaded from the artifact store rebuilds its
         # approximation object (refined cover functions) on demand
         refinement.ensure_handles(spec.stg)

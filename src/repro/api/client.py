@@ -33,10 +33,6 @@ Fleet hardening (PR 9): a per-endpoint *circuit breaker* trips to ``open``
 after ``breaker_threshold`` consecutive exhausted failures — further calls
 fail fast with :class:`CircuitOpenError` instead of piling onto a dead
 endpoint — and probes half-open after ``breaker_reset`` seconds.
-``hedge_delay`` arms *hedged reads* for idempotent GET endpoints: when the
-first attempt has not answered within the delay, a second concurrent
-attempt races it and the first response wins (tail-latency insurance
-against one slow or dying worker).
 """
 
 from __future__ import annotations
@@ -241,9 +237,7 @@ class Client:
     against one endpoint trip its circuit breaker: further calls raise
     :class:`CircuitOpenError` instantly until a half-open probe succeeds
     after ``breaker_reset`` seconds.  ``breaker_threshold=0`` disables the
-    breaker.  ``hedge_delay`` (seconds, ``None``: off) arms hedged reads
-    for GET endpoints: a second concurrent attempt is fired when the first
-    has not answered in time, and the first response wins.
+    breaker.
 
     ``obs`` (an :class:`repro.obs.Obs`, a grammar string, or ``None`` to
     consult ``$REPRO_OBS``) arms distributed tracing: every logical call
@@ -261,7 +255,6 @@ class Client:
         retry_budget: Optional[float] = None,
         breaker_threshold: int = 0,
         breaker_reset: float = 5.0,
-        hedge_delay: Optional[float] = None,
         obs: ObsLike = None,
     ):
         self.base_url = base_url.rstrip("/")
@@ -271,12 +264,9 @@ class Client:
         self.retry_budget = retry_budget
         self.breaker_threshold = breaker_threshold
         self.breaker_reset = breaker_reset
-        self.hedge_delay = hedge_delay
         self.obs = get_obs(obs)
         self._breakers: dict[str, _Breaker] = {}
         self._breakers_lock = threading.Lock()
-        #: hedged attempts actually fired (telemetry for the bench/tests)
-        self.hedges = 0
 
     # ------------------------------------------------------------------ #
     # Transport
@@ -306,35 +296,6 @@ class Client:
             ) from error
         return payload
 
-    def _attempt(self, method: str, path: str, body: Optional[dict] = None) -> dict:
-        """One attempt, hedged for idempotent GETs when ``hedge_delay`` is set."""
-        if self.hedge_delay is None or method != "GET":
-            return self._request_once(method, path, body)
-        import queue
-
-        results: "queue.Queue[tuple[bool, object]]" = queue.Queue()
-
-        def _run() -> None:
-            try:
-                results.put((True, self._request_once(method, path, body)))
-            except Exception as error:  # noqa: BLE001 — relayed to the caller
-                results.put((False, error))
-
-        threading.Thread(target=_run, daemon=True).start()
-        try:
-            ok, value = results.get(timeout=self.hedge_delay)
-        except queue.Empty:
-            # primary is slow: race a hedge; the first answer wins, and a
-            # failed first answer falls back to the other one
-            self.hedges += 1
-            threading.Thread(target=_run, daemon=True).start()
-            ok, value = results.get(timeout=self.timeout + self.hedge_delay)
-            if not ok:
-                ok, value = results.get(timeout=self.timeout + self.hedge_delay)
-        if ok:
-            return value  # type: ignore[return-value]
-        raise value  # type: ignore[misc]
-
     def _breaker_for(self, path: str) -> Optional[_Breaker]:
         if not self.breaker_threshold:
             return None
@@ -348,7 +309,7 @@ class Client:
     def _request(self, method: str, path: str, body: Optional[dict] = None) -> dict:
         if self.obs is None:
             return self._request_guarded(method, path, body)
-        # one span per *logical* call: retries and hedges are all children
+        # one span per *logical* call: retries are all children
         # of the same client span, and its context rides every attempt's
         # X-Repro-Trace header
         with self.obs.tracer.span(f"client:{method} {path}"):
@@ -381,7 +342,7 @@ class Client:
         while True:
             attempt += 1
             try:
-                return self._attempt(method, path, body)
+                return self._request_once(method, path, body)
             except ClientError as error:
                 if not error.retryable or attempt > self.retries:
                     raise

@@ -239,10 +239,13 @@ class SynthesisService:
             self.pipeline.evict_cache()
             self.evictions += 1
 
-    def _resolution(self) -> dict:
+    @staticmethod
+    def _resolution(events) -> dict:
+        """How the stage ``events`` of one request resolved: counts per
+        status, plus the stages in order."""
         counts = {"computed": 0, "memory": 0, "store": 0, "coalesced": 0}
         stages = []
-        for event in self._events:
+        for event in events:
             counts[event.status] = counts.get(event.status, 0) + 1
             stages.append({"stage": event.stage, "status": event.status})
         return {**counts, "stages": stages}
@@ -263,7 +266,10 @@ class SynthesisService:
             library=body.get("library"),
             max_markings=body.get("max_markings"),
         )
-        return {"report": report.to_json(), "resolution": self._resolution()}
+        return {
+            "report": report.to_json(),
+            "resolution": self._resolution(self._events),
+        }
 
     def synthesize_batch(self, body: dict) -> dict:
         """Run many synthesize bodies through one :class:`Scheduler` call.
@@ -338,12 +344,7 @@ class SynthesisService:
                     # sequential mode yields right after each job, so the
                     # stage events since the previous yield belong to this item
                     events, mark = self._events[mark:], len(self._events)
-                    counts = {"computed": 0, "memory": 0, "store": 0, "coalesced": 0}
-                    stages = []
-                    for event in events:
-                        counts[event.status] = counts.get(event.status, 0) + 1
-                        stages.append({"stage": event.stage, "status": event.status})
-                    resolutions[result.index] = {**counts, "stages": stages}
+                    resolutions[result.index] = self._resolution(events)
         entries: list = [None] * len(items)
         for position, entry in parse_failures.items():
             entries[position] = entry
@@ -368,7 +369,7 @@ class SynthesisService:
         return {
             "results": entries,
             "pool": pool,
-            "resolution": self._resolution(),
+            "resolution": self._resolution(self._events),
         }
 
     def verify(self, body: dict) -> dict:
@@ -389,7 +390,7 @@ class SynthesisService:
                 max_markings=max_markings,
             )
             result["verify_mapped"] = mapped.to_json()
-        result["resolution"] = self._resolution()
+        result["resolution"] = self._resolution(self._events)
         return result
 
     def compare(self, body: dict) -> dict:
@@ -400,7 +401,10 @@ class SynthesisService:
             pipeline=self.pipeline,
             max_markings=body.get("max_markings"),
         )
-        return {"comparison": report.to_dict(), "resolution": self._resolution()}
+        return {
+            "comparison": report.to_dict(),
+            "resolution": self._resolution(self._events),
+        }
 
     def export(self, body: dict) -> dict:
         spec = _spec_of(body)
@@ -421,7 +425,7 @@ class SynthesisService:
             "text": export_netlist(mapping.netlist, fmt),
             "gates": mapping.gate_count,
             "total_area": mapping.total_area,
-            "resolution": self._resolution(),
+            "resolution": self._resolution(self._events),
         }
 
     def cache_stats(self, body: Optional[dict] = None) -> dict:

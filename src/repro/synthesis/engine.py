@@ -55,6 +55,21 @@ class SynthesisError(RuntimeError):
     """Raised when the specification cannot be synthesized by this flow."""
 
 
+def require_csc(refinement, options: SynthesisOptions) -> None:
+    """Refuse a refinement whose CSC the structural check left uncertified.
+
+    ``options.assume_csc`` overrides the refusal.  The unresolved places are
+    listed sorted, so the message does not depend on the hash seed.
+    """
+    if not refinement.csc_certified and not options.assume_csc:
+        raise SynthesisError(
+            "CSC could not be certified structurally for places "
+            f"{sorted(refinement.unresolved_places)}; state-signal insertion "
+            "would be required (pass assume_csc=True to override after an "
+            "external CSC check)"
+        )
+
+
 @dataclass
 class SynthesisOptions:
     """Knobs of the synthesis flow.
@@ -295,13 +310,7 @@ def prepare_approximation(
     spec = Spec.from_stg(stg)
     analysis = pipeline.analyze(spec, options)
     refinement = pipeline.refine(spec, options)
-    if not refinement.csc_certified and not options.assume_csc:
-        raise SynthesisError(
-            "CSC could not be certified structurally for places "
-            f"{set(refinement.unresolved_places)}; state-signal insertion "
-            "would be required (pass assume_csc=True to override after an "
-            "external CSC check)"
-        )
+    require_csc(refinement, options)
     stats = {
         "sm_components": analysis.sm_components,
         "sm_cover": analysis.sm_cover_size,

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +123,34 @@ class TestDifferentialMode:
         )
         assert not still_broken.matching
         assert still_broken.mismatches == []
+
+
+class TestCSCRefusal:
+    def test_refusal_text_does_not_depend_on_the_hash_seed(self):
+        """``latch_ctrl`` violates CSC; both refusal sites must name its
+        unresolved places in the same order under any ``PYTHONHASHSEED``."""
+        script = (
+            "from repro.api import Pipeline, SynthesisOptions\n"
+            "from repro.api.spec import Spec\n"
+            "from repro.synthesis.engine import SynthesisError, prepare_approximation\n"
+            "for attempt in (\n"
+            "    lambda: Pipeline().synthesize('latch_ctrl', SynthesisOptions()),\n"
+            "    lambda: prepare_approximation(Spec.load('latch_ctrl').stg),\n"
+            "):\n"
+            "    try:\n"
+            "        attempt()\n"
+            "    except SynthesisError as error:\n"
+            "        print(error)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        texts = []
+        for seed in ("4", "5"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            texts.append(done.stdout)
+        assert texts[0].count("CSC could not be certified") == 2, texts[0]
+        assert texts[0] == texts[1]

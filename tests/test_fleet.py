@@ -13,7 +13,7 @@ Three layers, bottom-up:
   must finish with zero client-visible failures.
 
 The client-side fleet hardening (``Retry-After`` dates, retry budget,
-circuit breaker, hedged reads) is tested against stub servers at the end.
+circuit breaker) is tested against stub servers at the end.
 """
 
 from __future__ import annotations
@@ -699,53 +699,6 @@ class TestClientHardening:
             client.synthesize("sequencer")
         # /health has its own (untripped) breaker and still goes through
         assert client.health()["status"] == "ok"
-
-    def test_hedged_get_races_a_slow_primary(self):
-        delays = [0.6, 0.0]
-        lock = threading.Lock()
-
-        class _SlowThenFast(BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 (stdlib naming)
-                with lock:
-                    delay = delays.pop(0) if delays else 0.0
-                time.sleep(delay)
-                body = json.dumps({"ok": True, "delay": delay}).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):  # noqa: A002 (stdlib signature)
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), _SlowThenFast)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            client = Client(
-                f"http://127.0.0.1:{server.server_address[1]}",
-                retries=0,
-                hedge_delay=0.05,
-            )
-            started = time.monotonic()
-            payload = client.health()
-            elapsed = time.monotonic() - started
-            assert payload["ok"] is True
-            assert payload["delay"] == 0.0  # the hedge's answer won
-            assert elapsed < 0.5
-            assert client.hedges == 1
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-
-    def test_hedging_is_off_for_posts(self, overloaded_server):
-        port = overloaded_server.server_address[1]
-        client = Client(f"http://127.0.0.1:{port}", retries=0, hedge_delay=0.01)
-        with pytest.raises(ClientError):
-            client.synthesize("sequencer")
-        assert client.hedges == 0
 
 
 # ---------------------------------------------------------------------- #
