@@ -52,6 +52,28 @@ class Backend(Protocol):
         ...
 
 
+def _artifact(
+    backend: str, spec: Spec, options: SynthesisOptions, circuit, start: float, **extra
+) -> SynthesisArtifact:
+    """The artifact of a circuit synthesized since ``start``: its cost figures."""
+    return SynthesisArtifact(
+        spec_name=spec.name,
+        spec_hash=spec.content_hash,
+        backend=backend,
+        level=options.level,
+        literals=circuit.literal_count(),
+        transistors=circuit.transistor_estimate(),
+        latches=circuit.num_latches(),
+        architectures={
+            signal: impl.architecture.value
+            for signal, impl in circuit.implementations.items()
+        },
+        seconds=time.perf_counter() - start,
+        circuit=circuit,
+        **extra,
+    )
+
+
 class StructuralBackend:
     """The structural (reachability-graph-free) flow of the paper."""
 
@@ -73,23 +95,7 @@ class StructuralBackend:
         result = _structural_synthesize(
             spec.stg, options, approximation=refinement.approximation
         )
-        circuit = result.circuit
-        return SynthesisArtifact(
-            spec_name=spec.name,
-            spec_hash=spec.content_hash,
-            backend=self.name,
-            level=options.level,
-            literals=circuit.literal_count(),
-            transistors=circuit.transistor_estimate(),
-            latches=circuit.num_latches(),
-            architectures={
-                signal: impl.architecture.value
-                for signal, impl in circuit.implementations.items()
-            },
-            seconds=time.perf_counter() - start,
-            circuit=circuit,
-            refinement=refinement,
-        )
+        return _artifact(self.name, spec, options, result.circuit, start, refinement=refinement)
 
 
 class StateBasedBackend:
@@ -115,22 +121,9 @@ class StateBasedBackend:
             regions=pipeline.states(spec, max_markings),
             assume_csc=options.assume_csc,
         )
-        circuit = result.circuit
-        return SynthesisArtifact(
-            spec_name=spec.name,
-            spec_hash=spec.content_hash,
-            backend=self.name,
-            level=options.level,
-            literals=circuit.literal_count(),
-            transistors=circuit.transistor_estimate(),
-            latches=circuit.num_latches(),
-            architectures={
-                signal: impl.architecture.value
-                for signal, impl in circuit.implementations.items()
-            },
-            seconds=time.perf_counter() - start,
+        return _artifact(
+            self.name, spec, options, result.circuit, start,
             markings=result.statistics.get("markings"),
-            circuit=circuit,
         )
 
 
@@ -172,27 +165,14 @@ class SATBackend:
             seed=self.seed,
             prefer=self.prefer,
         )
-        circuit = result.circuit
-        return SynthesisArtifact(
-            spec_name=spec.name,
-            spec_hash=spec.content_hash,
-            backend=self.name,
-            level=options.level,
-            literals=circuit.literal_count(),
-            transistors=circuit.transistor_estimate(),
-            latches=circuit.num_latches(),
-            architectures={
-                signal: impl.architecture.value
-                for signal, impl in circuit.implementations.items()
-            },
-            seconds=time.perf_counter() - start,
+        return _artifact(
+            self.name, spec, options, result.circuit, start,
             markings=result.statistics.get("markings"),
             details={
                 "exact": True,
                 "minima": result.statistics.get("minima", {}),
                 "signals": result.statistics.get("signals", {}),
             },
-            circuit=circuit,
         )
 
 

@@ -49,6 +49,7 @@ from typing import Optional
 from repro.api.backends import BACKEND_NAMES, compare
 from repro.api.events import progress_printer
 from repro.api.pipeline import Pipeline
+from repro.api.scheduler import Job
 from repro.api.spec import Spec, SpecError
 from repro.api.store import get_store
 from repro.gates.exporters import EXPORT_FORMATS, export_netlist
@@ -504,11 +505,9 @@ def _emit(data: dict, as_json: bool, text: str) -> None:
 
 
 def _cmd_synthesize(args) -> int:
-    spec = Spec.load(args.spec)
-    options = SynthesisOptions(level=args.level, assume_csc=args.assume_csc)
-    report = _pipeline_from_args(args).run(
-        spec,
-        options,
+    job = Job(
+        spec=Spec.load(args.spec),
+        options=SynthesisOptions(level=args.level, assume_csc=args.assume_csc),
         backend=args.backend,
         map_technology=args.map,
         verify=args.verify,
@@ -516,6 +515,7 @@ def _cmd_synthesize(args) -> int:
         library=args.lib,
         max_markings=args.max_markings,
     )
+    report = job.run(_pipeline_from_args(args))
     # the versioned lossless document (reloads through Report.from_json);
     # only built when something consumes it — serializing the circuit,
     # bitset rows and netlist is wasted work in plain-text mode

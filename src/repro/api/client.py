@@ -14,8 +14,8 @@ instead of paying process start-up and front-end analysis per invocation::
 Spec arguments accept everything :meth:`repro.api.spec.Spec.load` accepts
 *locally*: registry names and inline ``.g`` text travel as-is, while
 ``Spec``/STG instances and local file paths are canonicalized to ``.g``
-text before being sent (the server never needs access to the client's
-filesystem).
+text before being sent (the server reads no path a request names).  Each
+request body is built by :func:`repro.api.request.build`.
 
 Server-side request errors (HTTP 4xx/5xx) surface as :class:`ClientError`
 carrying the server's structured error document (stable ``code``, the
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import os
 import threading
 import time
 import urllib.error
@@ -61,10 +60,9 @@ TRANSPORT_ERRORS = (
 )
 
 from repro.api.artifacts import Report
-from repro.api.spec import Spec, SpecLike
+from repro.api.request import build
+from repro.api.spec import SpecLike
 from repro.obs import ObsLike, TRACE_HEADER, get_obs
-from repro.stg.stg import STG
-from repro.stg.writer import write_g
 
 
 class ClientError(RuntimeError):
@@ -201,25 +199,6 @@ class SynthesisResult:
     def cached(self) -> bool:
         """True when the server computed nothing for this request."""
         return self.resolution.get("computed", 0) == 0
-
-
-def _spec_payload(spec: SpecLike) -> str:
-    """Encode a spec argument for transport.
-
-    Registry names and inline text pass through; everything else (paths,
-    STGs, Spec objects) is canonicalized to ``.g`` text locally.
-    """
-    if isinstance(spec, Spec):
-        return spec.text
-    if isinstance(spec, STG):
-        return write_g(spec)
-    if isinstance(spec, os.PathLike):
-        return Spec.from_file(spec).text
-    if isinstance(spec, str):
-        if "\n" not in spec and (os.path.exists(spec) or spec.endswith(".g")):
-            return Spec.from_file(spec).text
-        return spec
-    raise TypeError(f"cannot send a {type(spec).__name__} as a spec")
 
 
 class Client:
@@ -366,6 +345,11 @@ class Client:
                     raise last_error
             time.sleep(delay)
 
+    def _post(self, path: str, arguments: dict, **overrides) -> dict:
+        """POST the body an endpoint method's arguments (its ``locals()``)
+        make; see :func:`repro.api.request.build`."""
+        return self._request("POST", path, build(path, arguments, **overrides))
+
     # ------------------------------------------------------------------ #
     # Endpoints
     # ------------------------------------------------------------------ #
@@ -380,7 +364,7 @@ class Client:
         return self._request("GET", "/cache/stats")
 
     def cache_clear(self, disk: bool = False) -> dict:
-        return self._request("POST", "/cache/clear", {"disk": disk})
+        return self._post("/cache/clear", locals())
 
     def synthesize(
         self,
@@ -395,21 +379,7 @@ class Client:
         max_markings: Optional[int] = None,
     ) -> SynthesisResult:
         """Run one spec through the server's pipeline; returns the typed report."""
-        payload = self._request(
-            "POST",
-            "/synthesize",
-            {
-                "spec": _spec_payload(spec),
-                "level": level,
-                "backend": backend,
-                "assume_csc": assume_csc,
-                "map": map_technology,
-                "verify": verify,
-                "verify_mapped": verify_mapped,
-                "library": library,
-                "max_markings": max_markings,
-            },
-        )
+        payload = self._post("/synthesize", locals())
         return SynthesisResult(
             report=Report.from_json(payload["report"]),
             resolution=payload.get("resolution", {}),
@@ -437,25 +407,9 @@ class Client:
         any item fails, raises :class:`ClientError` naming every failed
         spec — the successes are on the exception as ``.results``.
         """
-        body: dict = {
-            "items": [
-                {
-                    "spec": _spec_payload(spec),
-                    "level": level,
-                    "backend": backend,
-                    "assume_csc": assume_csc,
-                    "map": map_technology,
-                    "verify": verify,
-                    "verify_mapped": verify_mapped,
-                    "library": library,
-                    "max_markings": max_markings,
-                }
-                for spec in specs
-            ],
-        }
-        if jobs is not None:
-            body["jobs"] = jobs
-        payload = self._request("POST", "/synthesize/batch", body)
+        arguments = dict(locals())
+        items = [build("/synthesize", arguments, spec=spec) for spec in specs]
+        payload = self._post("/synthesize/batch", arguments, items=items)
         results: list[Optional[SynthesisResult]] = []
         failures: list[str] = []
         for entry in payload.get("results", []):
@@ -498,19 +452,7 @@ class Client:
         library: Optional[str] = None,
         max_markings: Optional[int] = None,
     ) -> dict:
-        return self._request(
-            "POST",
-            "/verify",
-            {
-                "spec": _spec_payload(spec),
-                "level": level,
-                "backend": backend,
-                "assume_csc": assume_csc,
-                "mapped": mapped,
-                "library": library,
-                "max_markings": max_markings,
-            },
-        )
+        return self._post("/verify", locals())
 
     def compare(
         self,
@@ -520,16 +462,7 @@ class Client:
         max_markings: Optional[int] = None,
     ) -> dict:
         """Differential mode on the server; returns the comparison document."""
-        return self._request(
-            "POST",
-            "/compare",
-            {
-                "spec": _spec_payload(spec),
-                "level": level,
-                "assume_csc": assume_csc,
-                "max_markings": max_markings,
-            },
-        )
+        return self._post("/compare", locals())
 
     def export(
         self,
@@ -540,15 +473,5 @@ class Client:
         library: Optional[str] = None,
     ) -> str:
         """Map on the server and return the rendered netlist text."""
-        payload = self._request(
-            "POST",
-            "/export",
-            {
-                "spec": _spec_payload(spec),
-                "format": fmt,
-                "level": level,
-                "assume_csc": assume_csc,
-                "library": library,
-            },
-        )
+        payload = self._post("/export", locals())
         return payload["text"]

@@ -154,6 +154,22 @@ class Job:
     def make(cls, spec: SpecLike, options: Optional[SynthesisOptions] = None, **kwargs) -> "Job":
         return cls(spec=Spec.load(spec), options=options or SynthesisOptions(), **kwargs)
 
+    def run(self, pipeline, faults=None):
+        """Run this job on ``pipeline``: its runner, or the pipeline's stages."""
+        runner = _resolve_runner(self.runner)
+        if runner is not None:
+            return runner(self, pipeline, faults)
+        return pipeline.run(
+            self.spec,
+            self.options,
+            backend=self.backend,
+            map_technology=self.map_technology,
+            verify=self.verify,
+            verify_mapped=self.verify_mapped,
+            library=self.library,
+            max_markings=self.max_markings,
+        )
+
 
 @dataclass
 class JobResult:
@@ -294,21 +310,8 @@ def _execute_job(
     pipeline = Pipeline(store=store, faults=injector, obs=obs)
 
     def run() -> Report:
-        runner = _resolve_runner(job.runner)
-        if runner is not None:
-            return runner(job, pipeline, injector)
-        return _strip_report(
-            pipeline.run(
-                job.spec,
-                job.options,
-                backend=job.backend,
-                map_technology=job.map_technology,
-                verify=job.verify,
-                verify_mapped=job.verify_mapped,
-                library=job.library,
-                max_markings=job.max_markings,
-            )
-        )
+        report = job.run(pipeline, injector)
+        return report if job.runner is not None else _strip_report(report)
 
     if obs is None:
         return run()
@@ -454,20 +457,7 @@ class Scheduler:
             while True:
                 attempts += 1
                 try:
-                    runner = _resolve_runner(job.runner)
-                    if runner is not None:
-                        report = runner(job, pipeline, self.faults)
-                    else:
-                        report = pipeline.run(
-                            job.spec,
-                            job.options,
-                            backend=job.backend,
-                            map_technology=job.map_technology,
-                            verify=job.verify,
-                            verify_mapped=job.verify_mapped,
-                            library=job.library,
-                            max_markings=job.max_markings,
-                        )
+                    report = job.run(pipeline, self.faults)
                 except Exception as error:
                     if attempts < policy.max_attempts and policy.is_retryable(error):
                         delay = policy.delay_for(attempts, key=job.spec.content_hash)

@@ -19,13 +19,34 @@ Endpoints (all JSON)::
     GET  /metrics        Prometheus text exposition (the one non-JSON
                          endpoint; empty families until --obs/REPRO_OBS)
     GET  /cache/stats    pipeline counters + store statistics
-    POST /cache/clear    drop the in-memory cache (``{"disk": true}`` also
-                         clears the on-disk store)
-    POST /synthesize     {"spec": <name or .g text>, "level": 5, ...}
-    POST /synthesize/batch  {"items": [<synthesize bodies>], "jobs": N}
-    POST /verify         {"spec": ..., "mapped": bool, ...}
-    POST /compare        {"spec": ..., "level": ..., "max_markings": ...}
-    POST /export         {"spec": ..., "format": "verilog", ...}
+    POST /cache/clear    drop the in-memory cache (``disk``: the store too)
+    POST /synthesize     one spec through the pipeline: a typed report
+    POST /synthesize/batch  many /synthesize bodies in one Scheduler call
+    POST /verify         speed independence (``mapped``: of the netlist too)
+    POST /compare        structural vs state-based on every reachable code
+    POST /export         the mapped netlist rendered in ``format``
+
+The POST bodies, declared once in :mod:`repro.api.request` (unknown keys are
+ignored; S, V, C, E: /synthesize, /verify, /compare, /export)::
+
+    key            value                              default       read by
+    spec           registry name or inline .g text    (required)    S V C E
+    level          JSON integer, 1..5                 5             S V C E
+    backend        "structural", "statebased", "sat"  "structural"  S V E
+    assume_csc     JSON boolean                       false         S V C E
+    map            JSON boolean                       false         S
+    verify         JSON boolean                       false         S
+    verify_mapped  JSON boolean                       false         S
+    library        null or a built-in library name    null          S V E
+    max_markings   null or a positive integer         null          S V C E
+    mapped         JSON boolean                       false         V
+    format         "verilog", "blif", "eqn", "json"   "verilog"     E
+    items          non-empty list of S bodies         (required)    /synthesize/batch
+    jobs           null or an integer: pool width     null          /synthesize/batch
+    disk           JSON boolean                       false         /cache/clear
+
+``spec`` is a registry name or multi-line inline ``.g`` text, and
+``library`` a built-in name: the server never reads a path a request names.
 
 ``/synthesize`` responds with the lossless ``Report.to_json`` document plus
 a ``resolution`` summary — how many stages were computed, served from
@@ -66,31 +87,23 @@ from typing import Callable, Optional
 from repro.api.backends import compare
 from repro.api.events import fanout
 from repro.api.pipeline import Pipeline
-from repro.api.spec import Spec, SpecError
+from repro.api.request import parse, spec_label
+from repro.api.scheduler import Scheduler
+from repro.api.spec import SpecError
 from repro.api.store import TMP_SWEEP_AGE, get_store
-from repro.gates.exporters import EXPORT_FORMATS, export_netlist
+from repro.gates.exporters import export_netlist
 from repro.gates.ir import NetlistError
 from repro.obs import ObsLike, TRACE_HEADER, get_obs, parse_header
 from repro.petri.reachability import StateSpaceLimitExceeded
 from repro.statebased.synthesis import StateBasedSynthesisError
-from repro.synthesis.engine import SynthesisError, SynthesisOptions
+from repro.synthesis.engine import SynthesisError
 
-#: request errors mapped to HTTP 400 (bad input, not server failure).
-#: KeyError/TypeError are deliberately absent — those indicate server bugs
-#: and must surface as 500.  Bare ValueError stays: the input-validation
-#: paths of the stack (library resolution, export formats, option parsing)
+#: request errors mapped to HTTP 400 (bad input, not server failure) and
+#: their stable machine-readable codes; first match wins, so subclasses
+#: precede their bases.  KeyError/TypeError are deliberately absent — those
+#: indicate server bugs and must surface as 500.  Bare ValueError stays: the
+#: input-validation paths of the stack (request fields, option parsing)
 #: raise it for bad user input, the same contract the CLI maps to exit 2.
-_CLIENT_ERRORS = (
-    SpecError,
-    SynthesisError,
-    StateBasedSynthesisError,
-    NetlistError,
-    StateSpaceLimitExceeded,
-    ValueError,
-)
-
-#: stable machine-readable codes for the 400 family (first match wins, so
-#: subclasses must precede their bases)
 _CLIENT_ERROR_CODES = (
     (SpecError, "spec_error"),
     (StateBasedSynthesisError, "synthesis_error"),
@@ -99,13 +112,15 @@ _CLIENT_ERROR_CODES = (
     (StateSpaceLimitExceeded, "state_space_limit"),
     (ValueError, "bad_request"),
 )
+_CLIENT_ERRORS = tuple(error_type for error_type, _ in _CLIENT_ERROR_CODES)
 
 
-def _client_error_code(error: BaseException) -> str:
-    for exc_type, code in _CLIENT_ERROR_CODES:
-        if isinstance(error, exc_type):
+def _error_code(error: BaseException) -> str:
+    """A client error's stable code; ``internal`` for anything else."""
+    for error_type, code in _CLIENT_ERROR_CODES:
+        if isinstance(error, error_type):
             return code
-    return "bad_request"
+    return "internal"
 
 
 def _error_body(code: str, message: str, retryable: bool = False) -> dict:
@@ -116,24 +131,19 @@ def _error_body(code: str, message: str, retryable: bool = False) -> dict:
 class ServerOverloadedError(RuntimeError):
     """The admission queue is full; the request was shed, not queued."""
 
-    def __init__(self, message: str, retry_after: float = 1.0):
-        super().__init__(message)
-        self.retry_after = retry_after
-
-
-class RequestDeadlineError(RuntimeError):
-    """An admitted request waited longer than the per-request deadline."""
+    #: the HTTP status and stable code of the (retryable) response
+    status, code = 503, "overloaded"
 
     def __init__(self, message: str, retry_after: float = 1.0):
         super().__init__(message)
         self.retry_after = retry_after
 
 
-def _spec_of(body: dict):
-    source = body.get("spec")
-    if not source:
-        raise ValueError("request body must include a non-empty 'spec'")
-    return Spec.load(source)
+class RequestDeadlineError(ServerOverloadedError):
+    """An admitted request waited longer than the per-request deadline: it
+    is shed like an overloaded one, with its own status and code."""
+
+    status, code = 504, "deadline_exceeded"
 
 
 class SynthesisService:
@@ -223,16 +233,6 @@ class SynthesisService:
         if self._in_request and event.kind == "stage":
             self._events.append(event)
 
-    def _options(self, body: dict) -> SynthesisOptions:
-        try:
-            level = int(body.get("level", 5))
-        except (TypeError, ValueError) as error:
-            raise ValueError(f"'level' must be an integer 1..5: {error}") from error
-        return SynthesisOptions(
-            level=level,
-            assume_csc=bool(body.get("assume_csc", False)),
-        )
-
     def _maybe_evict(self) -> None:
         cached = sum(self.pipeline.cache_info().values())
         if cached > self.max_cached_artifacts:
@@ -255,100 +255,62 @@ class SynthesisService:
     # ------------------------------------------------------------------ #
 
     def synthesize(self, body: dict) -> dict:
-        spec = _spec_of(body)
-        report = self.pipeline.run(
-            spec,
-            self._options(body),
-            backend=body.get("backend", "structural"),
-            map_technology=bool(body.get("map", False)),
-            verify=bool(body.get("verify", False)),
-            verify_mapped=bool(body.get("verify_mapped", False)),
-            library=body.get("library"),
-            max_markings=body.get("max_markings"),
-        )
+        job, _ = parse("/synthesize", body)
         return {
-            "report": report.to_json(),
+            "report": job.run(self.pipeline).to_json(),
             "resolution": self._resolution(self._events),
         }
 
     def synthesize_batch(self, body: dict) -> dict:
         """Run many synthesize bodies through one :class:`Scheduler` call.
 
-        ``{"items": [<synthesize bodies>], "jobs": N}`` — with ``jobs > 1``
-        (and a store attached) the items fan out over the process-pool
-        scheduler; otherwise they run sequentially through this worker's
-        shared pipeline.  The response carries one entry per item, in
-        order, each with its own ``ok``/``report``-or-``error`` plus — in
-        sequential mode — the per-item stage resolution (pool items
-        resolve in child processes, so their resolution is ``null``).
+        With ``jobs > 1`` (and a store attached) the items fan out over the
+        process-pool scheduler; otherwise they run sequentially through
+        this worker's shared pipeline.  The response carries one entry per
+        item, in order, each with its own ``ok``/``report``-or-``error``
+        plus — in sequential mode — the per-item stage resolution (pool
+        items resolve in child processes, so their resolution is ``null``).
         Item failures are reported in place, never as a batch-wide error.
         """
-        from repro.api.scheduler import Job, Scheduler
-
-        items = body.get("items")
-        if not isinstance(items, list) or not items:
-            raise ValueError("batch body must include a non-empty 'items' list")
-        try:
-            jobs_n = int(body.get("jobs") or 0)
-        except (TypeError, ValueError) as error:
-            raise ValueError(f"'jobs' must be an integer: {error}") from error
-        job_list = []
-        job_positions = []  # job index -> item index
-        parse_failures: dict = {}  # item index -> error entry
-        for position, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise ValueError("each batch item must be a JSON object")
+        _, extras = parse("/synthesize/batch", body)
+        jobs: list = []
+        entries: list = []  # per item: its failure entry, or its job's index
+        for item in extras["items"]:
             try:
-                job = Job(
-                    spec=_spec_of(item),
-                    options=self._options(item),
-                    backend=item.get("backend", "structural"),
-                    map_technology=bool(item.get("map", False)),
-                    verify=bool(item.get("verify", False)),
-                    verify_mapped=bool(item.get("verify_mapped", False)),
-                    library=item.get("library"),
-                    max_markings=item.get("max_markings"),
-                )
+                job, _ = parse("/synthesize", item)
             except _CLIENT_ERRORS as error:
                 # a bad item fails in place — the rest of the batch runs
-                parse_failures[position] = {
-                    "spec": str(item.get("spec", ""))[:120],
+                entries.append({
+                    "spec": spec_label(item),
                     "ok": False,
                     "attempts": 0,
                     "seconds": 0.0,
                     "resolution": None,
-                    "error": {
-                        "code": _client_error_code(error),
-                        "message": str(error),
-                    },
-                }
+                    "error": {"code": _error_code(error), "message": str(error)},
+                })
                 continue
-            job_list.append(job)
-            job_positions.append(position)
+            entries.append(len(jobs))
+            jobs.append(job)
         # the process pool needs a store the children can reopen by path;
-        # without one the batch degrades to sequential resolution here
-        pool = jobs_n > 1 and len(job_list) > 1 and self.pipeline.store is not None
+        # without one the batch degrades to sequential resolution here.
+        # `jobs` is untrusted input: never more pool workers than jobs
+        width = min(extras["jobs"] or 0, len(jobs))
+        pool = width > 1 and self.pipeline.store is not None
         scheduler = Scheduler(
-            jobs=jobs_n if pool else 1,
+            jobs=width if pool else 1,
             store=self.pipeline.store if pool else None,
             pipeline=None if pool else self.pipeline,
             obs=self.obs,
         )
-        results: list = [None] * len(job_list)
-        resolutions: list = [None] * len(job_list)
+        done: list = [None] * len(jobs)
         mark = 0
-        if job_list:
-            for result in scheduler.iter_results(job_list):
-                results[result.index] = result
-                if not pool:
-                    # sequential mode yields right after each job, so the
-                    # stage events since the previous yield belong to this item
-                    events, mark = self._events[mark:], len(self._events)
-                    resolutions[result.index] = self._resolution(events)
-        entries: list = [None] * len(items)
-        for position, entry in parse_failures.items():
-            entries[position] = entry
-        for position, result, resolution in zip(job_positions, results, resolutions):
+        for result in scheduler.iter_results(jobs):
+            resolution = None
+            if not pool:
+                # sequential mode yields right after each job, so the
+                # stage events since the previous yield belong to this item
+                events, mark = self._events[mark:], len(self._events)
+                resolution = self._resolution(events)
             entry = {
                 "spec": result.job.spec.name,
                 "ok": result.ok,
@@ -359,47 +321,36 @@ class SynthesisService:
             if result.ok:
                 entry["report"] = result.report.to_json()
             else:
-                code = (
-                    _client_error_code(result.error)
-                    if isinstance(result.error, _CLIENT_ERRORS)
-                    else "internal"
-                )
-                entry["error"] = {"code": code, "message": str(result.error)}
-            entries[position] = entry
+                entry["error"] = {"code": _error_code(result.error), "message": str(result.error)}
+            done[result.index] = entry
         return {
-            "results": entries,
+            "results": [done[e] if isinstance(e, int) else e for e in entries],
             "pool": pool,
             "resolution": self._resolution(self._events),
         }
 
     def verify(self, body: dict) -> dict:
-        spec = _spec_of(body)
-        options = self._options(body)
-        backend = body.get("backend", "structural")
-        max_markings = body.get("max_markings")
+        job, extras = parse("/verify", body)
         verification = self.pipeline.verify(
-            spec, options, backend=backend, max_markings=max_markings
+            job.spec, job.options, backend=job.backend, max_markings=job.max_markings
         )
         result = {"verify": verification.to_json()}
-        if body.get("mapped", False):
+        if extras["mapped"]:
             mapped = self.pipeline.verify_mapped(
-                spec,
-                options,
-                backend=backend,
-                library=body.get("library"),
-                max_markings=max_markings,
+                job.spec,
+                job.options,
+                backend=job.backend,
+                library=job.library,
+                max_markings=job.max_markings,
             )
             result["verify_mapped"] = mapped.to_json()
         result["resolution"] = self._resolution(self._events)
         return result
 
     def compare(self, body: dict) -> dict:
-        spec = _spec_of(body)
+        job, _ = parse("/compare", body)
         report = compare(
-            spec,
-            self._options(body),
-            pipeline=self.pipeline,
-            max_markings=body.get("max_markings"),
+            job.spec, job.options, pipeline=self.pipeline, max_markings=job.max_markings
         )
         return {
             "comparison": report.to_dict(),
@@ -407,18 +358,14 @@ class SynthesisService:
         }
 
     def export(self, body: dict) -> dict:
-        spec = _spec_of(body)
-        fmt = body.get("format", "verilog")
-        if fmt not in EXPORT_FORMATS:
-            raise ValueError(
-                f"unknown export format {fmt!r} (available: {', '.join(EXPORT_FORMATS)})"
-            )
+        job, extras = parse("/export", body)
+        fmt = extras["format"]
         mapping = self.pipeline.map(
-            spec,
-            self._options(body),
-            backend=body.get("backend", "structural"),
-            library=body.get("library"),
-            max_markings=body.get("max_markings"),
+            job.spec,
+            job.options,
+            backend=job.backend,
+            library=job.library,
+            max_markings=job.max_markings,
         )
         return {
             "format": fmt,
@@ -453,9 +400,10 @@ class SynthesisService:
         return stats
 
     def cache_clear(self, body: Optional[dict] = None) -> dict:
+        _, extras = parse("/cache/clear", body or {})
         self.pipeline.clear_cache()
         removed = 0
-        if (body or {}).get("disk") and self.pipeline.store is not None:
+        if extras["disk"] and self.pipeline.store is not None:
             removed = self.pipeline.store.clear()
         return {"cleared": True, "disk_entries_removed": removed}
 
@@ -679,12 +627,15 @@ class _Handler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):
             super().log_message(format, *args)
 
-    def _send(
-        self, status: int, payload: dict, headers: Optional[dict] = None
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _send(self, status: int, payload, headers: Optional[dict] = None) -> None:
+        """A JSON response, or plain text for a ``str`` payload (the
+        ``/metrics`` exposition)."""
+        if isinstance(payload, str):
+            body, kind = payload.encode("utf-8"), "text/plain; version=0.0.4; charset=utf-8"
+        else:
+            body, kind = json.dumps(payload).encode("utf-8"), "application/json"
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", kind)
         self.send_header("Content-Length", str(len(body)))
         if self.service.worker_id is not None:
             # which fleet worker answered (slot.generation) — the bench and
@@ -692,17 +643,6 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("X-Repro-Worker", self.service.worker_id)
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str) -> None:
-        """Plain-text response (the ``/metrics`` exposition transport)."""
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if self.service.worker_id is not None:
-            self.send_header("X-Repro-Worker", self.service.worker_id)
         self.end_headers()
         self.wfile.write(body)
 
@@ -729,54 +669,37 @@ class _Handler(BaseHTTPRequestHandler):
         ):
             return self.service.dispatch(method, self.path, body)
 
-    def _handle(self, method: str) -> None:
-        body: Optional[dict] = None
-        if method == "POST":
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-            except ValueError:
-                length = -1
-            if length < 0:
-                # the unread body makes the connection unusable: close it
-                self.close_connection = True
-                self._send(
-                    400,
-                    _error_body(
-                        "bad_request", "Content-Length must be a non-negative integer"
-                    ),
-                )
-                return
-            raw = self.rfile.read(length) if length else b"{}"
-            try:
-                body = json.loads(raw.decode("utf-8") or "{}")
-            except json.JSONDecodeError as error:
-                self._send(
-                    400, _error_body("bad_request", f"malformed JSON body: {error}")
-                )
-                return
-            if not isinstance(body, dict):
-                self._send(
-                    400, _error_body("bad_request", "request body must be a JSON object")
-                )
-                return
+    def _read_body(self) -> dict:
+        """The JSON object a POST carries; ``ValueError`` when it is none."""
         try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # the unread body makes the connection unusable: close it
+            self.close_connection = True
+            raise ValueError("Content-Length must be a non-negative integer")
+        try:  # a body that is not UTF-8 is malformed too
+            body = json.loads(self.rfile.read(length).decode("utf-8") or "{}")
+        except ValueError as error:
+            raise ValueError(f"malformed JSON body: {error}") from None
+        if not isinstance(body, dict):
+            raise ValueError("request body must be a JSON object")
+        return body
+
+    def _handle(self, method: str) -> None:
+        try:
+            body = self._read_body() if method == "POST" else None
             result = self._dispatch_traced(method, body)
-        except ServerOverloadedError as error:
+        except ServerOverloadedError as error:  # a deadline miss, too
             self._send(
-                503,
-                _error_body("overloaded", str(error), retryable=True),
-                headers={"Retry-After": str(int(error.retry_after))},
-            )
-            return
-        except RequestDeadlineError as error:
-            self._send(
-                504,
-                _error_body("deadline_exceeded", str(error), retryable=True),
+                error.status,
+                _error_body(error.code, str(error), retryable=True),
                 headers={"Retry-After": str(int(error.retry_after))},
             )
             return
         except _CLIENT_ERRORS as error:
-            self._send(400, _error_body(_client_error_code(error), str(error)))
+            self._send(400, _error_body(_error_code(error), str(error)))
             return
         except Exception as error:  # noqa: BLE001 — the daemon must not die
             # the traceback stays server-side: clients get a stable code and
@@ -799,7 +722,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         if method == "GET" and self.path == "/metrics":
-            self._send_text(200, result["prometheus"])
+            self._send(200, result["prometheus"])
             return
         if self.path == "/ready" and result.get("ready") is False:
             # readiness failure travels as 503 so load balancers drain us

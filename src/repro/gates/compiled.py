@@ -64,6 +64,7 @@ class CompiledNetlistEvaluator:
 
     __slots__ = (
         "netlist",
+        "order",
         "_num_slots",
         "_clamps",
         "_program",
@@ -71,9 +72,9 @@ class CompiledNetlistEvaluator:
     )
 
     def __init__(self, netlist: GateNetlist):
-        netlist.validate()
         self.netlist = netlist
-        order = netlist.topological_gates()
+        #: the gates in evaluation order (the program runs them in it)
+        self.order = order = netlist.validate()
 
         slots: dict[str, int] = {}
 

@@ -211,8 +211,11 @@ class GateNetlist:
     # Validation / ordering
     # ------------------------------------------------------------------ #
 
-    def validate(self) -> None:
-        """Raise :class:`NetlistError` on structural problems."""
+    def validate(self) -> list[GateInstance]:
+        """Raise :class:`NetlistError` on structural problems.
+
+        Returns the :meth:`topological_gates` order the cycle check sorted.
+        """
         names = Counter(gate.name for gate in self.gates)
         duplicates = [name for name, count in names.items() if count > 1]
         if duplicates:
@@ -256,7 +259,7 @@ class GateNetlist:
                     f"latch {gate.name!r} must have exactly 2 inputs, "
                     f"has {len(gate.inputs)}"
                 )
-        self.topological_gates()  # raises on combinational cycles
+        return self.topological_gates()  # raises on combinational cycles
 
     def topological_gates(self) -> list[GateInstance]:
         """Gates in dependency order, signal nets acting as cut points.

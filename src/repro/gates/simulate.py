@@ -40,7 +40,7 @@ class GateLevelSimulator:
     def __init__(self, netlist: GateNetlist):
         self.netlist = netlist
         self._evaluator = CompiledNetlistEvaluator(netlist)
-        self._order = netlist.topological_gates()
+        self._order = self._evaluator.order
         #: signal carried by each clamped net
         self._clamped: dict[str, str] = {
             name: net.signal

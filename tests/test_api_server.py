@@ -198,6 +198,23 @@ class TestErrors:
             }
         }
 
+    def test_a_body_that_is_not_utf8_is_a_400(self, served):
+        """It used to kill the request thread without a response."""
+        server, _ = served
+        body = b'{"spec": "\xff"}'
+        request = (
+            b"POST /synthesize HTTP/1.0\r\n"
+            b"Content-Length: %d\r\nContent-Type: application/json\r\n\r\n" % len(body)
+        ) + body
+        with socket.create_connection(server.server_address, timeout=10) as sock:
+            sock.sendall(request)
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400"
+        assert json.loads(payload)["error"]["code"] == "bad_request"
+
     def test_memory_cache_is_bounded_by_eviction(self, tmp_path):
         """A stream of distinct requests must not grow memory without bound."""
         from repro.api.server import SynthesisService
@@ -383,3 +400,98 @@ class TestBatchEndpoint:
         assert len(error.results) == 2
         assert error.results[0].report.literals > 0
         assert error.results[1] is None
+
+
+class TestUntrustedFields:
+    """Request fields are untrusted input: the server reads no path a
+    request names, and an ill-typed value is a 400, never a 500."""
+
+    @staticmethod
+    def _expect(port: int, path: str, body: dict, code: str) -> dict:
+        status, payload = _post_json(port, path, body)
+        assert (status, payload["error"]["code"]) == (400, code), payload
+        return payload["error"]
+
+    def test_a_spec_path_on_the_server_is_a_spec_error(self, served, tmp_path):
+        server, _ = served
+        port = server.server_address[1]
+        source = tmp_path / "mine.g"
+        source.write_text(write_g(load_classic("sequencer")))
+        body = {"spec": str(source), "assume_csc": True}
+        self._expect(port, "/synthesize", body, "spec_error")
+        status, payload = _post_json(port, "/synthesize/batch", {"items": [body]})
+        assert status == 200
+        (entry,) = payload["results"]
+        assert not entry["ok"] and entry["error"]["code"] == "spec_error"
+
+    def test_a_missing_path_does_not_reveal_the_os_error(self, served, tmp_path):
+        server, _ = served
+        error = self._expect(
+            server.server_address[1],
+            "/synthesize",
+            {"spec": str(tmp_path / "absent.g")},
+            "spec_error",
+        )
+        assert "Errno" not in error["message"]
+        assert "No such file" not in error["message"]
+
+    def test_a_library_path_on_the_server_is_a_bad_request(self, served, tmp_path):
+        from repro.gates.library import default_library
+
+        server, _ = served
+        port = server.server_address[1]
+        library = tmp_path / "mine.json"
+        library.write_text(json.dumps(default_library().to_json()))
+        common = {"spec": "sequencer", "assume_csc": True, "library": str(library)}
+        self._expect(port, "/synthesize", {**common, "map": True}, "bad_request")
+        self._expect(port, "/verify", {**common, "mapped": True}, "bad_request")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_markings", "abc"),
+            ("max_markings", -3),
+            ("max_markings", True),
+            ("level", "3"),
+            ("level", True),
+            ("map", 1),
+        ],
+    )
+    def test_an_ill_typed_field_is_a_bad_request(self, served, field, value):
+        server, _ = served
+        self._expect(
+            server.server_address[1],
+            "/synthesize",
+            {"spec": "sequencer", "assume_csc": True, field: value},
+            "bad_request",
+        )
+
+    def test_a_string_false_does_not_assume_csc(self, served):
+        # latch_ctrl violates CSC: bool("false") used to assume it away
+        server, _ = served
+        self._expect(
+            server.server_address[1],
+            "/synthesize",
+            {"spec": "latch_ctrl", "assume_csc": "false"},
+            "bad_request",
+        )
+
+    def test_a_batch_pool_is_never_wider_than_its_items(self, served, monkeypatch):
+        import repro.api.server as server_module
+
+        widths = []
+        scheduler = server_module.Scheduler
+
+        def recording(**kwargs):
+            widths.append(kwargs["jobs"])
+            assert kwargs["jobs"] <= 2  # never start the 64 workers asked for
+            return scheduler(**kwargs)
+
+        monkeypatch.setattr(server_module, "Scheduler", recording)
+        server, _ = served
+        items = [{"spec": name, "assume_csc": True} for name in ("fig1", "sequencer")]
+        status, payload = _post_json(
+            server.server_address[1], "/synthesize/batch", {"items": items, "jobs": 64}
+        )
+        assert status == 200 and payload["pool"] is True
+        assert widths == [2]
