@@ -19,11 +19,10 @@ The synthesis of a set/reset/complete cover is encoded as *cube selection*:
   state, tied to the disjunction of the candidates covering its code, with
   one implication per reachability-graph edge inside the region —
   ``covered(state) → covered(predecessor)``;
-* cost bounds are sequential-counter (Sinz LTseq) cardinality constraints
-  over the selection variables — unweighted for the gate count, and with
-  each selection variable repeated ``literals(cube)`` times for the
-  literal count (a repeated input counts with multiplicity, which is
-  exactly a weighted counter with unary weights).
+* cost bounds are one-directional weighted unary counters
+  (:func:`add_counter`, after Sinz's sequential counter) over the
+  selection variables — weight 1 for the gate count, the cube's literal
+  count for the literal count; each bound is one unit clause on an output.
 
 All cube arithmetic runs on the packed integer ``(care, value)`` masks of
 :mod:`repro.boolean.interning`'s process-global variable order; cubes only
@@ -46,7 +45,6 @@ __all__ = [
     "SignalEncoding",
     "enumerate_implicants",
     "build_encoding",
-    "add_at_most",
     "add_counter",
     "cube_of_masks",
     "cover_of_masks",
@@ -246,50 +244,6 @@ def build_encoding(
     for pred, state in problem.quiescent_edges:
         clauses.append([-encoding.state_vars[state], encoding.state_vars[pred]])
     return encoding
-
-
-def add_at_most(
-    clauses: list[list[int]],
-    lits: Sequence[int],
-    bound: int,
-    next_var: int,
-) -> int:
-    """Sinz sequential-counter encoding of ``sum(lits) ≤ bound``.
-
-    Literals may repeat — a literal listed ``w`` times counts with
-    multiplicity ``w``, which is how the weighted (literal-count) bound is
-    expressed.  Auxiliary variables are allocated from ``next_var + 1``;
-    the new allocation watermark is returned.
-    """
-    n = len(lits)
-    if bound < 0:
-        clauses.append([])  # trivially unsatisfiable
-        return next_var
-    if bound == 0:
-        for lit in set(lits):
-            clauses.append([-lit])
-        return next_var
-    if bound >= n:
-        return next_var
-    # registers[i][j] ⇔ "at least j+1 of lits[0..i] are true"
-    prev: list[int] = []
-    for i, x in enumerate(lits[:-1]):
-        regs = [next_var + j + 1 for j in range(bound)]
-        next_var += bound
-        clauses.append([-x, regs[0]])
-        if prev:
-            clauses.append([-prev[0], regs[0]])
-        for j in range(1, bound):
-            if prev:
-                clauses.append([-x, -prev[j - 1], regs[j]])
-                clauses.append([-prev[j], regs[j]])
-            else:
-                clauses.append([-regs[j]])
-        if prev:
-            clauses.append([-x, -prev[bound - 1]])
-        prev = regs
-    clauses.append([-lits[-1], -prev[bound - 1]])
-    return next_var
 
 
 def add_counter(

@@ -10,10 +10,17 @@ The solver implements the standard conflict-driven clause-learning loop:
   exclude-model enumeration loop of :mod:`repro.sat.synthesize`), and
   ``solve(assumptions)`` solves under temporary unit assumptions.
 
+Clauses are loaded in batches: :meth:`CDCLSolver.add_clauses` unwinds the
+trail once and simplifies each clause against the root assignment inline,
+and ``add_clause`` is its one-clause case.  Propagation reads literal values
+from the assignment list directly, with no method call per literal.
+
 Everything is deterministic given the ``seed`` (which only perturbs the
 *initial* activities to break ties differently between seeds): identical
 inputs replay identical search trees, which the differential tests and the
-store-cacheable synthesis artifacts rely on.
+store-cacheable synthesis artifacts rely on.  The search tree of the exact
+backend's descent is pinned phase by phase, with batched loading, by the
+golden trace of ``tests/test_sat_search_trace.py``.
 
 If the optional `pysat` package is installed, :func:`new_solver` can hand
 out a :class:`PysatSolver` adapter behind the same interface
@@ -96,22 +103,26 @@ class CDCLSolver:
 
     def new_var(self) -> int:
         """Allocate and return a fresh variable."""
-        self._num_vars += 1
-        self._assign.append(0)
-        self._level.append(0)
-        self._reason.append(None)
-        # a seed-dependent epsilon so distinct seeds break activity ties
-        # differently while any single seed stays fully deterministic
-        self._activity.append(self._rng.random() * 1e-6)
-        self._saved_phase.append(-1)
-        self._watches.append([])
-        self._watches.append([])
+        self.ensure_vars(self._num_vars + 1)
         return self._num_vars
 
     def ensure_vars(self, count: int) -> None:
         """Grow the variable universe to at least ``count`` variables."""
-        while self._num_vars < count:
-            self.new_var()
+        grow = count - self._num_vars
+        if grow <= 0:
+            return
+        draw = self._rng.random
+        # a seed-dependent epsilon so distinct seeds break activity ties
+        # differently while any single seed stays fully deterministic; the
+        # draws are taken in variable order, so variable v always gets the
+        # v-th draw however the universe grew
+        self._activity.extend([draw() * 1e-6 for _ in range(grow)])
+        self._assign.extend([0] * grow)
+        self._level.extend([0] * grow)
+        self._reason.extend([None] * grow)
+        self._saved_phase.extend([-1] * grow)
+        self._watches.extend([[] for _ in range(2 * grow)])
+        self._num_vars = count
 
     @staticmethod
     def _widx(lit: int) -> int:
@@ -137,54 +148,69 @@ class CDCLSolver:
     # ------------------------------------------------------------------ #
 
     def add_clause(self, lits: Iterable[int]) -> bool:
-        """Add a clause; returns False if the formula became trivially UNSAT.
+        """Add one clause; the one-clause case of :meth:`add_clauses`."""
+        return self.add_clauses((lits,))
+
+    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
+        """Add clauses in order; returns False once the formula is UNSAT.
 
         May be called between ``solve()`` calls — the trail is unwound to
         the root level first, so learnt knowledge is kept but nothing above
-        level 0 survives.
+        level 0 survives.  Each clause is simplified against the root
+        assignment as it is read: a clause with a root-true literal or a
+        complementary pair is skipped, root-false and repeated literals are
+        dropped (the first occurrence stays).  A unit clause is propagated
+        before the next clause is read, so later clauses of the same batch
+        see its consequences.
         """
         if not self._ok:
             return False
         self._cancel_until(0)
-        seen: dict[int, int] = {}
-        clause: list[int] = []
-        for lit in lits:
-            lit = int(lit)
-            var = abs(lit)
-            if var == 0:
-                raise ValueError("0 is not a literal")
-            self.ensure_vars(var)
-            if self._value(lit) == 1:
-                return True  # satisfied at the root level
-            if self._value(lit) == -1:
-                continue  # false at the root level: drop the literal
-            prev = seen.get(var)
-            if prev is None:
-                seen[var] = lit
-                clause.append(lit)
-            elif prev != lit:
-                return True  # tautology (v and not v)
-        if not clause:
-            self._ok = False
-            return False
-        if len(clause) == 1:
-            self._enqueue(clause[0], None)
-            self._ok = self._propagate() is None
-            return self._ok
-        ci = len(self._clauses)
-        self._clauses.append(clause)
-        self._watches[self._widx(clause[0])].append(ci)
-        self._watches[self._widx(clause[1])].append(ci)
+        assign = self._assign
+        watches = self._watches
+        arena = self._clauses
+        for lits in clauses:
+            clause: list[int] = []
+            satisfied = False
+            # while a clause is read, each literal it keeps is marked in
+            # ``assign`` as 2 (true) and its complement as -2, so a repeat
+            # reads 2 and a complement -2; the marks go before anything else
+            try:
+                for lit in lits:
+                    lit = int(lit)
+                    var = lit if lit > 0 else -lit
+                    if var == 0:
+                        raise ValueError("0 is not a literal")
+                    if var > self._num_vars:
+                        self.ensure_vars(var)
+                    value = assign[var] if lit > 0 else -assign[var]
+                    if value == 0:
+                        clause.append(lit)
+                        assign[var] = 2 if lit > 0 else -2
+                    elif value == 1 or value == -2:
+                        satisfied = True  # at the root level, or a tautology
+                        break
+                    # -1 (false at the root) or 2 (a repeat): drop the literal
+            finally:
+                for lit in clause:
+                    assign[lit if lit > 0 else -lit] = 0
+            if satisfied:
+                continue
+            if not clause:
+                self._ok = False
+                return False
+            if len(clause) == 1:
+                self._enqueue(clause[0], None)
+                if self._propagate() is not None:
+                    self._ok = False
+                    return False
+                continue
+            first, second = clause[0], clause[1]
+            ci = len(arena)
+            arena.append(clause)
+            watches[(first << 1) if first > 0 else ((-first << 1) | 1)].append(ci)
+            watches[(second << 1) if second > 0 else ((-second << 1) | 1)].append(ci)
         return True
-
-    def add_clauses(self, clauses: Iterable[Sequence[int]]) -> bool:
-        """Add many clauses; returns the final ``ok`` flag."""
-        ok = True
-        for clause in clauses:
-            ok = self.add_clause(clause)
-            if not ok:
-                break
-        return ok
 
     # ------------------------------------------------------------------ #
     # Trail
@@ -221,19 +247,28 @@ class CDCLSolver:
     # ------------------------------------------------------------------ #
 
     def _propagate(self) -> Optional[int]:
-        """Unit propagation; returns a conflicting clause index or None."""
+        """Unit propagation; returns a conflicting clause index or None.
+
+        Literal values (``assign[v]``, negated for ``-v``) and watch-list
+        indices are computed inline: this loop runs for every literal the
+        search assigns.
+        """
         clauses = self._clauses
         watches = self._watches
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats["propagations"] += 1
+        assign = self._assign
+        level = self._level
+        reason = self._reason
+        trail = self._trail
+        current = len(self._trail_lim)
+        qhead = start = self._qhead
+        conflict: Optional[int] = None
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
             neg = -lit
-            widx = self._widx(neg)
-            watchers = watches[widx]
+            watchers = watches[((lit << 1) | 1) if lit > 0 else (-lit << 1)]  # neg
             i = j = 0
             n = len(watchers)
-            conflict: Optional[int] = None
             while i < n:
                 ci = watchers[i]
                 i += 1
@@ -241,35 +276,36 @@ class CDCLSolver:
                 if clause[0] == neg:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                if self._value(first) == 1:
+                value = assign[first] if first > 0 else -assign[-first]
+                if value == 1:
                     watchers[j] = ci
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        watches[self._widx(clause[1])].append(ci)
-                        moved = True
+                    other = clause[k]
+                    if (assign[other] if other > 0 else -assign[-other]) != -1:
+                        clause[1], clause[k] = other, clause[1]
+                        index = (other << 1) if other > 0 else ((-other << 1) | 1)
+                        watches[index].append(ci)
                         break
-                if moved:
-                    continue
-                # clause is unit or conflicting under the current trail
-                watchers[j] = ci
-                j += 1
-                if self._value(first) == -1:
-                    conflict = ci
-                    while i < n:  # keep the remaining watchers intact
-                        watchers[j] = watchers[i]
-                        j += 1
-                        i += 1
-                    break
-                self._enqueue(first, ci)
-            del watchers[j:]
+                else:
+                    # clause is unit or conflicting under the current trail
+                    watchers[j] = ci
+                    j += 1
+                    if value == -1:
+                        conflict = ci
+                        break
+                    var = first if first > 0 else -first
+                    assign[var] = 1 if first > 0 else -1
+                    level[var] = current
+                    reason[var] = ci
+                    trail.append(first)
+            watchers[j:] = watchers[i:]  # after a conflict, keep the unvisited
             if conflict is not None:
-                self._qhead = len(self._trail)
-                return conflict
-        return None
+                break
+        self.stats["propagations"] += qhead - start
+        self._qhead = len(trail)
+        return conflict
 
     # ------------------------------------------------------------------ #
     # Conflict analysis (first UIP)

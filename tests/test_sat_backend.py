@@ -20,7 +20,6 @@ from repro.api.spec import Spec
 from repro.sat.encode import (
     CoverProblem,
     SatBudgetExceeded,
-    add_at_most,
     add_counter,
     enumerate_implicants,
 )
@@ -32,36 +31,6 @@ EXACT_NAMES = ["handshake_seq", "sequencer", "converter_2to4", "muller_pipeline_
 
 
 class TestCardinalityEncodings:
-    @pytest.mark.parametrize("bound", [0, 1, 2, 3, 4])
-    def test_add_at_most_exact_semantics(self, bound):
-        # SAT under exactly those full assignments with cardinality <= bound
-        n = 4
-        clauses: list[list[int]] = []
-        next_var = add_at_most(clauses, list(range(1, n + 1)), bound, n)
-        for bits in itertools.product([False, True], repeat=n):
-            solver = CDCLSolver()
-            solver.ensure_vars(next_var)
-            solver.add_clauses(clauses)
-            assumptions = [v if bits[v - 1] else -v for v in range(1, n + 1)]
-            verdict = solver.solve(assumptions=assumptions)
-            assert verdict is (sum(bits) <= bound), (bits, bound)
-
-    def test_add_at_most_negative_bound(self):
-        clauses: list[list[int]] = []
-        add_at_most(clauses, [1, 2], -1, 2)
-        assert [] in clauses  # trivially unsatisfiable
-
-    def test_add_at_most_weighted_by_repetition(self):
-        # lit 1 with weight 2: one solver, bound 2 allows {1}, bound 1 bans it
-        solver = CDCLSolver()
-        solver.ensure_vars(2)
-        clauses: list[list[int]] = []
-        next_var = add_at_most(clauses, [1, 1, 2], 1, 2)
-        solver.ensure_vars(next_var)
-        solver.add_clauses(clauses)
-        assert solver.solve(assumptions=[1]) is False  # weight 2 > bound 1
-        assert solver.solve(assumptions=[2]) is True
-
     def test_add_counter_thresholds(self):
         # weights 2 + 1 + 3; every threshold output must track the sum
         items = [(1, 2), (2, 1), (3, 3)]

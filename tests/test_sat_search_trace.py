@@ -1,0 +1,198 @@
+"""The exact backend's search tree, pinned phase by phase.
+
+``tests/data/sat_search_trace.json`` records every
+:func:`~repro.sat.synthesize.minimize_problem` call that the exact synthesis
+of the 13 ``repro gap`` specs makes, in call order: the problem (signal,
+kind, candidate count), its outcome (gates, literals, solution count,
+``truncated``) and, for each of its three descent phases, the solver's work
+counters, its variable count and the length of its clause arena (problem
+plus learnt clauses).  The pure-python CDCL engine is forced, whatever
+``$REPRO_SAT_SOLVER`` says.
+
+The specs are traced in a fresh interpreter, in registry order, as the
+golden file was: candidate cubes are ordered by their packed masks, whose
+bit positions follow the process-global variable order of
+:mod:`repro.boolean.interning`, so a process that interned other signals
+first searches the same problems in another order.
+
+The synthesis descent loads its unit clauses one per call, so the file also
+pins a solver fed in batches: seeded random clause batches (units,
+repeats, complements, literals already decided at the root) alternating
+with ``solve()`` calls, recording after each step the verdicts, the work
+counters, the variable count, the arena length and the model.  There a
+unit clause must be propagated before the rest of its batch is read.
+
+A change to clause loading or propagation that alters a single decision
+shows up here even where every reported circuit stays the same, and the
+per-problem ``conflicts`` counts reach the reports
+(``circuit.metadata["sat"]``), so this file pins them too.
+
+Regenerate (only when the search changes on purpose) with::
+
+    PYTHONPATH=src python tests/test_sat_search_trace.py > tests/data/sat_search_trace.json
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
+
+import repro.sat.synthesize as sat_synthesize
+from repro.api.spec import Spec
+from repro.experiments.optimality_gap import GAP_SPECS
+from repro.sat.solver import CDCLSolver
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "sat_search_trace.json"
+
+
+@contextmanager
+def _recording():
+    """Record every ``minimize_problem`` call and the solvers it builds."""
+    problems: list[dict] = []
+    solvers: list = []
+    new_solver = sat_synthesize.new_solver
+    minimize_problem = sat_synthesize.minimize_problem
+
+    def recording_solver(*args, **kwargs):
+        solver = new_solver(*args, **kwargs)
+        solvers.append(solver)
+        return solver
+
+    def recording_minimize(problem, **kwargs):
+        first = len(solvers)
+        solution = minimize_problem(problem, **kwargs)
+        problems.append({
+            "signal": problem.signal,
+            "kind": problem.kind,
+            "candidates": solution.candidates,
+            "gates": solution.gates,
+            "literals": solution.literals,
+            "solutions": len(solution.solutions),
+            "truncated": solution.truncated,
+            "phases": [
+                {
+                    "stats": dict(solver.stats),
+                    "num_vars": solver.num_vars,
+                    "clauses": len(solver._clauses),
+                }
+                for solver in solvers[first:]
+            ],
+        })
+        return solution
+
+    sat_synthesize.new_solver = recording_solver
+    sat_synthesize.minimize_problem = recording_minimize
+    try:
+        yield problems
+    finally:
+        sat_synthesize.new_solver = new_solver
+        sat_synthesize.minimize_problem = minimize_problem
+
+
+def trace(name: str) -> list[dict]:
+    """The recorded descent of one spec's exact synthesis, as ``repro gap`` runs it."""
+    stg = Spec.from_benchmark(name).stg
+    with _recording() as problems:
+        sat_synthesize.exact_synthesize(stg, assume_csc=True)
+    return problems
+
+
+#: seeds of the batch-loading traces
+BATCH_SEEDS = range(8)
+
+
+def batch_trace(seed: int) -> list[list]:
+    """Load random clause batches into one solver, solving after each."""
+    rng = random.Random(seed)
+    solver = CDCLSolver(seed=seed)
+    steps: list[list] = []
+    for _ in range(12):
+        batch = [
+            [
+                rng.choice((1, -1)) * rng.randint(1, 60)
+                for _ in range(rng.choice((1, 2, 3, 3, 3, 4)))
+            ]
+            for _ in range(rng.randint(5, 20))
+        ]
+        loaded = solver.add_clauses(batch)
+        verdict = solver.solve()
+        model = "".join(
+            "1" if solver.value_of(var) else "0"
+            for var in range(1, solver.num_vars + 1)
+        )
+        steps.append([
+            loaded,
+            verdict,
+            dict(solver.stats),
+            solver.num_vars,
+            len(solver._clauses),
+            model if verdict else None,
+        ])
+        if not verdict:
+            break
+    return steps
+
+
+def build_golden() -> dict:
+    return {
+        "specs": {name: trace(name) for name in GAP_SPECS},
+        "batches": [batch_trace(seed) for seed in BATCH_SEEDS],
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def fresh() -> dict:
+    """The golden document as a fresh interpreter computes it now."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, path)),
+        REPRO_SAT_SOLVER="cdcl",
+    )
+    result = subprocess.run(
+        [sys.executable, __file__],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        check=True,
+    )
+    return json.loads(result.stdout)
+
+
+def test_golden_covers_the_gap_registry(golden):
+    assert list(golden["specs"]) == list(GAP_SPECS)
+
+
+@pytest.mark.parametrize("seed", BATCH_SEEDS)
+def test_batch_trace_matches(seed, golden):
+    assert batch_trace(seed) == golden["batches"][seed]
+
+
+@pytest.mark.parametrize("name", GAP_SPECS)
+def test_search_trace_matches(name, golden, fresh):
+    expected = golden["specs"][name]
+    actual = fresh["specs"][name]
+    for index, (want, got) in enumerate(zip(expected, actual)):
+        assert got == want, f"{name}: minimize_problem call {index} diverged"
+    assert len(actual) == len(expected)
+    # every problem with an on-set runs exactly three descent phases
+    assert all(len(p["phases"]) in (0, 3) for p in actual)
+
+
+if __name__ == "__main__":
+    os.environ["REPRO_SAT_SOLVER"] = "cdcl"
+    print(json.dumps(build_golden(), indent=1))

@@ -198,6 +198,112 @@ class TestDifferential:
         assert sat is True and model[2] is True
 
 
+class TestBulkLoading:
+    """``add_clauses`` simplifies each clause against the root as it reads it.
+
+    Batches are loaded after a ``solve()`` that left decisions on the trail,
+    and mix repeated literals, complementary pairs, literals already decided
+    at the root, units whose propagation reaches later clauses of the same
+    batch, and clauses whose every literal is false at the root.
+    """
+
+    NUM_VARS = 24
+
+    def random_batch(self, rng, solver):
+        root = [
+            lit
+            for var in range(1, solver.num_vars + 1)
+            for lit in (var, -var)
+            if solver._level[var] == 0 and solver.value_of(var) is (lit > 0)
+        ]
+        batch = []
+        for _ in range(rng.randint(3, 8)):
+            clause = [
+                rng.choice((1, -1)) * rng.randint(1, self.NUM_VARS)
+                for _ in range(rng.randint(1, 3))
+            ]
+            roll = rng.random()
+            if roll < 0.2:
+                clause.append(clause[0])  # a repeat
+            elif roll < 0.3:
+                clause.insert(1, -clause[0])  # a complementary pair
+            elif roll < 0.7 and root:  # true or false at the root
+                lit = rng.choice(root) * rng.choice((1, -1))
+                clause.insert(rng.randint(0, len(clause)), lit)
+            elif roll < 0.73 and root:
+                clause = [-rng.choice(root)] * rng.randint(1, 2)  # drops to empty
+            batch.append(clause)
+        # a, then a -> b: b is decided at the root before the later clause
+        # [-b, c] is read, which therefore loads as the unit [c]
+        a, b, c = rng.sample(range(1, self.NUM_VARS + 1), 3)
+        position = rng.randint(0, len(batch))
+        batch[position:position] = [[-a, b], [a], [-b, c]]
+        return batch
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_batches_after_search(self, seed):
+        rng = random.Random(seed)
+        base = [
+            [v if rng.random() < 0.5 else -v for v in rng.sample(range(1, 11), 3)]
+            for _ in range(12)
+        ]
+        solver = CDCLSolver(seed=seed)
+        twin = CDCLSolver(seed=seed)
+        clauses = [list(clause) for clause in base]
+        assert solver.add_clauses(base) is True
+        for clause in base:
+            twin.add_clause(clause)
+        for round_ in range(5):
+            verdict = solver.solve()
+            assert twin.solve() is verdict
+            assert verdict is _reference_dpll(clauses, self.NUM_VARS)[0]
+            assert solver.stats == twin.stats
+            if not verdict:
+                break
+            assert satisfies(clauses, solver.model())
+            assert solver.model() == twin.model()
+            if round_ == 4:
+                break
+            batch = self.random_batch(rng, solver)
+            assert solver._trail_lim  # the batch meets a trail above level 0
+            loaded = solver.add_clauses(batch)
+            assert all([twin.add_clause(clause) for clause in batch]) is loaded
+            assert len(solver._clauses) == len(twin._clauses)
+            assert solver.num_vars == twin.num_vars
+            clauses.extend(batch)
+            if not loaded:
+                assert _reference_dpll(clauses, self.NUM_VARS)[0] is False
+
+    def test_empty_clause_is_final(self):
+        solver = CDCLSolver()
+        assert solver.add_clauses([[1, 2], [3], [-3, -3], [4]]) is False
+        assert solver.num_vars == 3  # nothing after the empty clause was read
+        assert solver.add_clauses([[5]]) is False
+        assert solver.add_clause([6]) is False
+        assert solver.add_clauses([]) is False
+        assert solver.solve() is False
+        assert solver.solve(assumptions=[1]) is False
+
+    def test_unit_reaches_later_clauses_of_its_batch(self):
+        solver = CDCLSolver()
+        solver.add_clauses([[-1, 2], [1], [-2, 3, 3], [-2, -1]])
+        assert solver._ok is False  # [-2, -1] dropped to empty at the root
+        solver = CDCLSolver()
+        solver.add_clauses([[-1, 2], [1], [-2, 3, 4], [2, 5]])
+        assert solver._clauses[-1] == [3, 4]  # -2 dropped, [2, 5] skipped
+        assert solver.solve() is True
+        assert solver.value_of(2) is True
+
+    def test_zero_literal_raises(self):
+        solver = CDCLSolver()
+        with pytest.raises(ValueError, match="0 is not a literal"):
+            solver.add_clauses([[1, 2], [3, -4, 0]])
+        # the clause read so far leaves nothing decided behind
+        assert solver.value_of(3) is None and solver.value_of(4) is None
+        assert solver.solve() is True
+        assert satisfies([[1, 2]], solver.model())
+
+
 class TestSolverFactory:
     def test_default_is_cdcl(self):
         assert isinstance(new_solver(), CDCLSolver)
