@@ -23,6 +23,7 @@ import time
 
 import repro.statebased.synthesis as statebased_synthesis
 from repro.api import Spec
+from repro.boolean.cover import Cover
 from repro.boolean.minimize import _reference_minimize, minimize_cover
 
 #: the state-based workload's heaviest minimizer inputs
@@ -36,7 +37,12 @@ def _recorded_calls(monkeypatch, name: str) -> list[tuple]:
     calls: list[tuple] = []
 
     def recording(on_set, off_set, dc_set=None):
-        calls.append((on_set, off_set, dc_set))
+        # the flow hands its off- and dc-sets over as packed pairs; both
+        # sides replay them as Covers
+        variables = on_set.variables
+        calls.append(
+            (on_set, Cover.from_pairs(off_set, variables), Cover.from_pairs(dc_set, variables))
+        )
         return minimize_cover(on_set, off_set, dc_set)
 
     with monkeypatch.context() as patch:

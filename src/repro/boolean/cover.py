@@ -16,6 +16,7 @@ integer operations.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import Optional, Union
 
 from repro.boolean.cube import Cube
 from repro.boolean.interning import _VAR_INDEX, mask_of_tuple
@@ -80,6 +81,25 @@ class Cover:
         """Build a cover from positional-cube strings."""
         cubes = [Cube.from_string(pattern, variables) for pattern in patterns]
         return cls(cubes, variables)
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]], variables: tuple[str, ...]) -> "Cover":
+        """The cover of packed ``(care, value)`` cubes over a variable universe.
+
+        Every care bit must belong to a variable of ``variables``; each
+        cube's literals are listed in universe order.
+        """
+        mask = mask_of_tuple(variables)
+        bits = [(name, _VAR_INDEX[name]) for name in variables]
+        cubes = [
+            Cube._raw(
+                {name: (value >> bit) & 1 for name, bit in bits if care >> bit & 1},
+                care,
+                value,
+            )
+            for care, value in pairs
+        ]
+        return cls._make(cubes, variables, mask)
 
     # ------------------------------------------------------------------ #
     # Basic protocol
@@ -412,6 +432,20 @@ class Cover:
     def with_variables(self, variables: Iterable[str]) -> "Cover":
         """Return the same cover declared over a (larger) variable universe."""
         return Cover(self._cubes, variables)
+
+
+#: an off- or dc-set handed to the minimizer or the correctness check: a
+#: :class:`Cover`, or its cubes as packed ``(care, value)`` pairs
+CubeSet = Union[Cover, list[tuple[int, int]]]
+
+
+def cube_pairs(cubes: Optional[CubeSet]) -> list[tuple[int, int]]:
+    """The packed ``(care, value)`` pairs of a cube set (``None`` is empty)."""
+    if cubes is None:
+        return []
+    if isinstance(cubes, Cover):
+        return [(cube._care, cube._value) for cube in cubes._cubes]
+    return cubes
 
 
 def _merged_universe(

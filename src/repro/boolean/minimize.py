@@ -11,8 +11,11 @@ This module provides that machinery in a generic form:
 * :func:`minimize_cover` — expand + irredundant, the standard reduction loop.
 
 The off-set never has to be complemented explicitly by callers: synthesis code
-hands in the off-set cover it already owns (binary codes of markings where the
-function must be 0).
+hands in the off-set it already owns (binary codes of markings where the
+function must be 0).  Off- and dc-sets may be given as a :class:`Cover` or as
+packed ``(care, value)`` pairs (:data:`~repro.boolean.cover.CubeSet`); the
+state-based flow passes the pairs its orthogonal split emits, so no
+:class:`~repro.boolean.cube.Cube` is built for them.
 
 The loops run on packed ``(care, value)`` ints.  Expansion transposes the
 off-set into one *column* per literal: an int whose bit *j* is set when
@@ -31,7 +34,13 @@ from itertools import accumulate
 from operator import and_
 from typing import Optional
 
-from repro.boolean.cover import Cover, _covers_packed, _remove_contained_packed
+from repro.boolean.cover import (
+    Cover,
+    CubeSet,
+    _covers_packed,
+    _remove_contained_packed,
+    cube_pairs,
+)
 from repro.boolean.cube import Cube
 from repro.boolean.interning import _VAR_INDEX, names_of_mask
 
@@ -47,7 +56,7 @@ def expand_cover(cover: Cover, off_set: Cover) -> Cover:
     deterministic.  A literal is dropped when the enlarged cube still does
     not intersect ``off_set``.
     """
-    kept = _remove_contained_packed(_expand(cover._cubes, off_set))
+    kept = _remove_contained_packed(_expand(cover._cubes, cube_pairs(off_set)))
     return Cover._make([_materialize(entry) for entry in kept], cover._variables, cover._mask)
 
 
@@ -58,21 +67,21 @@ def irredundant_cover(cover: Cover, dc_set: Optional[Cover] = None) -> Cover:
     count (most specific) to smallest, and removed when redundant.
     """
     entries = [(cube, cube._care, cube._value) for cube in cover._cubes]
-    kept = _irredundant(entries, dc_set)
+    kept = _irredundant(entries, cube_pairs(dc_set))
     return Cover([cube for cube, _, _ in kept], cover.variables)
 
 
 def minimize_cover(
     on_set: Cover,
-    off_set: Cover,
-    dc_set: Optional[Cover] = None,
+    off_set: CubeSet,
+    dc_set: Optional[CubeSet] = None,
 ) -> Cover:
     """Expand + irredundant minimization of a cover of the on-set.
 
     The result contains ``on_set`` and does not intersect ``off_set``.
     """
-    expanded = _remove_contained_packed(_expand(on_set._cubes, off_set))
-    kept = _irredundant(expanded, dc_set)
+    expanded = _remove_contained_packed(_expand(on_set._cubes, cube_pairs(off_set)))
+    kept = _irredundant(expanded, cube_pairs(dc_set))
     variables, mask = on_set._variables, on_set._mask
     reduced = Cover._make([_materialize(entry) for entry in kept], variables, mask)
     # Guard: never return a cover that lost part of the on-set.
@@ -81,34 +90,18 @@ def minimize_cover(
     return reduced
 
 
-def single_cube_cover(on_set: Cover, off_set: Cover) -> Optional[Cube]:
-    """Try to find a single cube that covers the on-set and avoids the off-set.
-
-    Returns the supercube of the on-set if it is an implicant, else ``None``.
-    """
-    if on_set.is_empty():
-        return None
-    cubes = on_set.cubes
-    super_cube = cubes[0]
-    for cube in cubes[1:]:
-        super_cube = super_cube.supercube(cube)
-    if off_set.intersects_cube(super_cube):
-        return None
-    return super_cube
-
-
 # ---------------------------------------------------------------------- #
 # Packed kernel
 # ---------------------------------------------------------------------- #
 
 
-def _expand(cubes: list[Cube], off_set: Cover) -> list[_Entry]:
-    """Every cube expanded against ``off_set``, in input order."""
-    rows = off_set._cubes[::-1]  # row j lands on bit j of a parsed string
+def _expand(cubes: list[Cube], off_pairs: list[tuple[int, int]]) -> list[_Entry]:
+    """Every cube expanded against the off-set pairs, in input order."""
+    rows = off_pairs[::-1]  # row j lands on bit j of a parsed string
     full = (1 << len(rows)) - 1
     bound = 0  # variables some off-set cube binds
-    for row in rows:
-        bound |= row._care
+    for row_care, _ in rows:
+        bound |= row_care
     support = 0
     for cube in cubes:
         support |= cube._care
@@ -119,8 +112,10 @@ def _expand(cubes: list[Cube], off_set: Cover) -> list[_Entry]:
     while support:
         bit = support & -support
         support ^= bit
-        ones = "".join(["1" if row._value & bit else "0" for row in rows])
-        zeros = "".join(["1" if (row._care ^ row._value) & bit else "0" for row in rows])
+        ones = "".join(["1" if row_value & bit else "0" for _, row_value in rows])
+        zeros = "".join(
+            ["1" if (row_care ^ row_value) & bit else "0" for row_care, row_value in rows]
+        )
         positive[bit] = full ^ int(zeros, 2)
         negative[bit] = full ^ int(ones, 2)
     # A literal no off-set cube binds never changes an AND: it is dropped
@@ -166,9 +161,8 @@ def _name_order(care: int) -> tuple[int, ...]:
     return tuple(1 << _VAR_INDEX[name] for name in sorted(names_of_mask(care)))
 
 
-def _irredundant(entries: list[_Entry], dc_set: Optional[Cover]) -> list[_Entry]:
+def _irredundant(entries: list[_Entry], dc_pairs: list[tuple[int, int]]) -> list[_Entry]:
     """Greedy irredundant pass over packed entries (most literals first)."""
-    dc_pairs = [(cube._care, cube._value) for cube in dc_set._cubes] if dc_set else []
     ordered = sorted(entries, key=lambda item: -item[1].bit_count())
     kept = list(ordered)
     for entry in ordered:

@@ -300,8 +300,7 @@ def _signal_problems(
         return states, edges
 
     def off_of(bits: int) -> tuple[tuple[int, int], ...]:
-        cover = encoded.merged_cover_of_codes(regions.code_set(bits))
-        return tuple((cube.care_mask, cube.value_mask) for cube in cover)
+        return tuple(encoded.space_pairs(encoded.key_set_of_bits(bits), complement=False))
 
     ger_plus = regions.ger_bits(signal, "+")
     ger_minus = regions.ger_bits(signal, "-")

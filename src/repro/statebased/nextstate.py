@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
+from repro.boolean.cover import Cover
 from repro.boolean.function import BooleanFunction
 from repro.petri.marking import Marking
 from repro.statebased.regions import SignalRegions, compute_signal_regions
@@ -38,8 +39,10 @@ def next_state_function(
     on_set = regions.codes_of(on_bits)
     off_set = regions.codes_of(off_bits)
     variables = stg.signal_names
-    dc_set = regions.encoded.complement_cover_of_codes(
-        regions.code_set(on_bits) | regions.code_set(off_bits)
+    encoded = regions.encoded
+    dc_set = Cover.from_pairs(
+        encoded.space_pairs(encoded.key_set_of_bits(on_bits | off_bits), complement=True),
+        tuple(variables),
     )
     return BooleanFunction(on_set, off_set, dc_set, variables, name=signal)
 

@@ -66,6 +66,7 @@ class SignalRegions:
         "_br",
         "_ger_cache",
         "_gqr_cache",
+        "_dc_pairs",
     )
 
     def __init__(self, stg: STG, encoded: EncodedReachabilityGraph):
@@ -77,6 +78,7 @@ class SignalRegions:
         self._br: dict[str, int] = {}
         self._ger_cache: dict[tuple[str, str], int] = {}
         self._gqr_cache: dict[tuple[str, int], int] = {}
+        self._dc_pairs: Optional[list[tuple[int, int]]] = None
 
     # ------------------------------------------------------------------ #
     # Bitset accessors (non-copying)
@@ -187,22 +189,27 @@ class SignalRegions:
         """Binary codes of GQR(signal = value)."""
         return self.encoded.cover_of_bits(self.gqr_bits(signal, value))
 
-    def used_code_set(self) -> set[int]:
-        """Distinct packed codes of all reachable markings."""
-        return set(self.encoded.packed_codes)
-
     def code_set(self, bits: int) -> set[int]:
         """Distinct packed codes of a state-index bitset."""
         return self.encoded.code_set_of_bits(bits)
 
-    def dc_codes(self) -> Cover:
-        """Binary codes NOT used by any reachable marking (the RG dc-set).
+    def dc_pairs(self) -> list[tuple[int, int]]:
+        """Binary codes NOT used by any reachable marking (the RG dc-set),
+        as disjoint ``(care, value)`` pairs, computed once (do not mutate).
 
-        Computed as the direct orthogonal complement of the used code set —
-        the same minterm semantics as ``universe.sharp(used_codes)`` at a
-        fraction of the cost.
+        The direct orthogonal complement of the used code set — the same
+        minterm semantics as ``universe.sharp(used_codes)`` at a fraction of
+        the cost.  It is the same for every signal, so the memoised state
+        space computes it once.
         """
-        return self.encoded.complement_cover_of_codes(self.used_code_set())
+        if self._dc_pairs is None:
+            encoded = self.encoded
+            self._dc_pairs = encoded.space_pairs(encoded.split_keys(), complement=True)
+        return self._dc_pairs
+
+    def dc_codes(self) -> Cover:
+        """:meth:`dc_pairs` as a cover over the signal universe."""
+        return Cover.from_pairs(self.dc_pairs(), tuple(self.stg.signal_names))
 
 
 def compute_signal_regions(

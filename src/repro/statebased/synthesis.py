@@ -104,13 +104,13 @@ def synthesize_state_based(
 
     targets = signals if signals is not None else stg.non_input_signals
     variables = tuple(stg.signal_names)
-    used_codes = regions.used_code_set()
-    unreachable = regions.dc_codes()
+    used_keys = set(regions.encoded.split_keys())
+    unreachable = regions.dc_pairs()
 
     circuit = Circuit(name=stg.name, signal_order=variables)
     for signal in targets:
         circuit.implementations[signal] = _synthesize_signal(
-            stg, regions, signal, used_codes, unreachable, allow_combinational
+            stg, regions, signal, used_keys, unreachable, allow_combinational
         )
     stats["seconds"] = time.perf_counter() - start
     return StateBasedResult(circuit=circuit, regions=regions, statistics=stats)
@@ -120,37 +120,41 @@ def _synthesize_signal(
     stg: STG,
     regions: SignalRegions,
     signal: str,
-    used_codes: set[int],
-    unreachable: Cover,
+    used_keys: set[int],
+    unreachable: list[tuple[int, int]],
     allow_combinational: bool,
 ):
     """Derive the implementation of one signal from the exact regions.
 
     On-sets stay exact minterm covers (they seed the expansion, so their
     cube list is part of the minimizer's contract); off- and dc-sets are
-    compact merged covers with identical minterm semantics — the minimizer
-    only ever asks semantic questions of them.
+    disjoint ``(care, value)`` pairs with identical minterm semantics — the
+    minimizer only ever asks semantic questions of them.  The complex
+    gate's off-set is the set function's, and the reset function's off-set
+    is the complex gate's on-set, so each is computed once.
     """
     encoded = regions.encoded
     on_bits = regions.ger_bits(signal, "+") | regions.gqr_bits(signal, 1)
     off_bits = regions.ger_bits(signal, "-") | regions.gqr_bits(signal, 0)
+    off_set = encoded.space_pairs(encoded.key_set_of_bits(off_bits), complement=False)
 
     if allow_combinational:
         # Complex gate per signal: a cover of the full next-state function.
         on_set = regions.codes_of(on_bits)
-        off_set = encoded.merged_cover_of_codes(regions.code_set(off_bits))
         cover = minimize_cover(on_set, off_set, unreachable)
         if check_cover_correctness(on_set, off_set, cover):
             # only keep the combinational form when it is actually cheaper
             set_candidate, reset_candidate = _set_reset_covers(
-                stg, regions, signal, used_codes
+                stg, regions, signal, used_keys, on_bits, off_set
             )
             latch_cost = set_candidate.num_literals() + reset_candidate.num_literals() + 4
             if cover.num_literals() <= latch_cost:
                 return combinational_implementation(signal, cover)
             return latch_implementation(signal, set_candidate, reset_candidate)
 
-    set_cover, reset_cover = _set_reset_covers(stg, regions, signal, used_codes)
+    set_cover, reset_cover = _set_reset_covers(
+        stg, regions, signal, used_keys, on_bits, off_set
+    )
     return latch_implementation(signal, set_cover, reset_cover)
 
 
@@ -158,25 +162,25 @@ def _set_reset_covers(
     stg: STG,
     regions: SignalRegions,
     signal: str,
-    used_codes: set[int],
+    used_keys: set[int],
+    on_bits: int,
+    set_off: list[tuple[int, int]],
 ) -> tuple[Cover, Cover]:
-    """Minimized set and reset covers against the exact off-sets."""
+    """Minimized set and reset covers against the exact off-sets.
+
+    ``on_bits`` are the states of ``GER(+) ∪ GQR(1)``, the reset function's
+    off-set; ``set_off`` is the set function's off-set pairs.
+    """
     encoded = regions.encoded
     ger_plus = regions.ger_codes(signal, "+")
     ger_minus = regions.ger_codes(signal, "-")
-    gqr_one_codes = regions.code_set(regions.gqr_bits(signal, 1))
-    gqr_zero_codes = regions.code_set(regions.gqr_bits(signal, 0))
-
-    set_off = encoded.merged_cover_of_codes(
-        regions.code_set(regions.ger_bits(signal, "-") | regions.gqr_bits(signal, 0))
-    )
-    reset_off = encoded.merged_cover_of_codes(
-        regions.code_set(regions.ger_bits(signal, "+") | regions.gqr_bits(signal, 1))
-    )
+    reset_off = encoded.space_pairs(encoded.key_set_of_bits(on_bits), complement=False)
     # dc = quiescent-region codes plus all unreachable codes, i.e. the
     # complement of the used codes outside the quiescent region
-    set_dc = encoded.complement_cover_of_codes(used_codes - gqr_one_codes)
-    reset_dc = encoded.complement_cover_of_codes(used_codes - gqr_zero_codes)
+    gqr_one_keys = encoded.key_set_of_bits(regions.gqr_bits(signal, 1))
+    gqr_zero_keys = encoded.key_set_of_bits(regions.gqr_bits(signal, 0))
+    set_dc = encoded.space_pairs(used_keys - gqr_one_keys, complement=True)
+    reset_dc = encoded.space_pairs(used_keys - gqr_zero_keys, complement=True)
     set_cover = minimize_cover(ger_plus, set_off, set_dc)
     reset_cover = minimize_cover(ger_minus, reset_off, reset_dc)
 

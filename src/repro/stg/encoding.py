@@ -17,10 +17,18 @@ exact order the reference propagation visits edges), so encoding is a
 by-product of exploration rather than a second dict pass.  The dict-based
 propagation is retained as :func:`_reference_encode_codes` — the oracle for
 the differential tests and the documentation of the semantics.
+
+The state-based function sets (off-sets, dc-sets) leave this module as
+packed ``(care, value)`` pairs: :meth:`EncodedReachabilityGraph.space_pairs`
+splits a code set orthogonally over the sorted per-state split keys and
+emits disjoint cubes with no literal dict, which the minimizer reads as they
+are.  :func:`_reference_space_cover` keeps the list-splitting recursion it
+replaced.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from typing import Iterable, Iterator, Optional
 
@@ -95,6 +103,7 @@ class EncodedReachabilityGraph:
         "_dict_cache",
         "_cube_cache",
         "_columns",
+        "_keys",
     )
 
     def __init__(
@@ -149,6 +158,7 @@ class EncodedReachabilityGraph:
         self._dict_cache: dict[int, dict[str, int]] = {}
         self._cube_cache: dict[int, Cube] = {}
         self._columns: Optional[dict[str, int]] = None
+        self._keys: Optional[list[int]] = None
 
     # ------------------------------------------------------------------ #
     # Index-space accessors (non-copying; the compiled synthesis/verify
@@ -263,56 +273,73 @@ class EncodedReachabilityGraph:
         packed = self._packed
         return {packed[index] for index in state_indices(bits)}
 
-    def _prefix_cube(self, care: int, value: int) -> Cube:
-        literals = {
-            signal: (value >> bit) & 1
-            for signal, bit in zip(self._signal_order, self._signal_bits)
-            if care >> bit & 1
-        }
-        return Cube._raw(literals, care, value)
+    def split_keys(self) -> list[int]:
+        """Per-state split keys, computed once (the internal list — do not mutate).
 
-    def _space_cover(self, codes: Iterable[int], complement: bool) -> Cover:
-        """Disjoint cube cover of a code set (or of its complement).
+        The key of a code holds its signal bits in split order (the signal
+        order), the first signal most significant: sorting keys lists the
+        codes in the depth-first order of :meth:`space_pairs`'s orthogonal
+        split, so every subspace is a contiguous run of the sorted keys.
+        Two states share a key iff they share a code.
+        """
+        if self._keys is None:
+            top = len(self._signal_bits) - 1
+            shifts = [(bit, top - depth) for depth, bit in enumerate(self._signal_bits)]
+            keys = []
+            for code in self._packed:
+                key = 0
+                for bit, shift in shifts:
+                    key |= (code >> bit & 1) << shift
+                keys.append(key)
+            self._keys = keys
+        return self._keys
 
-        Recursive orthogonal splitting over the signal bits: a subspace
-        wholly inside the set (or, for ``complement=True``, wholly outside
-        it) is emitted as one cube.  Cost is O(|codes| · #signals) — this is
+    def key_set_of_bits(self, bits: int) -> set[int]:
+        """Distinct split keys of a state-index bitset."""
+        keys = self.split_keys()
+        return {keys[index] for index in state_indices(bits)}
+
+    def space_pairs(self, keys: Iterable[int], complement: bool) -> list[tuple[int, int]]:
+        """Disjoint ``(care, value)`` cubes of a code set (or of its complement).
+
+        ``keys`` are the codes' split keys (:meth:`split_keys`,
+        :meth:`key_set_of_bits`; duplicates are ignored).  Orthogonal
+        splitting over the signal bits in signal order: a subspace wholly
+        inside the set (or, for ``complement=True``, wholly outside it) is
+        emitted as one cube, zero half first.  Over the sorted keys every
+        subspace is a ``[lo, hi)`` range and each split is one bisection,
+        so no sub-list is built per level.  Cost is O(|keys| · #signals) —
         what replaces ``Cover.universe(...).sharp(minterms)`` (quadratic in
-        the number of reachable codes) for dc-sets, and what compacts the
-        off-set covers the minimizer probes: the emitted cover has the exact
-        minterm semantics of the code set, which is all the minimizer's
-        predicates (``intersects_cube``/``covers_cube``/``contains_cover``)
-        depend on.
+        the number of reachable codes) for dc-sets and compacts the off-sets
+        the minimizer probes; the pairs have the exact minterm semantics of
+        the code set, which is all the minimizer's predicates depend on.
+        :func:`_reference_space_cover` is the list-splitting recursion this
+        replaces, and emits the same cubes in the same order.
         """
         bits = self._signal_bits
         dimensions = len(bits)
-        cubes: list[Cube] = []
+        ordered = sorted(set(keys))
+        pairs: list[tuple[int, int]] = []
+        emit = pairs.append
 
-        def recurse(subset: list[int], depth: int, care: int, value: int) -> None:
-            if not subset:
+        def split(lo: int, hi: int, depth: int, prefix: int, care: int, value: int) -> None:
+            size = hi - lo
+            if not size:
                 if complement:
-                    cubes.append(self._prefix_cube(care, value))
+                    emit((care, value))
                 return
-            if len(subset) == 1 << (dimensions - depth):
+            if size == 1 << (dimensions - depth):
                 if not complement:
-                    cubes.append(self._prefix_cube(care, value))
+                    emit((care, value))
                 return
+            half = 1 << (dimensions - 1 - depth)
+            middle = bisect_left(ordered, prefix | half, lo, hi)
             bit = 1 << bits[depth]
-            zeros = [c for c in subset if not c & bit]
-            ones = [c for c in subset if c & bit]
-            recurse(zeros, depth + 1, care | bit, value)
-            recurse(ones, depth + 1, care | bit, value | bit)
+            split(lo, middle, depth + 1, prefix, care | bit, value)
+            split(middle, hi, depth + 1, prefix | half, care | bit, value | bit)
 
-        recurse(sorted(set(codes)), 0, 0, 0)
-        return Cover._make(cubes, self._signal_order, self._signals_mask)
-
-    def merged_cover_of_codes(self, codes: Iterable[int]) -> Cover:
-        """Compact (merged, disjoint) cover with exactly the given codes."""
-        return self._space_cover(codes, complement=False)
-
-    def complement_cover_of_codes(self, codes: Iterable[int]) -> Cover:
-        """Compact cover of every code NOT in the given set."""
-        return self._space_cover(codes, complement=True)
+        split(0, len(ordered), 0, 0, 0, 0)
+        return pairs
 
     # ------------------------------------------------------------------ #
     # Name-based boundary API (unchanged semantics)
@@ -342,21 +369,6 @@ class EncodedReachabilityGraph:
     def value(self, marking: Marking, signal: str) -> int:
         """Binary value of one signal at a marking."""
         return (self.code_int(marking) >> self._bit_of[signal]) & 1
-
-    def markings_with_code(self, code: dict[str, int]) -> list[Marking]:
-        """All markings whose code matches the (possibly partial) assignment."""
-        care = 0
-        value = 0
-        for signal, bound in code.items():
-            bit = 1 << self._bit_of[signal]
-            care |= bit
-            if bound:
-                value |= bit
-        return [
-            marking
-            for marking, packed in zip(self.marking_list, self._packed)
-            if packed & care == value
-        ]
 
     def codes(self) -> dict[Marking, dict[str, int]]:
         """A copy of the full marking→code mapping."""
@@ -581,3 +593,33 @@ def _reference_encode_reachability_graph(
             initial_values[signal] = 0
     codes = _reference_encode_codes(stg, graph, initial_values, strict)
     return EncodedReachabilityGraph(stg, graph, codes, initial_values)
+
+
+def _reference_space_cover(
+    encoded: EncodedReachabilityGraph, codes: Iterable[int], complement: bool
+) -> Cover:
+    """Reference list-splitting recursion of :meth:`EncodedReachabilityGraph.space_pairs`.
+
+    Takes packed codes and copies a zero and a one sub-list per level.
+    """
+    bits = encoded._signal_bits
+    dimensions = len(bits)
+    pairs: list[tuple[int, int]] = []
+
+    def recurse(subset: list[int], depth: int, care: int, value: int) -> None:
+        if not subset:
+            if complement:
+                pairs.append((care, value))
+            return
+        if len(subset) == 1 << (dimensions - depth):
+            if not complement:
+                pairs.append((care, value))
+            return
+        bit = 1 << bits[depth]
+        zeros = [c for c in subset if not c & bit]
+        ones = [c for c in subset if c & bit]
+        recurse(zeros, depth + 1, care | bit, value)
+        recurse(ones, depth + 1, care | bit, value | bit)
+
+    recurse(sorted(set(codes)), 0, 0, 0)
+    return Cover.from_pairs(pairs, encoded._signal_order)

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.boolean.cover import Cover
+from repro.boolean.cover import Cover, CubeSet, cube_pairs
 from repro.statebased.regions import SignalRegions
+from repro.stg.encoding import state_indices
 from repro.stg.stg import STG
 from repro.structural.approximation import SignalRegionApproximation
 
@@ -41,15 +42,23 @@ class ConditionReport:
 
 def check_cover_correctness(
     on_set: Cover,
-    off_set: Cover,
+    off_set: CubeSet,
     cover: Cover,
     what: str = "cover",
 ) -> ConditionReport:
-    """Equation (2): ``on_set ⊆ cover`` and ``cover ∩ off_set = ∅``."""
+    """Equation (2): ``on_set ⊆ cover`` and ``cover ∩ off_set = ∅``.
+
+    ``off_set`` is a :class:`Cover` or its packed ``(care, value)`` pairs.
+    """
     violations: list[str] = []
     if not cover.contains_cover(on_set):
         violations.append(f"{what} does not cover its excitation region")
-    if cover.intersects_cover(off_set):
+    off_pairs = cube_pairs(off_set)
+    if any(
+        not (cube._value ^ value) & cube._care & care
+        for cube in cover
+        for care, value in off_pairs
+    ):
         violations.append(f"{what} intersects its off-set")
     return ConditionReport(not violations, violations)
 
@@ -174,7 +183,59 @@ def check_monotonicity_state_based(
     follows the paper: for every marking of the generalized quiescent region
     whose code is covered, the codes of all *previous* markings of the region
     along any path from the excitation region must be covered too.
+
+    Computed over state-index bitsets: ``bad`` are the uncovered quiescent
+    states outside the excitation region, and the violators are the covered
+    quiescent states with a predecessor in ``bad``; one message per violator,
+    in state order.  :func:`_reference_check_monotonicity_state_based` is the
+    per-state predecessor loop.
     """
+    value = 1 if direction == "+" else 0
+    quiescent = regions.gqr_bits(signal, value)
+    excitation = regions.ger_bits(signal, direction)
+    encoded = regions.encoded
+    covered = _covered_states(cover, encoded.state_columns(), encoded.state_mask)
+    bad = quiescent & ~excitation & ~covered
+    indexed = encoded.indexed()
+    succ = indexed.succ
+    after_bad = 0
+    for state in state_indices(bad):
+        for _, target in succ[state]:
+            after_bad |= 1 << target
+    violations = [
+        f"{signal}{direction}: cover rises again inside the "
+        f"quiescent region at {indexed.marking_list[state]}"
+        for state in state_indices(quiescent & covered & after_bad)
+    ]
+    return ConditionReport(not violations, violations)
+
+
+def _covered_states(cover: Cover, columns: dict[str, int], mask: int) -> int:
+    """States whose code some cube matches, ``code & care == value``.
+
+    A literal on a variable outside the state codes reads that variable as
+    0, exactly as the packed test does.
+    """
+    result = 0
+    for cube in cover:
+        acc = mask
+        for variable, bound in cube._literals.items():
+            column = columns.get(variable, 0)
+            acc &= column if bound else mask & ~column
+            if not acc:
+                break
+        result |= acc
+    return result
+
+
+def _reference_check_monotonicity_state_based(
+    stg: STG,
+    regions: SignalRegions,
+    signal: str,
+    cover: Cover,
+    direction: str,
+) -> ConditionReport:
+    """Per-state reference of :func:`check_monotonicity_state_based`."""
     value = 1 if direction == "+" else 0
     quiescent = regions.gqr_bits(signal, value)
     excitation = regions.ger_bits(signal, direction)

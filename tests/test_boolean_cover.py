@@ -15,6 +15,7 @@ from repro.boolean.cover import (
     _reference_intersection,
     _reference_sharp_cube,
     _reference_union,
+    cube_pairs,
 )
 from repro.boolean.cube import Cube
 from repro.boolean.function import BooleanFunction
@@ -25,12 +26,12 @@ from repro.boolean.minimize import (
     expand_cover,
     irredundant_cover,
     minimize_cover,
-    single_cube_cover,
 )
 from repro.boolean.cost import literal_count, sop_transistor_estimate, transistor_estimate
 from repro.experiments.optimality_gap import GAP_SPECS
 from repro.petri.reachability import StateSpaceLimitExceeded, count_reachable_markings
 from repro.statebased.synthesis import StateBasedSynthesisError
+from repro.synthesis.conditions import check_cover_correctness
 
 VARS = ["a", "b", "c", "d"]
 
@@ -119,14 +120,6 @@ class TestMinimizer:
         reduced = irredundant_cover(cover)
         assert len(reduced) == 1
 
-    def test_single_cube_cover(self):
-        on_set = Cover.from_strings(["110-", "100-"], VARS)
-        off_set = Cover.from_strings(["0---"], VARS)
-        cube = single_cube_cover(on_set, off_set)
-        assert cube == Cube({"a": 1, "c": 0})
-        blocked = single_cube_cover(on_set, Cover.from_strings(["1-01"], VARS))
-        assert blocked is None
-
     @given(cover_strategy(), cover_strategy())
     @settings(max_examples=40, deadline=None)
     def test_minimize_is_correct_for_disjoint_sets(self, on_set, noise):
@@ -211,6 +204,14 @@ class TestPackedMinimizerDifferential:
         reference = _reference_minimize(on_set, off_set, dc_set)
         assert _cube_list(result) == _cube_list(reference)
         assert result.variables == reference.variables
+        # the same sets handed over as packed (care, value) pairs
+        packed = minimize_cover(on_set, cube_pairs(off_set), cube_pairs(dc_set))
+        assert _cube_list(packed) == _cube_list(reference)
+        # the arbitrary off-set may meet the on-set itself
+        for cover in (on_set, result):
+            meets = cover.intersects_cover(off_set)
+            for off in (off_set, cube_pairs(off_set)):
+                assert check_cover_correctness(on_set, off, cover).satisfied == (not meets)
 
     def test_irredundant_keeps_reference_identity_semantics(self):
         # the same cube object twice: neither copy is ever "the rest"
@@ -246,7 +247,12 @@ class TestPackedMinimizerDifferential:
         assert len(replayed) >= 20, replayed
         assert len(calls) >= 200, len(calls)
         for on_set, off_set, dc_set, result in calls:
-            assert _cube_list(result) == _cube_list(_reference_minimize(on_set, off_set, dc_set))
+            # the flow hands its off- and dc-sets over as packed pairs
+            off_cover = Cover.from_pairs(off_set, on_set.variables)
+            dc_cover = Cover.from_pairs(dc_set, on_set.variables)
+            assert _cube_list(result) == _cube_list(
+                _reference_minimize(on_set, off_cover, dc_cover)
+            )
 
 
 # ---------------------------------------------------------------------- #

@@ -150,14 +150,6 @@ class TestEncodingDifferential:
         assert encoded.code_view(marking) is encoded.code_view(marking)
         # code_of stays a defensive copy
         assert encoded.code_of(marking) is not encoded.code_view(marking)
-        code = encoded.code_of(marking)
-        assert encoded.markings_with_code(code)
-        partial = {stg.signal_names[0]: code[stg.signal_names[0]]}
-        expected = [
-            m for m in encoded.markings
-            if encoded.code_of(m)[stg.signal_names[0]] == partial[stg.signal_names[0]]
-        ]
-        assert encoded.markings_with_code(partial) == expected
 
 
 # ---------------------------------------------------------------------- #
