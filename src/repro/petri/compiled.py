@@ -76,7 +76,6 @@ class CompiledNet:
     """
 
     __slots__ = (
-        "net",
         "place_names",
         "place_index",
         "transition_names",
@@ -90,7 +89,6 @@ class CompiledNet:
     )
 
     def __init__(self, net: PetriNet):
-        self.net = net
         self.place_names: list[str] = net.places
         self.place_index: dict[str, int] = {
             name: i for i, name in enumerate(self.place_names)
@@ -309,7 +307,6 @@ class CompiledBoundedNet:
     """
 
     __slots__ = (
-        "net",
         "bits",
         "capacity",
         "place_names",
@@ -328,7 +325,6 @@ class CompiledBoundedNet:
     def __init__(self, net: PetriNet, bits: int = 2):
         if bits < 1:
             raise ValueError(f"need at least 1 count bit per place, got {bits}")
-        self.net = net
         self.bits = bits
         self.capacity = (1 << bits) - 1
         width = bits + 1

@@ -22,9 +22,19 @@ For non-free-choice nets the result is a conservative over-approximation,
 which is the safe direction for the synthesis method.
 
 The relation is stored as one bitset row (a plain ``int``) per node over an
-interned node order, so both the fixed point's inner check ("concurrent with
-every input place of ``t``") and the symmetric insertions are single integer
-operations; the name-based accessors decode at the API boundary.
+interned node order; the name-based accessors decode at the API boundary.
+The fixed point keeps a worklist of transitions.  Evaluating ``t`` computes
+every node the rule relates to it at once,
+
+    ``C_t = AND(rows[p] for p in •t) & ~(•t | t• | {t})``,
+
+ORs ``C_t`` into ``rows[t]`` and into ``rows[o]`` for each ``o ∈ t•``, and
+sets the transposed bits of what was new.  ``C_t`` depends only on the rows
+of ``t``'s input places, so ``t`` is queued again only when one of them
+grows.  An evaluation costs ``|•t|`` big-integer ANDs plus one step per
+newly inserted pair, and each pair is inserted once.  The per-pair worklist
+kept as :func:`_reference_compute_concurrency_relation` instead checks the
+rule once per (inserted pair, consumer of its place).
 
 The *signal concurrency relation* SCR relates a node to a signal when it is
 concurrent with some transition of that signal (Definition 3).
@@ -33,7 +43,6 @@ concurrent with some transition of that signal (Definition 3).
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
 
 from repro.stg.stg import STG
 
@@ -175,17 +184,109 @@ class ConcurrencyRelation:
         return relation
 
 
-def compute_concurrency_relation(
-    stg: STG,
-    max_iterations: Optional[int] = None,
-) -> ConcurrencyRelation:
+def compute_concurrency_relation(stg: STG) -> ConcurrencyRelation:
     """Fixed-point computation of the concurrency relation.
 
-    Complexity is polynomial in the size of the net: every pair of nodes is
-    inserted at most once and each insertion triggers work proportional to
-    the adjacent transitions.  The fixed point runs entirely on node indices
-    and bitset rows; names only appear in the seed extraction and in the
-    returned relation's accessors.
+    The worklist holds transitions (see the module docstring): a transition
+    is re-evaluated only after the row of one of its input places grew, and
+    one evaluation applies the inference rule to every node at once.  The
+    fixed point runs entirely on node indices and bitset rows; names only
+    appear in the seed extraction and in the returned relation's accessors.
+    """
+    net = stg.net
+    relation = ConcurrencyRelation(stg)
+    index = relation._index
+    rows = relation._rows
+    num_places = relation._num_places
+
+    def add(i: int, j: int) -> None:
+        if i != j:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+
+    transition_indices = [index[t] for t in net.transitions]
+    pre_places: dict[int, list[int]] = {}
+    post_places: dict[int, list[int]] = {}
+    # per transition: the bits no inferred partner may carry (itself and its
+    # adjacent places)
+    excluded: dict[int, int] = {}
+    consumers: list[list[int]] = [[] for _ in range(num_places)]
+    for transition, t_index in zip(net.transitions, transition_indices):
+        inputs = [index[place] for place in net.preset(transition)]
+        outputs = [index[place] for place in net.postset(transition)]
+        for p_index in inputs:
+            consumers[p_index].append(t_index)
+        mask = 1 << t_index
+        for p_index in inputs + outputs:
+            mask |= 1 << p_index
+        pre_places[t_index] = inputs
+        post_places[t_index] = outputs
+        excluded[t_index] = mask
+
+    # Seed: places simultaneously marked initially.
+    marked = sorted(net.initial_marking.marked_places)
+    marked_indices = [index[p] for p in marked if p in index]
+    for i, first in enumerate(marked_indices):
+        for second in marked_indices[i + 1:]:
+            add(first, second)
+    # Seed: output places of the same transition are simultaneously marked
+    # right after it fires.
+    for t_index in transition_indices:
+        outputs = post_places[t_index]
+        for i, first in enumerate(outputs):
+            for second in outputs[i + 1:]:
+                add(first, second)
+
+    # Propagation: ``C_t`` is every node concurrent with all input places of
+    # ``t``; it becomes concurrent with ``t`` and with every output place of
+    # ``t``.  A place whose row grows re-queues its consumers, the only
+    # transitions whose ``C_t`` can grow with it.
+    place_mask = (1 << num_places) - 1
+    queued = [False] * len(rows)
+    worklist: deque[int] = deque()
+    for t_index in transition_indices:
+        if pre_places[t_index]:
+            queued[t_index] = True
+            worklist.append(t_index)
+    while worklist:
+        t_index = worklist.popleft()
+        queued[t_index] = False
+        inputs = pre_places[t_index]
+        common = rows[inputs[0]]
+        for p_index in inputs[1:]:
+            common &= rows[p_index]
+        common &= ~excluded[t_index]
+        grown = 0  # places whose row gained a bit
+        for target in (t_index, *post_places[t_index]):
+            new = common & ~rows[target]
+            if not new:
+                continue
+            rows[target] |= new
+            bit = 1 << target
+            grown |= new & place_mask
+            if target < num_places:
+                grown |= bit
+            while new:
+                low = new & -new
+                rows[low.bit_length() - 1] |= bit
+                new ^= low
+        while grown:
+            low = grown & -grown
+            for consumer in consumers[low.bit_length() - 1]:
+                if not queued[consumer]:
+                    queued[consumer] = True
+                    worklist.append(consumer)
+            grown ^= low
+    return relation
+
+
+def _reference_compute_concurrency_relation(stg: STG) -> ConcurrencyRelation:
+    """Per-pair worklist fixed point: the differential oracle.
+
+    Every pair of nodes is queued once when it is inserted, and each pair
+    re-checks the inference rule for the consumers of its places.
+    :func:`compute_concurrency_relation` returns the same rows
+    (``tests/test_structural_fixed_points.py`` pins this).
     """
     net = stg.net
     relation = ConcurrencyRelation(stg)
@@ -247,11 +348,7 @@ def compute_concurrency_relation(
     # inlined: it runs once per (pair, adjacent transition) and dominates the
     # fixed point on densely concurrent nets.
     popleft = worklist.popleft
-    iterations = 0
     while worklist:
-        iterations += 1
-        if max_iterations is not None and iterations > max_iterations:
-            raise RuntimeError("concurrency fixed point did not converge in time")
         first, second = popleft()
         for node, other in ((first, second), (second, first)):
             if other >= num_places:

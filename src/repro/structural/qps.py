@@ -54,7 +54,6 @@ class _WalkEngine:
     """Mask-based directional walks over one STG's compiled net."""
 
     def __init__(self, stg: STG):
-        self.stg = stg
         compiled = compile_net(stg.net)
         self.compiled = compiled
         self.place_names = compiled.place_names
