@@ -16,8 +16,8 @@ verification; PR5 the durable-workspace batch throughput from
 ``bench_store.py``; PR7 the corpus generator / fuzzing-farm throughput and
 the k-bounded packed reachability kernel from ``bench_corpus.py``; PR8 the
 exact SAT backend's encode/solve costs and the optimality-gap table from
-``bench_sat.py``; PR9 the prefork serving fleet's saturation throughput,
-tail latency and thundering-herd coalescing from ``bench_fleet.py``; PR10
+``bench_sat.py``; PR9 the prefork serving fleet's saturation throughput
+and tail latency from ``bench_fleet.py``; PR10
 the observability subsystem's serving-overhead budget from
 ``bench_obs.py``; since then also the packed two-level minimizer against
 its object reference from ``bench_minimize.py``, and the packed region-cover
@@ -203,9 +203,6 @@ def perf_record(request):
                 workers: row.get("p99_ms")
                 for workers, row in fleet_results.get("saturation", {}).items()
             },
-            "herd_coalescing_hit_rate": fleet_results.get("herd", {}).get(
-                "coalescing_hit_rate"
-            ),
         }
     obs_results = record["results"].get("obs", {})
     if obs_results:

@@ -32,9 +32,8 @@ server degradation (bounded admission, ``/ready``, structured errors).
 Since PR 9 the daemon *scales out*: ``repro serve --workers N`` runs a
 supervised prefork fleet (:mod:`repro.api.fleet`) of ``SO_REUSEPORT``
 workers sharing one store — crashed or hung workers are respawned,
-recycled workers drain gracefully, thundering herds on one cold spec are
-coalesced to a single computation fleet-wide
-(:class:`~repro.api.fleet.SingleFlight`), and the
+recycled workers drain gracefully, every worker resolves a stage like any
+other process (memory → store → compute), and the
 :class:`~repro.api.client.Client` grows a per-endpoint circuit breaker
 and a retry wall-clock budget.
 
@@ -92,7 +91,7 @@ from repro.api.faults import (
     TransientError,
     get_injector,
 )
-from repro.api.fleet import FleetConfig, FleetSupervisor, SingleFlight
+from repro.api.fleet import FleetConfig, FleetSupervisor
 from repro.api.pipeline import Pipeline
 from repro.api.scheduler import (
     NO_RETRY,
@@ -185,7 +184,6 @@ __all__ = [
     "Report",
     "RetryPolicy",
     "Scheduler",
-    "SingleFlight",
     "Spec",
     "SpecError",
     "SpecLike",

@@ -280,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="URL",
         help="stats only: query a running server's /cache/stats instead of "
-        "opening the store locally (includes its coalescing counters)",
+        "opening the store locally",
     )
     _add_store_location(cache)
 
@@ -337,13 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=10.0,
         help="seconds without a worker heartbeat before the supervisor "
         "declares it hung and respawns it (fleet mode only, default 10)",
-    )
-    serve.add_argument(
-        "--hot-cache",
-        type=int,
-        default=256,
-        help="per-worker in-memory LRU of hot store artifacts "
-        "(fleet mode only, 0 disables; default 256)",
     )
     serve.add_argument(
         "--faults",
@@ -699,15 +692,13 @@ def _cmd_cache(args) -> int:
         if args.pattern is not None:
             print("error: `cache stats` takes no pattern", file=sys.stderr)
             return 2
-        flights = None
         if args.url is not None:
-            # a running server's view: its pipeline counters, its store
-            # handle's session numbers, and its single-flight telemetry
+            # a running server's view: its pipeline counters and its store
+            # handle's session numbers
             from repro.api.client import Client
 
             remote = Client(args.url).cache_stats()
             stats = remote.get("store") or {}
-            flights = remote.get("flights")
             if not stats:
                 _emit(remote, args.json, f"{args.url}: no store attached")
                 return 0
@@ -728,24 +719,10 @@ def _cmd_cache(args) -> int:
         for stage, count in stats["per_stage"].items():
             print(f"  {stage}: {count}")
         print(
-            f"  session: {session.get('hits', 0)} hits "
-            f"(+{session.get('lru_hits', 0)} hot-LRU), "
+            f"  session: {session.get('hits', 0)} hits, "
             f"{session.get('misses', 0)} misses, "
             f"{session.get('writes', 0)} writes"
         )
-        print(
-            f"  hot LRU: {session.get('lru_entries', 0)}/"
-            f"{session.get('lru_size', 0)} entries"
-        )
-        if flights is not None:
-            print(
-                f"  flights: {flights.get('led', 0)} led, "
-                f"{flights.get('followed', 0)} coalesced, "
-                f"{flights.get('degraded', 0)} degraded "
-                f"({stats.get('flight_locks', 0)} lock(s) on disk)"
-            )
-        elif stats.get("flight_locks"):
-            print(f"  flights: {stats['flight_locks']} lock(s) on disk")
         if (
             stats["quarantined_entries"]
             or stats["tmp_files"]
@@ -859,7 +836,6 @@ def _cmd_serve(args) -> int:
                 request_timeout=args.request_timeout,
                 faults=faults,
                 verbose=args.verbose,
-                lru_size=args.hot_cache,
                 run_dir=args.run_dir,
                 obs=args.obs,
             )

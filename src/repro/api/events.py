@@ -13,9 +13,7 @@ Event kinds
 
 * ``stage`` — one pipeline stage resolved for one spec.  ``status`` tells
   how: ``computed`` (an actual stage computation), ``memory`` (in-process
-  cache hit), ``store`` (on-disk artifact store hit) or ``coalesced``
-  (served by waiting on another in-flight computation of the same key —
-  the fleet's single-flight path).
+  cache hit) or ``store`` (on-disk artifact store hit).
 * ``job`` — one scheduler job changed state: ``start``, ``done``,
   ``retry`` (a retryable failure or timeout, about to run again),
   ``timeout``, or ``error``; ``index``/``total`` carry batch progress,
@@ -54,7 +52,7 @@ class Event:
 
     kind: str  # "stage" | "job" | "worker"
     spec: str
-    # stage: computed|memory|store|coalesced — job: start|done|retry|timeout|
+    # stage: computed|memory|store — job: start|done|retry|timeout|
     # error — worker: spawn|respawn|recycle
     status: str
     stage: Optional[str] = None  # analyze|refine|synthesize|map|verify|verify_mapped

@@ -32,21 +32,15 @@ Supervision contract
   ``drain_timeout`` seconds are SIGKILLed.  A drained fleet loses no
   admitted request.
 
-Single-flight coalescing
-------------------------
+Stage resolution
+----------------
 
-:class:`SingleFlight` coalesces concurrent computations of one store
-address across the whole fleet: the first requester creates a lock file
-under the store's ``flight_dir`` (``O_CREAT|O_EXCL`` — atomic on every
-POSIX filesystem) and computes; every other thread or worker process that
-misses the store for the same digest *waits* for the leader's atomic store
-write instead of repeating the computation, then serves the stored
-artifact (a ``coalesced`` stage resolution).  A thundering herd of K cold
-requests for one spec costs one computation, not K.  Followers poll with a
-deadline and watch the leader's pid: a crashed leader (its lock records
-the pid) is detected, its lock is stolen, and the follower computes
-locally — coalescing degrades, it never deadlocks and never loses a
-request.
+A worker resolves a stage the way every other process does: its own
+:class:`~repro.api.pipeline.Pipeline` memory, then the shared store, then
+computation.  Its service lock serializes its requests, so a herd of
+concurrent cold requests for one key is computed at most once per worker,
+and the store's atomic writes leave one entry per key whichever worker
+wrote last.
 
 Chaos wiring
 ------------
@@ -73,7 +67,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.api.events import Event, EventCallback
 from repro.api.store import ArtifactStore, TMP_SWEEP_AGE
@@ -85,125 +79,6 @@ EXIT_RECYCLED = 43
 
 #: exit code of a ``worker.kill`` chaos hit (see faults.FaultInjector)
 KILL_EXIT_CODE = 13
-
-
-# ---------------------------------------------------------------------- #
-# Single-flight coalescing
-# ---------------------------------------------------------------------- #
-
-
-class SingleFlight:
-    """Fleet-wide coalescing of in-flight computations over store digests.
-
-    ``acquire(digest)`` elects a leader with an ``O_CREAT|O_EXCL`` lock
-    file recording the leader's pid; ``wait(digest, read)`` is the follower
-    side — poll ``read()`` (typically ``store.peek``) until the leader's
-    write lands, the leader dies, or ``wait_timeout`` passes.  Lock
-    housekeeping is crash-safe: followers steal locks whose owning pid is
-    gone, and :meth:`ArtifactStore.sweep` removes stale locks at startup.
-    """
-
-    def __init__(
-        self,
-        store: ArtifactStore,
-        wait_timeout: float = 120.0,
-        poll_interval: float = 0.01,
-        obs: Optional[Obs] = None,
-    ):
-        self.store = store
-        self.wait_timeout = wait_timeout
-        self.poll_interval = poll_interval
-        self.obs = obs
-        #: telemetry: flights led / successfully coalesced / degraded
-        self.led = 0
-        self.followed = 0
-        self.degraded = 0
-
-    def _count(self, outcome: str) -> None:
-        setattr(self, outcome, getattr(self, outcome) + 1)
-        if self.obs is not None:
-            self.obs.flights.inc(outcome=outcome)
-
-    def _lock_path(self, digest: str) -> Path:
-        return self.store.flight_dir / f"{digest}.flight"
-
-    def acquire(self, digest: str) -> bool:
-        """True when this caller is the leader for ``digest``."""
-        path = self._lock_path(digest)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        except OSError:
-            # an unusable flight dir degrades to uncoalesced computation
-            self._count("degraded")
-            return True
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"pid": os.getpid(), "at": time.time()}))
-        self._count("led")
-        return True
-
-    def release(self, digest: str) -> None:
-        try:
-            self._lock_path(digest).unlink()
-        except OSError:
-            pass
-
-    def _leader_alive(self, digest: str) -> bool:
-        """Best-effort liveness of the lock owner (same-host fleet)."""
-        try:
-            record = json.loads(self._lock_path(digest).read_text(encoding="utf-8"))
-            pid = int(record["pid"])
-        except (OSError, ValueError, KeyError, TypeError):
-            # unreadable/half-written lock: give the owner the benefit of
-            # the doubt until the wait deadline
-            return True
-        if pid == os.getpid():
-            # our own pid: a sibling *thread* leads this flight
-            return True
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except OSError:
-            return True
-        return True
-
-    def wait(self, digest: str, read: Callable[[], Optional[dict]]) -> Optional[dict]:
-        """Follower: poll ``read()`` until the leader's write lands.
-
-        Returns the artifact document, or ``None`` when the caller should
-        compute locally (leader crashed or deadline passed).  A dead
-        leader's lock is stolen (unlinked) so later herds are not blocked.
-        """
-        deadline = time.monotonic() + self.wait_timeout
-        while True:
-            document = read()
-            if document is not None:
-                self._count("followed")
-                return document
-            lock = self._lock_path(digest)
-            if not lock.exists():
-                # the leader released (or was swept): one final read — its
-                # write happens *before* the release
-                document = read()
-                if document is not None:
-                    self._count("followed")
-                else:
-                    self._count("degraded")
-                return document
-            if not self._leader_alive(digest):
-                try:
-                    lock.unlink()
-                except OSError:
-                    pass
-                self._count("degraded")
-                return read()
-            if time.monotonic() >= deadline:
-                self._count("degraded")
-                return None
-            time.sleep(self.poll_interval)
 
 
 # ---------------------------------------------------------------------- #
@@ -227,7 +102,6 @@ class FleetConfig:
     request_timeout: Optional[float] = None
     faults: Optional[str] = None  # fault grammar shipped to every worker
     verbose: bool = False
-    lru_size: int = 256  # per-worker hot-artifact tier above the store
     run_dir: Optional[str] = None  # heartbeat directory (default: tempdir)
     obs: Optional[str] = None  # observability grammar shipped to every worker
 
@@ -245,7 +119,6 @@ class FleetConfig:
             "request_timeout": self.request_timeout,
             "faults": self.faults,
             "verbose": self.verbose,
-            "lru_size": self.lru_size,
             "run_dir": self.run_dir,
             "obs": self.obs,
         }
@@ -417,8 +290,8 @@ class FleetSupervisor:
                 dir=obs.dir or str(self._run_dir), service="supervisor"
             )
         if self.config.store is not None:
-            # startup maintenance: orphaned temp files, stale flight locks
-            # and stale-code-version entries from previous fleets
+            # startup maintenance: orphaned temp files and
+            # stale-code-version entries from previous fleets
             store = ArtifactStore(self.config.store)
             swept = store.sweep(tmp_older_than=TMP_SWEEP_AGE)
             if any(swept.values()):
@@ -595,10 +468,9 @@ class FleetSupervisor:
 def worker_main(config: dict) -> int:
     """Entry point of one fleet worker (``python -m repro.api.fleet --worker``).
 
-    Builds the hardened server of PR 5/6 on a shared-port socket, with the
-    store's hot LRU tier, fleet-wide single-flight coalescing and the
-    per-incarnation chaos schedule, then serves until drained (SIGTERM or
-    the ``max_requests`` recycle budget).
+    Builds the hardened server of PR 5/6 on a shared-port socket over the
+    shared store, with the per-incarnation chaos schedule, then serves
+    until drained (SIGTERM or the ``max_requests`` recycle budget).
     """
     from repro.api.faults import get_injector
     from repro.api.pipeline import Pipeline
@@ -627,20 +499,14 @@ def worker_main(config: dict) -> int:
         obs = obs.reconfigure(
             dir=obs.dir or config.get("run_dir"), service=f"worker{worker_id}"
         )
-    store = None
-    flights = None
-    if config.get("store"):
-        store = ArtifactStore(
-            config["store"], lru_size=int(config.get("lru_size", 0)), obs=obs
-        )
-        flights = SingleFlight(store, obs=obs)
+    store = ArtifactStore(config["store"], obs=obs) if config.get("store") else None
     injector = None
     if config.get("faults"):
         # every incarnation gets its own deterministic schedule: same seed
         # -> same fleet-wide chaos, but a respawned worker does not replay
         # its predecessor's kill decisions (which would loop forever)
         injector = get_injector(config["faults"]).scoped(f"worker{slot}g{generation}")
-    pipeline = Pipeline(store=store, faults=injector, flights=flights, obs=obs)
+    pipeline = Pipeline(store=store, faults=injector, obs=obs)
 
     server = create_server(
         host=config.get("host", "127.0.0.1"),

@@ -19,7 +19,7 @@ stages::
   constructs the typed gate-level netlist (:mod:`repro.gates`);
 * ``verify``     — state-based speed-independence verification, with an
   optional ``verify_mapped`` leg that differentially checks the mapped
-  netlist's gate-level simulation against the behavioural circuit.
+  netlist's compiled gate-level evaluation against the behavioural circuit.
 
 A sixth stage, ``states``, is the state-space front-end every state-based
 consumer reads: the reachability graph, its encoding and the exact regions
@@ -134,7 +134,7 @@ class Pipeline:
     ``stage_calls`` computation counters.
 
     ``on_event`` receives one :class:`~repro.api.events.Event` per stage
-    resolution (status ``computed``/``memory``/``store``/``coalesced``).
+    resolution (status ``computed``/``memory``/``store``).
 
     ``faults`` activates deterministic fault injection
     (:mod:`repro.api.faults`): an injector instance, a grammar string, or
@@ -153,15 +153,11 @@ class Pipeline:
     ``store_hits``/... counters stay untouched either way; when off — the
     default — each resolution pays a single ``is None`` check.
 
-    ``flights`` attaches a :class:`~repro.api.fleet.SingleFlight` coalescer
-    (requires a store): after a store miss, concurrent requests for the
-    same stage key — threads of this process or sibling fleet workers
-    sharing the store — elect one *leader* that computes and persists the
-    artifact while the others wait on the store entry instead of repeating
-    the computation.  A follower that is served this way emits a
-    ``coalesced`` stage event and counts in ``coalesced``; if the leader
-    dies or the wait deadline passes, the follower degrades to computing
-    locally — coalescing is an optimization, never a correctness gate.
+    Every process resolves a stage the same way — a CLI run, a batch pool
+    worker, the single-process daemon or one worker of the serving fleet:
+    memory, then store, then computation.  Two processes that miss the
+    store for one key at the same moment both compute it; their writes are
+    atomic, so the store keeps one entry, the last one written.
     """
 
     def __init__(
@@ -169,7 +165,6 @@ class Pipeline:
         store: Union[ArtifactStore, str, os.PathLike, None] = None,
         on_event: Optional[EventCallback] = None,
         faults: FaultsLike = None,
-        flights=None,
         obs: ObsLike = None,
     ):
         self._cache: dict = {}
@@ -178,7 +173,6 @@ class Pipeline:
         self.faults = get_injector(faults)
         if self.faults is not None and self.store is not None and self.store.faults is None:
             self.store.faults = self.faults
-        self.flights = flights
         self.obs = get_obs(obs)
         if self.obs is not None and self.store is not None and self.store.obs is None:
             self.store.obs = self.obs
@@ -187,9 +181,6 @@ class Pipeline:
         #: per-stage on-disk store outcomes (only touched when a store is set)
         self.store_hits: Counter = Counter()
         self.store_misses: Counter = Counter()
-        #: per-stage computations avoided by waiting on another in-flight
-        #: computation of the same key (thread- or fleet-wide)
-        self.coalesced: Counter = Counter()
 
     # ------------------------------------------------------------------ #
     # Cache plumbing
@@ -221,8 +212,13 @@ class Pipeline:
                 self._emit(spec, stage, "memory")
             return value
         if self.store is not None and artifact_cls is not None:
-            value = self._from_document(key, self.store.get(key), artifact_cls)
+            data = self.store.get(key)
+            try:
+                value = None if data is None else artifact_cls.from_json(data)
+            except (ValueError, KeyError, TypeError):
+                value = None  # a malformed entry degrades to recomputation
             if value is not None:
+                self._cache[key] = value
                 self.store_hits[stage] += 1
                 if self.obs is not None:
                     self.obs.stage_resolutions.inc(stage=stage, source="store")
@@ -230,56 +226,6 @@ class Pipeline:
                     self._emit(spec, stage, "store")
                 return value
             self.store_misses[stage] += 1
-            if self.flights is not None:
-                return self._memo_flight(key, compute, spec, artifact_cls)
-        return self._compute_entry(key, compute, spec, artifact_cls)
-
-    def _from_document(self, key: tuple, data, artifact_cls):
-        """Parse a store document into a cached artifact (``None`` on damage)."""
-        if data is None:
-            return None
-        try:
-            value = artifact_cls.from_json(data)
-        except (ValueError, KeyError, TypeError):
-            # a malformed entry degrades to recomputation
-            return None
-        self._cache[key] = value
-        return value
-
-    def _memo_flight(self, key: tuple, compute, spec, artifact_cls):
-        """Single-flight resolution of a store miss (fleet-wide coalescing).
-
-        Elect a leader over the store's content address: the leader computes
-        and persists as usual; followers wait for the leader's store write
-        and parse it instead of repeating the computation.  A follower whose
-        leader vanishes (crash, timeout) computes locally — degraded, never
-        wrong.
-        """
-        stage = key[0]
-        digest = self.store.digest_of(key)
-        if self.flights.acquire(digest):
-            try:
-                if self.obs is not None:
-                    with self.obs.tracer.span("flight:leader", stage=stage):
-                        return self._compute_entry(key, compute, spec, artifact_cls)
-                return self._compute_entry(key, compute, spec, artifact_cls)
-            finally:
-                self.flights.release(digest)
-        start = time.perf_counter()
-        if self.obs is not None:
-            with self.obs.tracer.span("flight:wait", stage=stage):
-                document = self.flights.wait(digest, lambda: self.store.peek(key))
-        else:
-            document = self.flights.wait(digest, lambda: self.store.peek(key))
-        value = self._from_document(key, document, artifact_cls)
-        if value is not None:
-            self.coalesced[stage] += 1
-            self.store_hits[stage] += 1
-            if self.obs is not None:
-                self.obs.stage_resolutions.inc(stage=stage, source="coalesced")
-            if spec is not None:
-                self._emit(spec, stage, "coalesced", seconds=time.perf_counter() - start)
-            return value
         return self._compute_entry(key, compute, spec, artifact_cls)
 
     def _compute_entry(self, key: tuple, compute, spec, artifact_cls):
@@ -346,7 +292,6 @@ class Pipeline:
         self.stage_calls.clear()
         self.store_hits.clear()
         self.store_misses.clear()
-        self.coalesced.clear()
 
     # ------------------------------------------------------------------ #
     # Stage: states (memory only)
@@ -623,9 +568,11 @@ class Pipeline:
     ) -> MappedVerificationArtifact:
         """Differentially verify the mapped netlist against the behaviour.
 
-        The gate-level event simulation of the ``map`` stage's netlist is
-        compared with ``Circuit.next_values`` over every distinct reachable
-        state code of the specification.
+        The ``map`` stage's netlist runs through its compiled column
+        evaluator (:func:`repro.gates.compiled.compile_netlist`) and is
+        compared with ``Circuit.next_value_columns`` on every reachable
+        state of the specification at once, over the state space's
+        per-signal columns; each differing code is reported once.
         """
         spec = Spec.load(spec)
         options = options or SynthesisOptions()

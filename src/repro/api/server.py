@@ -243,7 +243,7 @@ class SynthesisService:
     def _resolution(events) -> dict:
         """How the stage ``events`` of one request resolved: counts per
         status, plus the stages in order."""
-        counts = {"computed": 0, "memory": 0, "store": 0, "coalesced": 0}
+        counts = {"computed": 0, "memory": 0, "store": 0}
         stages = []
         for event in events:
             counts[event.status] = counts.get(event.status, 0) + 1
@@ -380,7 +380,6 @@ class SynthesisService:
             "stage_calls": dict(self.pipeline.stage_calls),
             "store_hits": dict(self.pipeline.store_hits),
             "store_misses": dict(self.pipeline.store_misses),
-            "coalesced": dict(self.pipeline.coalesced),
             "memory_entries": self.pipeline.cache_info(),
             "evictions": self.evictions,
             "requests": self.requests,
@@ -388,13 +387,6 @@ class SynthesisService:
         }
         if self.worker_id is not None:
             stats["worker"] = self.worker_id
-        flights = getattr(self.pipeline, "flights", None)
-        if flights is not None:
-            stats["flights"] = {
-                "led": flights.led,
-                "followed": flights.followed,
-                "degraded": flights.degraded,
-            }
         if self.pipeline.store is not None:
             stats["store"] = self.pipeline.store.stats()
         return stats

@@ -19,8 +19,9 @@ treated as a miss, never as an error — a stale store degrades to
 recomputation, it cannot poison results.
 
 Writes are atomic (temp file + ``os.replace``) so concurrent writers —
-process-pool batch workers, server threads — can share a store without
-locking; both sides of a race write byte-identical content.
+process-pool batch workers, server threads, fleet workers — can share a
+store without locking; both sides of a race write the same artifact
+(timing fields aside), and the last rename wins.
 
 Crash safety (PR 6): a corrupt entry found on read is *quarantined* — moved
 to ``v1/quarantine/`` next to a ``*.reason.json`` record — instead of being
@@ -32,11 +33,10 @@ durability mode for stores that must survive power loss, not just process
 death.  Deterministic fault injection (:mod:`repro.api.faults`) hooks the
 read, write and corruption paths so all of this is testable on demand.
 
-Hot tier (PR 9): ``lru_size=N`` adds a bounded in-memory LRU of artifact
-documents *above* the disk tier, so a serving worker's hottest digests skip
-the open/parse cost entirely; ``peek()`` is the uncounted, fault-free read
-the fleet's single-flight followers poll, and ``flight_dir`` holds the
-cross-process coalescing locks (stale ones are removed by ``sweep()``).
+The store is the only tier below a pipeline's in-process memory: every
+read opens and parses the entry file.  ``peek()`` is the uncounted,
+fault-free variant of ``get()`` for callers that must not move the
+counters or fire injected faults.
 
 The default location is ``~/.cache/repro`` (or ``$REPRO_STORE``); every API
 entry point accepts an explicit path instead.
@@ -49,9 +49,7 @@ import hashlib
 import json
 import os
 import tempfile
-import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
 from typing import Optional, Union
 
@@ -122,12 +120,6 @@ class ArtifactStore:
         registry (``repro_store_reads_total`` by outcome, ...).  Same
         zero-overhead-when-off discipline as ``faults``; the owning
         pipeline usually attaches this after construction.
-    lru_size:
-        Hot tier: keep up to this many artifact documents in a bounded
-        in-memory LRU keyed on the content digest, so repeated reads of a
-        hot digest skip the filesystem entirely.  ``0`` (the default)
-        disables the tier — batch and test workloads keep the exact
-        disk-level semantics, serving workers opt in.
     """
 
     def __init__(
@@ -136,7 +128,6 @@ class ArtifactStore:
         code_version: str = CODE_VERSION,
         fsync: Optional[bool] = None,
         faults=None,
-        lru_size: int = 0,
         obs=None,
     ):
         self.root = Path(root).expanduser() if root is not None else default_store_path()
@@ -156,11 +147,6 @@ class ArtifactStore:
         self.quarantined = 0
         #: orphaned temp files this handle swept
         self.tmp_swept = 0
-        #: hot-tier configuration and counters (PR 9)
-        self.lru_size = max(0, int(lru_size))
-        self.lru_hits = 0
-        self._lru: "OrderedDict[str, dict]" = OrderedDict()
-        self._lru_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Addressing
@@ -178,34 +164,6 @@ class ArtifactStore:
     def quarantine_dir(self) -> Path:
         return self.root / f"v{LAYOUT_VERSION}" / "quarantine"
 
-    @property
-    def flight_dir(self) -> Path:
-        """Cross-process single-flight locks (one file per in-flight digest)."""
-        return self.root / f"v{LAYOUT_VERSION}" / "flight"
-
-    # ------------------------------------------------------------------ #
-    # Hot tier
-    # ------------------------------------------------------------------ #
-
-    def _lru_get(self, digest: str) -> Optional[dict]:
-        if not self.lru_size:
-            return None
-        with self._lru_lock:
-            artifact = self._lru.get(digest)
-            if artifact is not None:
-                self._lru.move_to_end(digest)
-                self.lru_hits += 1
-            return artifact
-
-    def _lru_insert(self, digest: str, artifact: dict) -> None:
-        if not self.lru_size:
-            return
-        with self._lru_lock:
-            self._lru[digest] = artifact
-            self._lru.move_to_end(digest)
-            while len(self._lru) > self.lru_size:
-                self._lru.popitem(last=False)
-
     # ------------------------------------------------------------------ #
     # Read / write
     # ------------------------------------------------------------------ #
@@ -218,14 +176,7 @@ class ArtifactStore:
         re-read and re-failed forever.  Injected or real read IO errors are
         plain misses (the file, if any, is left alone).
         """
-        digest = self.digest_of(key)
-        hot = self._lru_get(digest)
-        if hot is not None:
-            self.hits += 1
-            if self.obs is not None:
-                self.obs.store_reads.inc(outcome="lru_hit")
-            return hot
-        path = self.path_of(digest)
+        path = self.path_of(self.digest_of(key))
         try:
             if self.faults is not None:
                 self.faults.raise_io("store.read")
@@ -257,23 +208,17 @@ class ArtifactStore:
         self.hits += 1
         if self.obs is not None:
             self.obs.store_reads.inc(outcome="hit")
-        self._lru_insert(digest, envelope["artifact"])
         return envelope["artifact"]
 
     def peek(self, key: object) -> Optional[dict]:
         """An *uncounted*, fault-free read of ``key`` (or ``None``).
 
-        The single-flight follower poll loop uses this: polling must not
-        inflate the hit/miss counters, fire injected ``store.read`` faults,
-        or quarantine anything — a follower only wants to know whether the
-        leader's write has landed yet.
+        Unlike :meth:`get` it never inflates the hit/miss counters, fires
+        an injected ``store.read`` fault or quarantines anything: a damaged
+        or missing entry simply reads as ``None``.
         """
-        digest = self.digest_of(key)
-        hot = self._lru_get(digest)
-        if hot is not None:
-            return hot
         try:
-            with open(self.path_of(digest), "r", encoding="utf-8") as handle:
+            with open(self.path_of(self.digest_of(key)), "r", encoding="utf-8") as handle:
                 envelope = json.load(handle)
         except (OSError, json.JSONDecodeError):
             return None
@@ -366,10 +311,6 @@ class ArtifactStore:
         self.writes += 1
         if self.obs is not None:
             self.obs.store_writes.inc()
-        if text.endswith("}"):
-            # a fault-corrupted (truncated) write must not land in the hot
-            # tier: the read path's quarantine logic is what it exercises
-            self._lru_insert(digest, artifact)
         return path
 
     @staticmethod
@@ -462,9 +403,6 @@ class ArtifactStore:
                 for path in self.quarantine_dir.glob("*.json")
                 if not path.name.endswith(".reason.json")
             )
-        flight_locks = 0
-        if self.flight_dir.is_dir():
-            flight_locks = sum(1 for _ in self.flight_dir.glob("*.flight"))
         return {
             "root": str(self.root),
             "code_version": self.code_version,
@@ -475,16 +413,12 @@ class ArtifactStore:
             "tmp_files": tmp_files,
             "tmp_swept": tmp_removed,
             "quarantined_entries": quarantined,
-            "flight_locks": flight_locks,
             "session": {
                 "hits": self.hits,
                 "misses": self.misses,
                 "writes": self.writes,
                 "quarantined": self.quarantined,
                 "tmp_swept": self.tmp_swept,
-                "lru_hits": self.lru_hits,
-                "lru_entries": len(self._lru),
-                "lru_size": self.lru_size,
             },
         }
 
@@ -508,24 +442,11 @@ class ArtifactStore:
 
         Removes every ``*.tmp`` orphan older than ``tmp_older_than``
         seconds (default: all of them — callers invoke ``sweep`` when no
-        writer is live), removes single-flight locks of the same age (a
-        worker killed mid-computation leaves its coalescing lock behind),
-        and quarantines entries stamped by a different code version (they
-        can never be read again: the digest embeds the stamp).  Returns the
-        counts.
+        writer is live) and quarantines entries stamped by a different
+        code version (they can never be read again: the digest embeds the
+        stamp).  Returns the counts.
         """
         tmp_removed = self._sweep_tmp(tmp_older_than)
-        flight_removed = 0
-        if self.flight_dir.is_dir():
-            now = time.time()
-            for path in list(self.flight_dir.glob("*.flight")):
-                try:
-                    if now - path.stat().st_mtime < tmp_older_than:
-                        continue
-                    path.unlink()
-                except OSError:
-                    continue
-                flight_removed += 1
         stale_quarantined = 0
         for path in list(self._entry_paths()):
             try:
@@ -546,7 +467,6 @@ class ArtifactStore:
         return {
             "tmp_removed": tmp_removed,
             "stale_quarantined": stale_quarantined,
-            "flight_removed": flight_removed,
         }
 
     def probe(self) -> bool:
@@ -570,8 +490,6 @@ class ArtifactStore:
         ``os.replace``.
         """
         removed = 0
-        with self._lru_lock:
-            self._lru.clear()
         for path in list(self._entry_paths()):
             if spec_pattern is not None:
                 try:

@@ -2,8 +2,8 @@
 
 One :class:`Obs` object bundles a metrics :class:`~repro.obs.metrics.Registry`
 and a :class:`~repro.obs.trace.Tracer`, plus the well-known instrument set
-every layer shares (stage timers, store read outcomes, single-flight
-outcomes, HTTP request latencies, SAT solver work, fleet supervision).
+every layer shares (stage timers, store read outcomes, HTTP request
+latencies, SAT solver work, fleet supervision).
 
 The wiring follows the :mod:`repro.api.faults` seam exactly:
 
@@ -108,9 +108,6 @@ class Obs:
         )
         self.store_quarantined = r.counter(
             "repro_store_quarantined_total", "artifacts quarantined as damaged"
-        )
-        self.flights = r.counter(
-            "repro_flight_total", "single-flight lock outcomes", ("outcome",)
         )
         self.requests = r.counter(
             "repro_requests_total", "HTTP requests served", ("endpoint",)

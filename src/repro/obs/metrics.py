@@ -2,7 +2,7 @@
 
 The serving stack (store → pipeline → scheduler → server → fleet) grew one
 ad-hoc counter dict per layer (``stage_calls``, ``store_hits``,
-``SingleFlight.led`` ...).  Those stay — tests pin them and they are free —
+``FleetSupervisor.respawns`` ...).  Those stay — tests pin them and they are free —
 but they cannot be *aggregated*: every fleet worker is its own process, and
 "requests per second across the fleet" or "the p99 of the synthesize stage"
 needs per-process series that merge exactly.  This module provides that:

@@ -99,18 +99,13 @@ def sample(families: dict) -> dict:
             source: _series_sum(
                 families, "repro_stage_resolutions_total", source=source
             )
-            for source in ("computed", "memory", "store", "coalesced")
+            for source in ("computed", "memory", "store")
         },
         "store": {
             "hit": _series_sum(families, "repro_store_reads_total", outcome="hit"),
-            "lru_hit": _series_sum(families, "repro_store_reads_total", outcome="lru_hit"),
             "miss": _series_sum(families, "repro_store_reads_total", outcome="miss"),
             "writes": _series_sum(families, "repro_store_writes_total"),
             "quarantined": _series_sum(families, "repro_store_quarantined_total"),
-        },
-        "flights": {
-            outcome: _series_sum(families, "repro_flight_total", outcome=outcome)
-            for outcome in ("led", "followed", "degraded")
         },
         "sat": {
             kind: _series_sum(families, "repro_sat_total", kind=kind)
@@ -138,11 +133,10 @@ def _rate(now: dict, before: Optional[dict], elapsed: float) -> Optional[float]:
 def render(current: dict, rate: Optional[float], source: str) -> str:
     stages = current["stages"]
     store = current["store"]
-    flights = current["flights"]
     sat = current["sat"]
     fleet = current["fleet"]
-    reads = store["hit"] + store["lru_hit"] + store["miss"]
-    hit_rate = (store["hit"] + store["lru_hit"]) / reads if reads else 0.0
+    reads = store["hit"] + store["miss"]
+    hit_rate = store["hit"] / reads if reads else 0.0
     rate_text = f"{rate:.1f} req/s" if rate is not None else "- req/s"
     lines = [
         f"repro top — {source}",
@@ -153,16 +147,12 @@ def render(current: dict, rate: Optional[float], source: str) -> str:
         ),
         (
             f"stages    computed {stages['computed']:.0f} · memory {stages['memory']:.0f} · "
-            f"store {stages['store']:.0f} · coalesced {stages['coalesced']:.0f}"
+            f"store {stages['store']:.0f}"
         ),
         (
-            f"store     hits {store['hit']:.0f} (+{store['lru_hit']:.0f} hot-LRU, "
-            f"{hit_rate * 100:.0f}%) · misses {store['miss']:.0f} · "
+            f"store     hits {store['hit']:.0f} ({hit_rate * 100:.0f}%) · "
+            f"misses {store['miss']:.0f} · "
             f"writes {store['writes']:.0f} · quarantined {store['quarantined']:.0f}"
-        ),
-        (
-            f"flights   led {flights['led']:.0f} · followed {flights['followed']:.0f} · "
-            f"degraded {flights['degraded']:.0f}"
         ),
     ]
     if any(sat.values()) or current["kernel_codes_per_second"]:

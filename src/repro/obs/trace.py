@@ -12,11 +12,11 @@ files back together by trace id and :func:`render_trace` draws the tree:
 
 .. code-block:: text
 
-    trace 91c2f0e2a6d14c3b  (2 services, 6 spans, 41.3 ms)
+    trace 91c2f0e2a6d14c3b  (2 services, 5 spans, 41.3 ms)
     └─ client:POST /synthesize  41.3 ms  [client]
        └─ http:/synthesize  39.8 ms  [worker0.1]
-          ├─ flight:leader (synthesize)  22.4 ms
-          │  └─ stage:synthesize  22.1 ms
+          ├─ stage:synthesize  22.1 ms
+          │  └─ stage:analyze  14.6 ms
           └─ stage:verify  8.0 ms
 
 Writes are line-buffered appends under a lock — crash-safe in the same

@@ -258,22 +258,6 @@ class PetriNet:
             tokens[place] = tokens.get(place, 0) + 1
         return Marking(tokens)
 
-    def fire_sequence(self, sequence: Iterable[str], marking: Optional[Marking] = None) -> Marking:
-        """Fire a sequence of transitions from ``marking`` (default: initial)."""
-        current = marking if marking is not None else self.initial_marking
-        for transition in sequence:
-            current = self.fire(transition, current)
-        return current
-
-    def is_feasible(self, sequence: Iterable[str], marking: Optional[Marking] = None) -> bool:
-        """True if the transition sequence is firable from ``marking``."""
-        current = marking if marking is not None else self.initial_marking
-        for transition in sequence:
-            if not self.is_enabled(transition, current):
-                return False
-            current = self.fire(transition, current)
-        return True
-
     # ------------------------------------------------------------------ #
     # Copy / subnet helpers
     # ------------------------------------------------------------------ #

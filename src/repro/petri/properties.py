@@ -160,27 +160,3 @@ def redundant_places(
             redundant.append(place)
     return redundant
 
-
-def validate_synthesis_preconditions(
-    net: PetriNet,
-    graph: Optional[ReachabilityGraph] = None,
-    require_free_choice: bool = True,
-) -> list[str]:
-    """Check the preconditions assumed throughout the paper.
-
-    Returns a list of human-readable violation messages (empty if the net is
-    a live, safe, irredundant free-choice net).
-    """
-    problems: list[str] = []
-    if require_free_choice and not is_free_choice(net):
-        problems.append("net is not free choice")
-    if graph is None:
-        graph = build_reachability_graph(net)
-    if not is_safe(net, graph):
-        problems.append("net is not safe")
-    if not is_live(net, graph):
-        problems.append("net is not live")
-    extras = redundant_places(net, graph)
-    if extras:
-        problems.append(f"net has redundant places: {sorted(extras)}")
-    return problems

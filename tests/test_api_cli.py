@@ -274,21 +274,18 @@ class TestCacheCommand:
         assert code == 2
         assert "no pattern" in err
 
-    def test_stats_against_a_live_server_shows_fleet_counters(
-        self, capsys, tmp_path
-    ):
-        """``cache stats --url`` surfaces hot-LRU, flight and quarantine
-        telemetry from a running server instead of opening a local store."""
+    def test_stats_against_a_live_server_shows_its_store(self, capsys, tmp_path):
+        """``cache stats --url`` surfaces the store session and quarantine
+        telemetry of a running server instead of opening a local store."""
         import threading
 
         from repro.api import Pipeline
         from repro.api.client import Client
-        from repro.api.fleet import SingleFlight
         from repro.api.server import create_server
         from repro.api.store import ArtifactStore
 
-        store = ArtifactStore(tmp_path / "store", lru_size=16)
-        pipeline = Pipeline(store=store, flights=SingleFlight(store))
+        store = ArtifactStore(tmp_path / "store")
+        pipeline = Pipeline(store=store)
         server = create_server(port=0, pipeline=pipeline)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -296,27 +293,20 @@ class TestCacheCommand:
         try:
             client = Client(url)
             client.synthesize("sequencer", assume_csc=True)
-            # evicted memory: the repeat reads go to the store's hot LRU
+            # evicted memory: the repeat reads go to the store
             pipeline.evict_cache()
-            client.synthesize("sequencer", assume_csc=True)  # hot-LRU hits
+            client.synthesize("sequencer", assume_csc=True)  # store hits
 
             code, out, _ = run_cli(capsys, "cache", "stats", "--url", url)
             assert code == 0
-            assert "hot-LRU" in out
-            assert "hot LRU:" in out
-            assert "flights:" in out
-            assert "led" in out and "coalesced" in out and "degraded" in out
+            assert f"store: {store.root}" in out
+            assert "session:" in out and "hits" in out
 
             code, out, _ = run_cli(capsys, "cache", "stats", "--url", url, "--json")
             assert code == 0
             payload = json.loads(out)
-            # one lead per computed stage on the cold request, none coalesced
-            assert payload["flights"]["led"] >= 1
-            assert payload["flights"]["followed"] == 0
-            assert payload["flights"]["degraded"] == 0
             session = payload["store"]["session"]
-            assert session["lru_hits"] > 0
-            assert payload["store"]["flight_locks"] == 0
+            assert session["hits"] > 0 and session["writes"] > 0
             assert "quarantined_entries" in payload["store"]
         finally:
             server.shutdown()

@@ -186,6 +186,13 @@ class TestStoreBasics:
         assert store.clear() == 2
         assert not orphan.exists()
 
+    def test_peek_does_not_move_the_counters(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        assert store.peek(("k", 1)) is None
+        store.put(("k", 1), {"value": 1})
+        assert store.peek(("k", 1)) == {"value": 1}
+        assert store.hits == 0 and store.misses == 0
+
     def test_default_store_path_honours_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_STORE", str(tmp_path / "custom"))
         assert default_store_path() == tmp_path / "custom"

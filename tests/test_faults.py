@@ -462,13 +462,20 @@ class TestDeadlineCrashRace:
         # the poison job's isolation crash quarantines it, and nothing —
         # not the 30s deadline still armed, not the bystanders' later
         # results — may resubmit it or emit further events for it.
+        # The jobs take milliseconds, so without the 0.5s analyze delay on
+        # attempts 1-2 an innocent job could finish on the second pool
+        # before its crash is noticed and never reach isolation; the
+        # isolation attempts (3) run undelayed.
         log = EventLog()
         scheduler = Scheduler(
             jobs=2,
             on_event=log,
             retry=FAST_RETRY,
             timeout=30.0,
-            faults="worker.kill@sequencer=1;worker.kill@handshake_seq=1x1",
+            faults=(
+                "worker.kill@sequencer=1;worker.kill@handshake_seq=1x1;"
+                "stage.delay@analyze=1x2~0.5"
+            ),
         )
         jobs = make_jobs(["sequencer", "handshake_seq", "glatch_3"], OPTIONS)
         results = list(scheduler.iter_results(jobs))

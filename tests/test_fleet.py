@@ -1,16 +1,12 @@
 """Tests of the supervised prefork serving fleet (``repro serve --workers``).
 
-Three layers, bottom-up:
-
-* :class:`~repro.api.fleet.SingleFlight` and the store's hot LRU tier as
-  plain in-process units;
-* pipeline-level coalescing: two pipelines racing the same cold spec over
-  one shared store compute every stage exactly once between them;
-* the real thing — a :class:`~repro.api.fleet.FleetSupervisor` running
-  worker *subprocesses* on one ``SO_REUSEPORT`` port: respawn after
-  SIGKILL, recycling after ``max_requests``, hung-worker detection,
-  graceful drain of an in-flight request, and a seeded chaos campaign that
-  must finish with zero client-visible failures.
+The real thing — a :class:`~repro.api.fleet.FleetSupervisor` running
+worker *subprocesses* on one ``SO_REUSEPORT`` port: respawn after SIGKILL,
+recycling after ``max_requests``, hung-worker detection, graceful drain of
+an in-flight request, a seeded chaos campaign that must finish with zero
+client-visible failures, and the cold-herd bound: concurrent cold requests
+for one spec are computed at most once per worker and leave one store
+entry per stage key.
 
 The client-side fleet hardening (``Retry-After`` dates, retry budget,
 circuit breaker) is tested against stub servers at the end.
@@ -34,7 +30,6 @@ import signal
 
 import pytest
 
-from repro.api import SynthesisOptions
 from repro.api.client import (
     CircuitOpenError,
     Client,
@@ -47,14 +42,9 @@ from repro.api.fleet import (
     EXIT_RECYCLED,
     FleetConfig,
     FleetSupervisor,
-    SingleFlight,
 )
-from repro.api.pipeline import Pipeline
 from repro.api.server import create_server
 from repro.api.store import ArtifactStore
-
-OPTIONS = SynthesisOptions(level=5, assume_csc=True)
-
 
 def poll_until(predicate, timeout: float = 15.0, interval: float = 0.05) -> bool:
     deadline = time.monotonic() + timeout
@@ -63,190 +53,6 @@ def poll_until(predicate, timeout: float = 15.0, interval: float = 0.05) -> bool
             return True
         time.sleep(interval)
     return False
-
-
-# ---------------------------------------------------------------------- #
-# SingleFlight
-# ---------------------------------------------------------------------- #
-
-
-class TestSingleFlight:
-    def test_leader_election_is_exclusive_and_released(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        first = SingleFlight(store)
-        second = SingleFlight(store)
-        assert first.acquire("d1") is True
-        assert second.acquire("d1") is False
-        assert second.acquire("d2") is True  # other digests are independent
-        first.release("d1")
-        assert second.acquire("d1") is True
-        assert first.led == 1 and second.led == 2
-
-    def test_follower_returns_the_leaders_write(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        leader = SingleFlight(store)
-        follower = SingleFlight(store, poll_interval=0.005)
-        assert leader.acquire("d1")
-        reads = iter([None, None, {"value": 42}])
-        document = follower.wait("d1", lambda: next(reads))
-        assert document == {"value": 42}
-        assert follower.followed == 1 and follower.degraded == 0
-
-    def test_absent_lock_resolves_with_one_final_read(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        flight = SingleFlight(store)
-        # leader released and its write landed: coalesce on the final read
-        # without ever sleeping
-        reads = iter([None, {"v": 1}])
-        assert flight.wait("gone", lambda: next(reads)) == {"v": 1}
-        assert flight.followed == 1
-        # no lock and nothing stored: degrade to local computation — but
-        # never loop forever on an unlocked digest
-        assert flight.wait("gone2", lambda: None) is None
-        assert flight.degraded == 1
-
-    def test_dead_leader_lock_is_stolen(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        flight = SingleFlight(store, poll_interval=0.005)
-        store.flight_dir.mkdir(parents=True, exist_ok=True)
-        lock = store.flight_dir / "d1.flight"
-        # a pid far above any real pid space: certainly not alive
-        lock.write_text(json.dumps({"pid": 2**31 - 19, "at": 0}))
-        assert flight.wait("d1", lambda: None) is None
-        assert flight.degraded == 1
-        assert not lock.exists()  # stolen, so the next herd is not blocked
-        assert flight.acquire("d1") is True
-
-    def test_live_leader_and_deadline_degrade(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        leader = SingleFlight(store)
-        assert leader.acquire("d1")  # our own pid: counts as alive
-        follower = SingleFlight(store, wait_timeout=0.05, poll_interval=0.01)
-        started = time.monotonic()
-        assert follower.wait("d1", lambda: None) is None
-        assert time.monotonic() - started < 2.0
-        assert follower.degraded == 1
-        assert (store.flight_dir / "d1.flight").exists()  # not stolen
-
-
-# ---------------------------------------------------------------------- #
-# Store hot tier
-# ---------------------------------------------------------------------- #
-
-
-class TestStoreHotTier:
-    def test_hot_entries_are_served_without_disk(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store", lru_size=4)
-        key = ("stage", "spec", 1)
-        store.put(key, {"value": 1})
-        # remove the backing file: the hot tier must still answer
-        store.path_of(store.digest_of(key)).unlink()
-        assert store.get(key) == {"value": 1}
-        assert store.lru_hits == 1
-        assert store.hits == 1 and store.misses == 0
-
-    def test_hot_tier_is_bounded_lru(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store", lru_size=2)
-        for index in range(3):
-            store.put(("k", index), {"value": index})
-        stats = store.stats()["session"]
-        assert stats["lru_entries"] == 2
-        assert stats["lru_size"] == 2
-        # the oldest entry was evicted from the tier but survives on disk
-        assert store.get(("k", 0)) == {"value": 0}
-
-    def test_disk_reads_populate_the_hot_tier(self, tmp_path):
-        root = tmp_path / "store"
-        writer = ArtifactStore(root)
-        writer.put(("k", 1), {"value": 1})
-        reader = ArtifactStore(root, lru_size=4)
-        assert reader.get(("k", 1)) == {"value": 1}  # disk read
-        assert reader.lru_hits == 0
-        assert reader.get(("k", 1)) == {"value": 1}  # hot now
-        assert reader.lru_hits == 1
-
-    def test_peek_does_not_move_the_counters(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        assert store.peek(("k", 1)) is None
-        store.put(("k", 1), {"value": 1})
-        assert store.peek(("k", 1)) == {"value": 1}
-        assert store.hits == 0 and store.misses == 0
-
-    def test_lru_disabled_by_default(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        store.put(("k", 1), {"value": 1})
-        assert store.stats()["session"]["lru_entries"] == 0
-        assert store.lru_hits == 0
-
-    def test_sweep_removes_stale_flight_locks(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        store.flight_dir.mkdir(parents=True, exist_ok=True)
-        stale = store.flight_dir / "dead.flight"
-        stale.write_text("{}")
-        old = time.time() - 3600
-        os.utime(stale, (old, old))
-        fresh = store.flight_dir / "live.flight"
-        fresh.write_text("{}")
-        swept = store.sweep(tmp_older_than=60)
-        assert swept["flight_removed"] == 1
-        assert not stale.exists() and fresh.exists()
-
-
-# ---------------------------------------------------------------------- #
-# Pipeline coalescing
-# ---------------------------------------------------------------------- #
-
-
-class TestPipelineCoalescing:
-    def test_racing_pipelines_compute_each_stage_once(self, tmp_path):
-        root = tmp_path / "store"
-        logs = [EventLog(), EventLog()]
-        pipelines = []
-        for log in logs:
-            store = ArtifactStore(root)
-            pipelines.append(
-                Pipeline(
-                    store=store,
-                    flights=SingleFlight(store, poll_interval=0.005),
-                    on_event=log,
-                    # stretch analyze so the second runner reliably lands
-                    # inside the first runner's flight
-                    faults="stage.delay@analyze=1~0.3",
-                )
-            )
-        reports = [None, None]
-        errors = []
-
-        def runner(index: int) -> None:
-            try:
-                if index:
-                    time.sleep(0.08)
-                reports[index] = pipelines[index].run("sequencer", OPTIONS)
-            except Exception as error:  # noqa: BLE001 — surfaced below
-                errors.append(error)
-
-        threads = [threading.Thread(target=runner, args=(i,)) for i in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not errors
-        assert reports[0].literals == reports[1].literals
-        # the coalescing invariant: between the two pipelines every stage
-        # was computed exactly once — the other side followed the flight
-        events = [e for log in logs for e in log.events if e.kind == "stage"]
-        computed = {}
-        for event in events:
-            if event.status == "computed":
-                computed[event.stage] = computed.get(event.stage, 0) + 1
-        assert computed and all(count == 1 for count in computed.values()), computed
-        # the late runner coalesced the outermost stage it first needed
-        # (stage memos nest: the synthesize key subsumes refine/analyze)
-        assert sum(pipelines[1].coalesced.values()) >= 1
-        assert "coalesced" in logs[1].stage_statuses("synthesize")
-        total_flights = [p.flights for p in pipelines]
-        assert sum(f.led for f in total_flights) == len(computed)
-        assert sum(f.degraded for f in total_flights) == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -323,7 +129,7 @@ class TestFleet:
             second = client.synthesize("sequencer", level=5, assume_csc=True)
             assert second.resolution["computed"] == 0
             stats = client.cache_stats()
-            assert "flights" in stats and "worker" in stats
+            assert "worker" in stats
             handles = [w for w in supervisor.workers if w is not None]
             supervisor.stop()  # graceful drain
             assert all(h.process.returncode == EXIT_DRAINED for h in handles)
@@ -454,6 +260,65 @@ class TestFleet:
             assert served[0] == 45
             assert supervisor.respawns >= 1
         assert any(e.status == "respawn" for e in log.of_kind("worker"))
+
+    def test_cold_herd_computes_at_most_once_per_worker(self, tmp_path):
+        # each worker's service lock serializes its own requests, so a herd
+        # of cold requests for one spec is computed at most once per
+        # worker, every report is the same, and the atomic store writes
+        # leave one entry per stage key.  The delay holds the first
+        # computation open while the herd lands.
+        herd_size = 6
+        with running_fleet(tmp_path, faults="stage.delay@synthesize=1~0.3") as (
+            supervisor,
+            client,
+        ):
+            barrier = threading.Barrier(herd_size)
+            results = [None] * herd_size
+            failures: list[str] = []
+
+            def stampede(slot: int) -> None:
+                herd_client = Client(client.base_url, retries=8, backoff=0.1, timeout=60)
+                barrier.wait()
+                try:
+                    results[slot] = herd_client.synthesize(
+                        "sequencer", level=5, assume_csc=True
+                    )
+                except Exception as error:  # noqa: BLE001 — asserted below
+                    failures.append(f"{type(error).__name__}: {error}")
+
+            herd = [threading.Thread(target=stampede, args=(i,)) for i in range(herd_size)]
+            for thread in herd:
+                thread.start()
+            for thread in herd:
+                thread.join(timeout=120)
+            assert supervisor.respawns == 0
+        assert failures == []
+
+        def zero_seconds(value):
+            if isinstance(value, dict):
+                return {
+                    key: 0 if key.endswith("seconds") else zero_seconds(item)
+                    for key, item in value.items()
+                }
+            if isinstance(value, list):
+                return [zero_seconds(item) for item in value]
+            return value
+
+        reports = {
+            json.dumps(zero_seconds(result.report.to_json()), sort_keys=True)
+            for result in results
+        }
+        assert len(reports) == 1
+        computed = sum(
+            1
+            for result in results
+            for stage in result.resolution["stages"]
+            if stage == {"stage": "synthesize", "status": "computed"}
+        )
+        assert 1 <= computed <= 2, [result.resolution for result in results]
+        stats = ArtifactStore(tmp_path / "store").stats()
+        assert stats["per_stage"] == {"analyze": 1, "refine": 1, "synthesize": 1}
+        assert stats["entries"] == 3 and stats["tmp_files"] == 0
 
 
 # ---------------------------------------------------------------------- #

@@ -11,10 +11,8 @@ Bottom-up, mirroring the module layout:
   phase spans and solver-work counters, the server's ``/metrics``
   endpoint, the scheduler's pool-boundary trace stitching;
 * the acceptance pins: a traced request through a real 2-worker fleet
-  yields a stitched client → HTTP handler → flight leader → stage tree
-  over HTTP, a racing-pipeline cold miss stitches leader *and* follower
-  into one trace, and fleet metric aggregation is elementwise-exact
-  under seeded chaos;
+  yields a stitched client → HTTP handler → stage tree over HTTP, and
+  fleet metric aggregation is elementwise-exact under seeded chaos;
 * the ``repro trace`` / ``repro top`` CLI surfaces.
 """
 
@@ -33,7 +31,7 @@ import pytest
 from repro.api import SynthesisOptions
 from repro.api.cli import main as cli_main
 from repro.api.client import Client
-from repro.api.fleet import FleetConfig, FleetSupervisor, SingleFlight
+from repro.api.fleet import FleetConfig, FleetSupervisor
 from repro.api.pipeline import Pipeline
 from repro.api.scheduler import Scheduler, make_jobs
 from repro.api.server import create_server
@@ -435,19 +433,14 @@ class TestPipelineObs:
 
     def test_store_reads_and_writes_are_counted(self, tmp_path):
         obs = Obs()
-        store = ArtifactStore(tmp_path / "store", lru_size=8, obs=obs)
+        store = ArtifactStore(tmp_path / "store", obs=obs)
         pipeline = Pipeline(store=store, obs=obs)
         pipeline.run("sequencer", OPTIONS)
         assert obs.store_writes.value() == store.writes
         assert obs.store_reads.value(outcome="miss") == store.misses
         pipeline.evict_cache()
-        pipeline.run("sequencer", OPTIONS)  # memory evicted: hot-LRU hits
-        assert (
-            obs.store_reads.value(outcome="hit")
-            + obs.store_reads.value(outcome="lru_hit")
-            == store.hits
-        )
-        assert obs.store_reads.value(outcome="lru_hit") >= 1
+        pipeline.run("sequencer", OPTIONS)  # memory evicted: store hits
+        assert obs.store_reads.value(outcome="hit") == store.hits >= 1
 
     def test_stage_spans_nest_under_the_active_span(self, tmp_path):
         obs = Obs(dir=tmp_path / "run", service="test")
@@ -646,71 +639,6 @@ class TestSchedulerObs:
 
 
 # ---------------------------------------------------------------------- #
-# Acceptance: the racing cold miss stitches leader AND follower
-# ---------------------------------------------------------------------- #
-
-
-class TestLeaderFollowerStitch:
-    def test_flight_leader_and_wait_share_one_trace(self, tmp_path):
-        run = tmp_path / "run"
-        obs = Obs(dir=run, service="race")
-        root = tmp_path / "store"
-        pipelines = []
-        for _ in range(2):
-            store = ArtifactStore(root, obs=obs)
-            pipelines.append(
-                Pipeline(
-                    store=store,
-                    flights=SingleFlight(store, poll_interval=0.005, obs=obs),
-                    faults="stage.delay@analyze=1~0.3",
-                    obs=obs,
-                )
-            )
-        errors = []
-
-        def runner(index: int, parent) -> None:
-            try:
-                # adopt the test's root context on this worker thread so
-                # both racers' spans land in one trace
-                with obs.tracer.span(f"racer{index}", parent=parent):
-                    if index:
-                        time.sleep(0.08)
-                    pipelines[index].run("sequencer", OPTIONS)
-            except Exception as error:  # noqa: BLE001 — surfaced below
-                errors.append(error)
-
-        with obs.tracer.span("herd") as herd:
-            threads = [
-                threading.Thread(target=runner, args=(i, herd.context))
-                for i in range(2)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        assert not errors
-        records = load_trace(run, herd.trace_id)
-        names = [r["name"] for r in records]
-        assert "flight:leader" in names
-        assert "flight:wait" in names
-        # the follower's wait span belongs to the late racer and produced
-        # a coalesced resolution in the metrics
-        assert obs.flights.value(outcome="led") >= 1
-        assert obs.flights.value(outcome="followed") >= 1
-        assert obs.flights.value(outcome="degraded") == 0
-        assert (
-            obs.stage_resolutions.value(stage="synthesize", source="coalesced")
-            >= 1
-        )
-        # stage computations happened exactly once between the two racers
-        computed = {}
-        for record in records:
-            if record["name"].startswith("stage:"):
-                computed[record["name"]] = computed.get(record["name"], 0) + 1
-        assert computed and all(count == 1 for count in computed.values())
-
-
-# ---------------------------------------------------------------------- #
 # Acceptance: the real 2-worker fleet over HTTP
 # ---------------------------------------------------------------------- #
 
@@ -768,8 +696,8 @@ class TestFleetObsAcceptance:
             result = client.synthesize("sequencer", level=5, assume_csc=True)
             assert result.resolution["computed"] > 0  # genuinely cold
 
-        # exactly one trace: client span -> worker http span -> flight
-        # leader -> nested stage spans, across two processes
+        # exactly one trace: client span -> worker http span -> nested
+        # stage spans, across two processes
         traces = [
             t for t in list_traces(run_dir) if t["root"] == "client:POST /synthesize"
         ]
@@ -784,12 +712,10 @@ class TestFleetObsAcceptance:
         (http,) = root["children"]
         assert http["record"]["name"] == "http:/synthesize"
         assert http["record"]["service"].startswith("worker")
-        (leader,) = http["children"]
-        assert leader["record"]["name"] == "flight:leader"
-        (synth,) = leader["children"]
+        (synth,) = http["children"]
         assert synth["record"]["name"] == "stage:synthesize"
         nested = {n["record"]["name"] for n in synth["children"]}
-        assert any(n in nested for n in ("flight:leader", "stage:analyze"))
+        assert "stage:analyze" in nested
         # the rendered tree is what `repro trace show` prints
         text = render_trace(records)
         assert "client:POST /synthesize" in text and "stage:synthesize" in text
@@ -870,40 +796,6 @@ class TestFleetObsAcceptance:
         assert merged["metrics"]["repro_fleet_workers"]["series"][
             json.dumps([])
         ] == 2.0
-
-    def test_fleet_herd_coalesces_across_workers(self, tmp_path):
-        """A cold herd over real HTTP: someone leads, followers coalesce."""
-        herd_size = 8
-        with _running_fleet(
-            tmp_path, faults="seed=3;stage.delay@synthesize=1~0.4"
-        ) as supervisor:
-            port = supervisor.port
-            resolutions: list[dict] = []
-            barrier = threading.Barrier(herd_size)
-
-            def stampede() -> None:
-                barrier.wait()
-                client = Client(
-                    f"http://127.0.0.1:{port}", retries=6, backoff=0.1, timeout=60
-                )
-                resolutions.append(
-                    client.synthesize("philosophers_3", assume_csc=True).resolution
-                )
-
-            herd = [threading.Thread(target=stampede) for _ in range(herd_size)]
-            for thread in herd:
-                thread.start()
-            for thread in herd:
-                thread.join(timeout=120)
-            time.sleep(0.4)
-            merged = supervisor.metrics()
-        assert len(resolutions) == herd_size
-        computed = sum(1 for r in resolutions if r.get("computed", 0) > 0)
-        assert computed <= 2, resolutions  # at most one degraded straggler
-        # the flight outcomes surfaced in the fleet-wide metric view
-        flights = merged["metrics"]["repro_flight_total"]["series"]
-        led = sum(v for k, v in flights.items() if json.loads(k) == ["led"])
-        assert led >= 1
 
 
 # ---------------------------------------------------------------------- #

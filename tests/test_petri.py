@@ -15,7 +15,6 @@ from repro.petri.properties import (
     is_safe,
     is_state_machine,
     redundant_places,
-    validate_synthesis_preconditions,
 )
 from repro.petri.reachability import (
     StateSpaceLimitExceeded,
@@ -107,13 +106,6 @@ class TestFiring:
         with pytest.raises(ValueError):
             net.fire("t1", net.initial_marking)
 
-    def test_fire_sequence_and_feasibility(self):
-        net = simple_cycle()
-        final = net.fire_sequence(["t0", "t1", "t2"])
-        assert final == net.initial_marking
-        assert net.is_feasible(["t0", "t1"])
-        assert not net.is_feasible(["t1"])
-
     def test_marking_is_hashable_and_compact(self):
         marking = Marking({"p": 1, "q": 0})
         assert "q" not in marking
@@ -157,7 +149,6 @@ class TestProperties:
         assert is_safe(net, graph)
         assert is_live(net, graph)
         assert redundant_places(net, graph) == []
-        assert validate_synthesis_preconditions(net, graph) == []
 
     def test_redundant_place_detected(self):
         net = simple_cycle()
