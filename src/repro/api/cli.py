@@ -235,6 +235,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gap.add_argument("--max-markings", type=int, default=None)
     gap.add_argument("--json", action="store_true", help="emit JSON rows")
     _add_store_location(gap)
+    gap.add_argument(
+        "--no-store",
+        action="store_true",
+        help="run purely in memory (no artifacts persisted or reused)",
+    )
 
     cache = sub.add_parser("cache", help="inspect or manage the artifact store")
     cache.add_argument(
@@ -620,7 +625,7 @@ def _cmd_gap(args) -> int:
     from repro.experiments.optimality_gap import gap_rows
     from repro.experiments.reporting import format_table
 
-    store = get_store(args.store, default=True)
+    store = None if args.no_store else get_store(args.store, default=True)
     rows = gap_rows(
         names=args.specs,
         level=args.level,

@@ -1,15 +1,15 @@
 """Python client for the ``repro serve`` daemon.
 
-A thin stdlib-only (``urllib``) wrapper over the server's JSON endpoints so
+A stdlib-only (``http.client``) client for the server's JSON endpoints, so
 experiments, CI and notebooks can run against a *warm* long-lived pipeline
 instead of paying process start-up and front-end analysis per invocation::
 
     from repro.api.client import Client
 
-    client = Client("http://127.0.0.1:8765")
-    result = client.synthesize("sequencer", level=5, verify=True)
-    result.report.literals          # a full typed Report, rebuilt locally
-    result.resolution["computed"]   # 0 when the server had it cached
+    with Client("http://127.0.0.1:8765") as client:
+        result = client.synthesize("sequencer", level=5, verify=True)
+        result.report.literals          # a full typed Report, rebuilt locally
+        result.resolution["computed"]   # 0 when the server had it cached
 
 Spec arguments accept everything :meth:`repro.api.spec.Spec.load` accepts
 *locally*: registry names and inline ``.g`` text travel as-is, while
@@ -17,10 +17,24 @@ Spec arguments accept everything :meth:`repro.api.spec.Spec.load` accepts
 text before being sent (the server reads no path a request names).  Each
 request body is built by :func:`repro.api.request.build`.
 
+Connections persist: a ``Client`` keeps its HTTP/1.1 connections in a
+lock-guarded LIFO pool, as many as threads have called it at once, so each
+thread's calls reuse one socket and a shared ``Client`` stays thread-safe.  A connection returns to the pool only after
+its response was read in full and the server did not ask to close it; any
+error discards it, and a pooled socket found closed is dropped before use.
+The server closes idle connections, so a request can meet a socket it
+closed an instant earlier: a request that fails on a *reused* connection
+before any response byte arrives is sent once more on a fresh connection.
+That replay is safe because every endpoint is idempotent — a pure function
+over a content-addressed store — and it does not count against
+``retries``.  ``close()`` (or leaving a ``with`` block) releases the pool.
+Against a fleet, one pooled connection stays with the one worker that
+accepted it: the kernel balances *connections*, not requests.
+
 Server-side request errors (HTTP 4xx/5xx) surface as :class:`ClientError`
 carrying the server's structured error document (stable ``code``, the
-human ``message``, and the ``retryable`` flag); connection failures raise
-the usual ``urllib.error.URLError``.  Responses the server marks retryable
+human ``message``, and the ``retryable`` flag); a connection that cannot be
+made raises ``urllib.error.URLError``.  Responses the server marks retryable
 — overload shedding (503), deadline misses (504) — and transient transport
 failures (connection refused/reset, a worker killed mid-response, a fleet
 member restarting) are retried automatically with exponential backoff,
@@ -39,10 +53,11 @@ from __future__ import annotations
 
 import http.client
 import json
+import select
 import threading
 import time
 import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass, field
 from email.utils import parsedate_to_datetime
 from typing import Optional
@@ -57,6 +72,14 @@ TRANSPORT_ERRORS = (
     http.client.HTTPException,
     ConnectionError,
     TimeoutError,
+)
+
+#: how a kept-alive connection the server closed fails a request before
+#: any response byte: the cue to replay it on a fresh connection
+STALE_CONNECTION_ERRORS = (
+    http.client.RemoteDisconnected,
+    ConnectionResetError,
+    BrokenPipeError,
 )
 
 from repro.api.artifacts import Report
@@ -170,12 +193,12 @@ def parse_retry_after(value: Optional[str]) -> Optional[float]:
     return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
 
 
-def _parse_error_body(error: urllib.error.HTTPError) -> tuple[str, str, bool]:
+def _parse_error_body(payload: bytes, reason: str) -> tuple[str, str, bool]:
     """(code, message, retryable) from a structured or legacy error body."""
     try:
-        document = json.loads(error.read().decode("utf-8")).get("error", "")
-    except (ValueError, OSError):
-        return "", str(error.reason), False
+        document = json.loads(payload.decode("utf-8")).get("error", "")
+    except ValueError:
+        return "", reason, False
     if isinstance(document, dict):
         return (
             str(document.get("code", "")),
@@ -183,6 +206,20 @@ def _parse_error_body(error: urllib.error.HTTPError) -> tuple[str, str, bool]:
             bool(document.get("retryable", False)),
         )
     return "", str(document), False
+
+
+def _is_open(sock) -> bool:
+    """Whether an idle pooled socket can carry a request.
+
+    A zero-timeout readability check: an idle connection that is readable
+    was closed by the server (EOF) or holds bytes no request asked for, and
+    is useless either way.
+    """
+    if sock is None:
+        return False
+    poller = select.poll()  # select.select fails on descriptors past 1023
+    poller.register(sock, select.POLLIN)
+    return not poller.poll(0)
 
 
 @dataclass
@@ -223,6 +260,9 @@ class Client:
     runs inside a ``client:`` span (covering all its retries) whose context
     travels in the ``X-Repro-Trace`` header, so the server's spans stitch
     under the client's in a cross-process trace.
+
+    Connections are pooled and kept alive (see the module docstring);
+    ``close()`` or a ``with`` block releases them.
     """
 
     def __init__(
@@ -246,13 +286,88 @@ class Client:
         self.obs = get_obs(obs)
         self._breakers: dict[str, _Breaker] = {}
         self._breakers_lock = threading.Lock()
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme != "http":
+            raise ValueError(f"repro serve speaks http, not {url.scheme!r}")
+        self._netloc, self._prefix = url.netloc, url.path
+        self._pool: list[http.client.HTTPConnection] = []  # LIFO, idle only
+        self._pool_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the pooled connections; a later call opens a new one."""
+        with self._pool_lock:
+            pool, self._pool = self._pool, []
+        for connection in pool:
+            connection.close()
+
+    def __enter__(self) -> "Client":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
     # Transport
     # ------------------------------------------------------------------ #
 
+    def _connect(self) -> http.client.HTTPConnection:
+        connection = http.client.HTTPConnection(self._netloc, timeout=self.timeout)
+        try:
+            connection.connect()
+        except OSError as error:
+            # a connection that never happened is a URLError, as urlopen
+            # reports it (the breaker tests and callers rely on that type)
+            raise urllib.error.URLError(error) from error
+        return connection
+
+    def _checkout(self) -> tuple[http.client.HTTPConnection, bool]:
+        """The newest pooled connection that is still open, else a fresh
+        one; the flag says whether it was reused."""
+        while True:
+            with self._pool_lock:
+                if not self._pool:
+                    break
+                connection = self._pool.pop()
+            if _is_open(connection.sock):
+                return connection, True
+            connection.close()
+        return self._connect(), False
+
+    def _exchange(
+        self, method: str, path: str, data: Optional[bytes], headers: dict
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One request and its whole response, on a pooled connection.
+
+        A reused connection that fails before any response byte (the server
+        closed it while it sat in the pool) is replaced by a fresh one and
+        the request sent once more; every endpoint is idempotent.
+        """
+        connection, reused = self._checkout()
+        try:
+            while True:
+                try:
+                    connection.request(
+                        method, self._prefix + path, body=data, headers=headers
+                    )
+                    response = connection.getresponse()
+                    break
+                except STALE_CONNECTION_ERRORS:
+                    if not reused:
+                        raise
+                    connection.close()
+                    connection, reused = self._connect(), False
+            payload = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._pool_lock:
+                self._pool.append(connection)
+        return response, payload
+
     def _request_once(self, method: str, path: str, body: Optional[dict] = None) -> dict:
-        url = self.base_url + path
         data = None
         headers = {"Accept": "application/json"}
         if self.obs is not None:
@@ -262,18 +377,14 @@ class Client:
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(url, data=data, headers=headers, method=method)
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                payload = json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            code, message, retryable = _parse_error_body(error)
-            hint = error.headers.get("Retry-After") if error.headers else None
+        response, payload = self._exchange(method, path, data, headers)
+        if not 200 <= response.status < 300:
+            code, message, retryable = _parse_error_body(payload, response.reason)
             raise ClientError(
-                error.code, message, code=code, retryable=retryable,
-                retry_after=parse_retry_after(hint),
-            ) from error
-        return payload
+                response.status, message, code=code, retryable=retryable,
+                retry_after=parse_retry_after(response.getheader("Retry-After")),
+            )
+        return json.loads(payload.decode("utf-8"))
 
     def _breaker_for(self, path: str) -> Optional[_Breaker]:
         if not self.breaker_threshold:

@@ -540,8 +540,9 @@ def worker_main(config: dict) -> int:
             exit_code = EXIT_RECYCLED
             break
         drain.wait(interval)
-    # graceful drain: stop accepting, then join every in-flight request
-    # thread (ThreadingHTTPServer.block_on_close joins them in server_close)
+    # graceful drain: stop accepting, shut the idle kept-alive connections
+    # and join every in-flight request thread (server_close does both;
+    # draining responses carry Connection: close)
     server.service.draining = True
     server.shutdown()
     server.server_close()

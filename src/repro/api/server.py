@@ -63,6 +63,14 @@ header.  An admitted request waits at most ``request_timeout`` seconds for
 the lock before it is shed with ``504 deadline_exceeded`` — a slow giant
 synthesis can delay later requests, but never strand them silently.
 
+Connections are persistent (HTTP/1.1 keep-alive): a client thread keeps one
+socket open across its requests.  A connection idle for
+:data:`IDLE_TIMEOUT` seconds is closed, and so is one whose request body
+the server leaves unread — a body past :data:`MAX_BODY_BYTES` is refused
+with ``413 payload_too_large`` without reading it.  A draining server
+answers ``Connection: close``, and closing it shuts the idle connections
+down first, so a drain waits on in-flight requests only.
+
 Every error response carries a structured, stable body::
 
     {"error": {"code": "spec_error", "message": "...", "retryable": false}}
@@ -98,6 +106,16 @@ from repro.petri.reachability import StateSpaceLimitExceeded
 from repro.statebased.synthesis import StateBasedSynthesisError
 from repro.synthesis.engine import SynthesisError
 
+#: seconds a kept-alive connection may sit idle (or stall mid-request)
+#: before the server closes it; this bounds the handler threads that
+#: abandoned clients can hold
+IDLE_TIMEOUT = 15.0
+
+#: the largest request body the server reads, in bytes.  The largest
+#: registry spec is 3.2 kB of ``.g`` text, so this leaves room for batches
+#: of hundreds of inline specs and nothing near a memory threat
+MAX_BODY_BYTES = 1 << 20
+
 #: request errors mapped to HTTP 400 (bad input, not server failure) and
 #: their stable machine-readable codes; first match wins, so subclasses
 #: precede their bases.  KeyError/TypeError are deliberately absent — those
@@ -126,6 +144,10 @@ def _error_code(error: BaseException) -> str:
 def _error_body(code: str, message: str, retryable: bool = False) -> dict:
     """The structured error document every non-2xx response carries."""
     return {"error": {"code": code, "message": message, "retryable": retryable}}
+
+
+class PayloadTooLargeError(RuntimeError):
+    """A request body past :data:`MAX_BODY_BYTES`; refused unread."""
 
 
 class ServerOverloadedError(RuntimeError):
@@ -611,6 +633,12 @@ class _Handler(BaseHTTPRequestHandler):
     """Thin HTTP plumbing around :class:`SynthesisService`."""
 
     server_version = "repro-serve/1"
+    #: persistent connections: one socket serves a client's requests in turn
+    protocol_version = "HTTP/1.1"
+    #: each response is one write, which Nagle would only hold back
+    disable_nagle_algorithm = True
+    #: the socket timeout: an idle (or stalled) connection is closed
+    timeout = IDLE_TIMEOUT
     #: set by :func:`create_server`
     service: SynthesisService
 
@@ -635,8 +663,12 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("X-Repro-Worker", self.service.worker_id)
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.close_connection or self.service.draining or self.server.closing:
+            self.send_header("Connection", "close")
+        # head and body in one write: a kept-alive peer must not sit on a
+        # delayed ACK between two small segments
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def _dispatch_traced(self, method: str, body: Optional[dict]):
         """Dispatch under an ``http:<path>`` span when tracing is active.
@@ -661,16 +693,33 @@ class _Handler(BaseHTTPRequestHandler):
         ):
             return self.service.dispatch(method, self.path, body)
 
-    def _read_body(self) -> dict:
-        """The JSON object a POST carries; ``ValueError`` when it is none."""
+    def _read_body(self) -> Optional[dict]:
+        """The JSON object a POST carries (``None`` for a GET);
+        ``ValueError`` when it is none.
+
+        A body the server leaves unread — a GET's, a chunked one, one with
+        a bad length or one past :data:`MAX_BODY_BYTES` — closes the
+        connection after the reply: on a kept-alive socket its bytes would
+        parse as the next request.
+        """
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
             length = -1
-        if length < 0:
-            # the unread body makes the connection unusable: close it
+        chunked = "Transfer-Encoding" in self.headers
+        if self.command != "POST":
+            if length or chunked:
+                self.close_connection = True
+            return None
+        if length < 0 or length > MAX_BODY_BYTES or chunked:
             self.close_connection = True
+        if length < 0:
             raise ValueError("Content-Length must be a non-negative integer")
+        if length > MAX_BODY_BYTES:
+            raise PayloadTooLargeError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte bound"
+            )
         try:  # a body that is not UTF-8 is malformed too
             body = json.loads(self.rfile.read(length).decode("utf-8") or "{}")
         except ValueError as error:
@@ -681,8 +730,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _handle(self, method: str) -> None:
         try:
-            body = self._read_body() if method == "POST" else None
-            result = self._dispatch_traced(method, body)
+            result = self._dispatch_traced(method, self._read_body())
+        except PayloadTooLargeError as error:
+            self._send(413, _error_body("payload_too_large", str(error)))
+            return
         except ServerOverloadedError as error:  # a deadline miss, too
             self._send(
                 error.status,
@@ -722,6 +773,32 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._send(200, result)
 
+    def handle(self) -> None:
+        """Serve the connection's requests until either side closes it.
+
+        Between requests the connection is *idle*: parked with the server,
+        which shuts idle sockets down when it closes.  Once a request line
+        has arrived it is *busy* and runs to its response, and a closing
+        server lets it park no more.
+        """
+        try:
+            while self.server.park(self.connection):
+                self.close_connection = True
+                self.handle_one_request()
+                if self.close_connection:
+                    break
+        finally:
+            self.server.unpark(self.connection)
+
+    def parse_request(self) -> bool:
+        # the request line is in: the connection is busy, unless the server
+        # closed meanwhile — then it goes unanswered and the client replays
+        # it on a fresh connection
+        if not self.server.unpark(self.connection):
+            self.close_connection = True
+            return False
+        return super().parse_request()
+
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         self._handle("GET")
 
@@ -745,10 +822,45 @@ class FleetHTTPServer(ThreadingHTTPServer):
     #: mixin's ``_Threads`` registry silently *skips* daemon threads — so
     #: ``server_close()`` would join nothing and a drain could drop an
     #: in-flight response on the floor.  Non-daemon handler threads make
-    #: ``server_close()`` the drain barrier the fleet contract needs
-    #: (connections are one-shot HTTP/1.0 exchanges, so joins are bounded
-    #: by request time, never by an idle keep-alive).
+    #: ``server_close()`` the drain barrier the fleet contract needs.  It
+    #: first shuts down every kept-alive connection that is idle between
+    #: requests, and a busy one parks no more once its response is out, so
+    #: joins are bounded by request time, never by an idle keep-alive.
     daemon_threads = False
+
+    def __init__(self, *args, **kwargs):
+        # connections idle between requests, and whether the server is
+        # closing: one lock, so a handler cannot park after the sweep
+        self._connections_lock = threading.Lock()
+        self._idle: set = set()
+        self.closing = False
+        super().__init__(*args, **kwargs)
+
+    def park(self, connection) -> bool:
+        """Mark ``connection`` idle; ``False`` once the server is closing."""
+        with self._connections_lock:
+            if self.closing:
+                return False
+            self._idle.add(connection)
+            return True
+
+    def unpark(self, connection) -> bool:
+        """Mark ``connection`` busy; ``False`` once the server is closing."""
+        with self._connections_lock:
+            self._idle.discard(connection)
+            return not self.closing
+
+    def server_close(self) -> None:
+        with self._connections_lock:
+            self.closing = True
+            idle = list(self._idle)
+        for connection in idle:
+            try:
+                # wakes the handler thread blocked in its next readline
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer has closed it already
+        super().server_close()
 
     def server_bind(self) -> None:
         if self.reuse_port:

@@ -360,3 +360,10 @@ class TestCacheCommand:
         code, _, _ = run_cli(capsys, "synthesize", "fig1", "--no-store")
         assert code == 0
         assert not (tmp_path / "default-store").exists()
+
+    def test_gap_no_store_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "default-store"))
+        code, out, _ = run_cli(capsys, "gap", "--spec", "fig6", "--no-store", "--json")
+        assert code == 0
+        assert json.loads(out)[0]["sound"] is True
+        assert not (tmp_path / "default-store").exists()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -495,3 +496,241 @@ class TestUntrustedFields:
         )
         assert status == 200 and payload["pool"] is True
         assert widths == [2]
+
+
+def _exchange(address, request: bytes) -> tuple[int, dict, bytes, bool]:
+    """One raw request: ``(status, headers, body, closed)``.
+
+    The response is framed by its ``Content-Length``; ``closed`` says
+    whether the server then closed the connection (EOF within 1 s).
+    """
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(request)
+        response = b""
+        while b"\r\n\r\n" not in response:
+            response += sock.recv(65536)
+        head, _, body = response.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        while len(body) < int(headers["Content-Length"]):
+            body += sock.recv(65536)
+        sock.settimeout(1.0)
+        try:
+            closed = sock.recv(1) == b""
+        except socket.timeout:
+            closed = False
+    return int(lines[0].split()[1]), headers, body, closed
+
+
+@pytest.fixture()
+def plain_server(tmp_path):
+    """A serving server without a client: tests make their own."""
+    server = create_server(port=0, store=tmp_path / "store")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def _eventually(predicate, timeout: float = 5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+def _count_accepted(server) -> list:
+    """Record every connection ``server`` accepts from now on."""
+    accepted = []
+    accept = server.get_request
+
+    def counting():
+        request = accept()
+        accepted.append(request)
+        return request
+
+    server.get_request = counting
+    return accepted
+
+
+class TestKeepAlive:
+    """One connection per client thread, on both ends of ``repro serve``."""
+
+    def test_two_calls_from_one_client_share_one_connection(self, plain_server):
+        accepted = _count_accepted(plain_server)
+        with Client(f"http://127.0.0.1:{plain_server.server_address[1]}") as client:
+            assert client.health()["status"] == "ok"
+            assert client.synthesize("fig1", assume_csc=True).report.literals > 0
+        assert len(accepted) == 1
+
+    def test_a_shared_client_keeps_one_connection_per_thread(self, plain_server):
+        accepted = _count_accepted(plain_server)
+        client = Client(f"http://127.0.0.1:{plain_server.server_address[1]}")
+        failures = []
+
+        def calls() -> None:
+            try:
+                for _ in range(10):
+                    client.health()
+            except Exception as error:  # noqa: BLE001 — asserted below
+                failures.append(error)
+
+        threads = [threading.Thread(target=calls) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        client.close()
+        assert failures == []
+        assert 1 <= len(accepted) <= 4
+        assert client._pool == []
+
+    def test_a_client_speaks_plain_http_only(self):
+        with pytest.raises(ValueError, match="https"):
+            Client("https://127.0.0.1:8765")
+
+    def test_close_does_not_wait_on_an_idle_pooled_connection(self, tmp_path):
+        server = create_server(port=0, store=tmp_path / "store")
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        client = Client(f"http://127.0.0.1:{server.server_address[1]}")
+        client.health()  # its connection now sits idle in the client's pool
+        started = time.monotonic()
+        server.shutdown()
+        server.server_close()
+        assert time.monotonic() - started < 1.0
+        thread.join(timeout=5)
+        client.close()
+
+    def test_closing_the_client_ends_the_server_side_connection(self, plain_server):
+        with Client(f"http://127.0.0.1:{plain_server.server_address[1]}") as client:
+            client.health()
+            # the handler parks the connection just after its reply is out
+            assert _eventually(lambda: len(plain_server._idle) == 1)
+        assert _eventually(lambda: plain_server._idle == set())
+
+    def test_an_idle_connection_is_closed_and_the_next_call_reconnects(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.api.server as server_module
+
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.2)
+        server = create_server(port=0, store=tmp_path / "store")
+        accepted = _count_accepted(server)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = Client(f"http://127.0.0.1:{server.server_address[1]}", retries=0)
+            client.health()
+            time.sleep(0.5)  # past the idle timeout: the server closes it
+            assert _eventually(lambda: not server._idle)
+            assert client.health()["status"] == "ok"
+            assert len(accepted) == 2
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+    def test_a_request_on_a_connection_closed_under_it_is_replayed(
+        self, plain_server, monkeypatch
+    ):
+        """The readability check can miss a close racing the request; the
+        request then fails before any response byte and is sent once more,
+        outside ``retries``."""
+        import repro.api.client as client_module
+
+        accepted = _count_accepted(plain_server)
+        client = Client(f"http://127.0.0.1:{plain_server.server_address[1]}", retries=0)
+        client.health()
+        (connection,) = accepted
+        connection[0].shutdown(socket.SHUT_RDWR)  # the server closes it...
+        time.sleep(0.1)
+        # ...and the client does not notice before it sends
+        monkeypatch.setattr(client_module, "_is_open", lambda sock: True)
+        result = client.synthesize("fig1", assume_csc=True)
+        assert result.report.literals > 0
+        assert len(accepted) == 2
+        client.close()
+
+    def test_a_draining_server_closes_the_connection_after_replying(self, plain_server):
+        plain_server.service.draining = True
+        status, headers, _, closed = _exchange(
+            plain_server.server_address,
+            b"GET /health HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n",
+        )
+        assert status == 200
+        assert headers["Connection"] == "close" and closed
+
+
+class TestRequestFraming:
+    """On a kept-alive connection a body the server does not read would
+    parse as the next request: the server closes the connection instead."""
+
+    def test_an_oversized_body_is_a_413_read_not_at_all(self, plain_server):
+        from repro.api.server import MAX_BODY_BYTES
+
+        request = (
+            "POST /synthesize HTTP/1.1\r\n"
+            "Host: 127.0.0.1\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n"
+            "Content-Type: application/json\r\n\r\n"
+        ).encode()
+        # no body byte is ever sent: a server that read it would time out
+        status, headers, body, closed = _exchange(plain_server.server_address, request)
+        assert status == 413
+        assert json.loads(body)["error"] == {
+            "code": "payload_too_large",
+            "message": f"request body of {MAX_BODY_BYTES + 1} bytes exceeds "
+            f"the {MAX_BODY_BYTES}-byte bound",
+            "retryable": False,
+        }
+        assert headers["Connection"] == "close" and closed
+
+    def test_a_body_at_the_bound_is_read(self, plain_server, monkeypatch):
+        import repro.api.server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_BODY_BYTES", 64)
+        body = json.dumps({"spec": "fig1", "assume_csc": True}).encode().ljust(64)
+        request = (
+            b"POST /synthesize HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            b"Content-Length: 64\r\nContent-Type: application/json\r\n\r\n"
+        ) + body
+        status, _, payload, closed = _exchange(plain_server.server_address, request)
+        assert status == 200 and "report" in json.loads(payload)
+        assert not closed
+
+    @pytest.mark.parametrize("version", ["HTTP/1.1", "HTTP/1.0"])
+    @pytest.mark.parametrize("length", ["abc", "-5", "-1"])
+    def test_an_invalid_content_length_is_a_400_and_a_close(
+        self, plain_server, version, length
+    ):
+        request = (
+            f"POST /synthesize {version}\r\n"
+            "Host: 127.0.0.1\r\n"
+            f"Content-Length: {length}\r\n"
+            "Content-Type: application/json\r\n\r\n"
+        ).encode()
+        status, headers, body, closed = _exchange(plain_server.server_address, request)
+        assert status == 400
+        assert json.loads(body)["error"]["code"] == "bad_request"
+        assert headers["Connection"] == "close" and closed
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /health HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: 5\r\n\r\nhello",
+            b"POST /cache/stats HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+        ],
+        ids=["get-with-body", "chunked-post"],
+    )
+    def test_an_unread_body_closes_the_connection(self, plain_server, request_bytes):
+        status, headers, _, closed = _exchange(plain_server.server_address, request_bytes)
+        assert status == 200
+        assert headers["Connection"] == "close" and closed

@@ -171,6 +171,23 @@ class TestFleet:
         assert len(recycle_events) >= 1
         assert supervisor.respawns == 0  # planned retirement, not a crash
 
+    def test_recycling_worker_closes_the_kept_connection(self, tmp_path):
+        # the budget's last response carries Connection: close, so the
+        # client drops the connection it kept, and its next call lands on
+        # the fresh generation instead of on the retiring worker
+        with running_fleet(tmp_path, workers=1, max_requests=2) as (
+            supervisor,
+            client,
+        ):
+            assert client.health()["worker"] == "0.1"
+            client.synthesize("sequencer")
+            assert len(client._pool) == 1  # kept alive after the first
+            client.synthesize("sequencer")
+            assert client._pool == []
+            assert poll_until(lambda: supervisor.recycles >= 1)
+            assert client.health()["worker"] == "0.2"
+        assert supervisor.respawns == 0
+
     def test_hung_worker_is_killed_and_respawned(self, tmp_path):
         with running_fleet(
             tmp_path, workers=1, heartbeat_timeout=2.5
