@@ -22,7 +22,10 @@ off-set into one *column* per literal: an int whose bit *j* is set when
 off-set cube *j* does not bind the literal's variable to the opposite value.
 A cube meets the off-set iff the AND of its literals' columns is non-zero,
 so with a cube's suffix ANDs precomputed each literal drop costs one big-int
-AND.  :class:`~repro.boolean.cube.Cube` objects are allocated only for the
+AND.  The columns live in an :class:`OffSetColumns`, filled per literal on
+first use; a caller that minimizes several covers against one off-set wraps
+its pairs in one and passes it each time.
+:class:`~repro.boolean.cube.Cube` objects are allocated only for the
 result.  :func:`_reference_minimize` keeps the object-level loops as the
 differential oracle.
 """
@@ -49,6 +52,53 @@ from repro.boolean.interning import _VAR_INDEX, names_of_mask
 _Entry = tuple[Cube, int, int]
 
 
+class OffSetColumns(list):
+    """Off-set pairs that carry their transposition into literal columns.
+
+    A list of packed ``(care, value)`` pairs, usable wherever such a list
+    is, that also holds the columns of :func:`_expand`, filled per literal
+    on first use: ``positive[bit]`` / ``negative[bit]`` has bit *j* set when
+    off-set cube *j* is compatible with the literal ``bit = 1`` /
+    ``bit = 0``.  The memo of dropped literals per bound cube part depends
+    on the off-set alone, so it is shared too.  Treat it as immutable.
+    """
+
+    __slots__ = ("full", "bound", "positive", "negative", "drops")
+
+    def __init__(self, off_set: CubeSet = ()):
+        super().__init__(cube_pairs(off_set))
+        self.full = (1 << len(self)) - 1
+        bound = 0  # variables some off-set cube binds
+        for row_care, _ in self:
+            bound |= row_care
+        self.bound = bound
+        self.positive: dict[int, int] = {}
+        self.negative: dict[int, int] = {}
+        self.drops: dict[tuple[int, int], int] = {}
+
+    def fill(self, support: int) -> None:
+        """Transpose the columns of the bound literal bits of ``support``."""
+        rows = self[::-1]  # row j lands on bit j of a parsed string
+        full = self.full
+        positive = self.positive
+        support &= self.bound
+        while support:
+            bit = support & -support
+            support ^= bit
+            if bit in positive:
+                continue
+            ones = "".join(["1" if row_value & bit else "0" for _, row_value in rows])
+            zeros = "".join(
+                ["1" if (row_care ^ row_value) & bit else "0" for row_care, row_value in rows]
+            )
+            positive[bit] = full ^ int(zeros, 2)
+            self.negative[bit] = full ^ int(ones, 2)
+
+
+def _columns(off_set: CubeSet) -> OffSetColumns:
+    return off_set if isinstance(off_set, OffSetColumns) else OffSetColumns(off_set)
+
+
 def expand_cover(cover: Cover, off_set: Cover) -> Cover:
     """Expand every cube of a cover against the off-set, then prune.
 
@@ -56,7 +106,7 @@ def expand_cover(cover: Cover, off_set: Cover) -> Cover:
     deterministic.  A literal is dropped when the enlarged cube still does
     not intersect ``off_set``.
     """
-    kept = _remove_contained_packed(_expand(cover._cubes, cube_pairs(off_set)))
+    kept = _remove_contained_packed(_expand(cover._cubes, OffSetColumns(off_set)))
     return Cover._make([_materialize(entry) for entry in kept], cover._variables, cover._mask)
 
 
@@ -80,7 +130,7 @@ def minimize_cover(
 
     The result contains ``on_set`` and does not intersect ``off_set``.
     """
-    expanded = _remove_contained_packed(_expand(on_set._cubes, cube_pairs(off_set)))
+    expanded = _remove_contained_packed(_expand(on_set._cubes, _columns(off_set)))
     kept = _irredundant(expanded, cube_pairs(dc_set))
     variables, mask = on_set._variables, on_set._mask
     reduced = Cover._make([_materialize(entry) for entry in kept], variables, mask)
@@ -95,36 +145,23 @@ def minimize_cover(
 # ---------------------------------------------------------------------- #
 
 
-def _expand(cubes: list[Cube], off_pairs: list[tuple[int, int]]) -> list[_Entry]:
-    """Every cube expanded against the off-set pairs, in input order."""
-    rows = off_pairs[::-1]  # row j lands on bit j of a parsed string
-    full = (1 << len(rows)) - 1
-    bound = 0  # variables some off-set cube binds
-    for row_care, _ in rows:
-        bound |= row_care
+def _expand(cubes: list[Cube], columns: OffSetColumns) -> list[_Entry]:
+    """Every cube expanded against the off-set columns, in input order."""
     support = 0
     for cube in cubes:
         support |= cube._care
-    support &= bound
-    # bit -> rows compatible with the literal bit=1 / bit=0
-    positive: dict[int, int] = {}
-    negative: dict[int, int] = {}
-    while support:
-        bit = support & -support
-        support ^= bit
-        ones = "".join(["1" if row_value & bit else "0" for _, row_value in rows])
-        zeros = "".join(
-            ["1" if (row_care ^ row_value) & bit else "0" for row_care, row_value in rows]
-        )
-        positive[bit] = full ^ int(zeros, 2)
-        negative[bit] = full ^ int(ones, 2)
+    columns.fill(support)
+    full = columns.full
+    bound = columns.bound
+    positive = columns.positive
+    negative = columns.negative
     # A literal no off-set cube binds never changes an AND: it is dropped
     # iff the cube misses the off-set, and the other decisions depend only
     # on the bound literals.  So the dropped mask is memoized per bound part
     # (``~bound`` marks "drop every unbound literal").  Keys repeat where the
     # off-set leaves signals unbound: on the state-based registry specs half
     # of all expansions hit (independent_cells_5 98%, muller_pipeline_8 64%).
-    drops: dict[tuple[int, int], int] = {}
+    drops = columns.drops
     expanded: list[_Entry] = []
     for cube in cubes:
         care = cube._care

@@ -14,6 +14,11 @@ interned place order:
 ``deltas[t]``
     ``pre_masks[t] ^ post_masks[t]`` — the places whose token count changes
     when ``t`` fires (self-loop places, ``•t ∩ t•``, keep their token).
+``consumers[p]`` / ``producers[p]``
+    The transition indices with ``p ∈ •t`` / ``p ∈ t•``, in index order:
+    the place-to-transition tables of the worklist walks
+    (:meth:`repro.structural.qps._WalkEngine.reach`) and of the
+    SM-component test (:func:`repro.petri.smcover.is_sm_component`).
 
 A marking ``m`` of a *safe* net is then a plain ``int`` with bit ``i`` set
 iff place ``i`` is marked, and the token-flow semantics collapses to:
@@ -29,7 +34,7 @@ reference path, so unsafe nets keep the exact multiset semantics.
 
 Reachability exploration additionally maintains the enabled set of each
 marking incrementally ("dirty-frontier"): when ``t`` fires, only transitions
-adjacent to the changed places (``consumer_masks`` over ``deltas[t]``) can
+adjacent to the changed places (``consumers`` of ``deltas[t]``) can
 change their enabled status, so the per-successor work is proportional to
 the local fan-out instead of ``|T|``.
 """
@@ -83,6 +88,8 @@ class CompiledNet:
         "pre_masks",
         "post_masks",
         "deltas",
+        "consumers",
+        "producers",
         "_not_pre",
         "_post_only",
         "_affected",
@@ -112,6 +119,16 @@ class CompiledNet:
         self.pre_masks = pre_masks
         self.post_masks = post_masks
         self.deltas = [pre ^ post for pre, post in zip(pre_masks, post_masks)]
+        # Walk tables: for each place, the transitions it feeds forward
+        # (``p ∈ •t``) and backward (``p ∈ t•``), in index order.
+        self.consumers: list[list[int]] = [[] for _ in self.place_names]
+        self.producers: list[list[int]] = [[] for _ in self.place_names]
+        for table, masks in ((self.consumers, pre_masks), (self.producers, post_masks)):
+            for transition, mask in enumerate(masks):
+                while mask:
+                    low = mask & -mask
+                    table[low.bit_length() - 1].append(transition)
+                    mask ^= low
         self._not_pre = [~pre for pre in pre_masks]
         # Tokens may appear on an output place that is not consumed; if it is
         # already marked the successor would be 2-bounded.
@@ -120,10 +137,14 @@ class CompiledNet:
         # preset touches a place changed by firing t (the only ones whose
         # enabled status can differ between m and fire(t, m)).
         self._affected: list[list[int]] = []
+        consumers = self.consumers
         for delta in self.deltas:
-            self._affected.append(
-                [u for u, pre in enumerate(pre_masks) if pre & delta]
-            )
+            affected: set[int] = set()
+            while delta:
+                low = delta & -delta
+                affected.update(consumers[low.bit_length() - 1])
+                delta ^= low
+            self._affected.append(sorted(affected))
 
     # ------------------------------------------------------------------ #
     # Marking conversion (API boundary)

@@ -10,9 +10,8 @@ characterizations, and the RG-based checks double as oracles in the tests.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Iterable
 from typing import Optional
-
-import networkx as nx
 
 from repro.petri.net import PetriNet
 from repro.petri.reachability import ReachabilityGraph, build_reachability_graph
@@ -57,24 +56,36 @@ def is_free_choice(net: PetriNet) -> bool:
     return True
 
 
+def _reached(start: Hashable, steps: Callable[[Hashable], Iterable[Hashable]]) -> set:
+    """Every node reachable from ``start`` (itself included)."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for other in steps(frontier.pop()):
+            if other not in seen:
+                seen.add(other)
+                frontier.append(other)
+    return seen
+
+
 def is_connected(net: PetriNet) -> bool:
     """True if the underlying undirected flow graph is connected."""
-    graph = nx.Graph()
-    graph.add_nodes_from(net.nodes)
-    graph.add_edges_from(net.arcs())
-    if graph.number_of_nodes() == 0:
+    nodes = net.nodes
+    if not nodes:
         return False
-    return nx.is_connected(graph)
+    reached = _reached(nodes[0], lambda node: net.preset(node) | net.postset(node))
+    return len(reached) == len(nodes)
 
 
 def is_strongly_connected(net: PetriNet) -> bool:
     """True if the directed flow graph is strongly connected."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(net.nodes)
-    graph.add_edges_from(net.arcs())
-    if graph.number_of_nodes() == 0:
+    nodes = net.nodes
+    if not nodes:
         return False
-    return nx.is_strongly_connected(graph)
+    start = nodes[0]
+    return len(_reached(start, net.postset)) == len(nodes) == len(
+        _reached(start, net.preset)
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -105,24 +116,60 @@ def is_live(
     """
     if graph is None:
         graph = build_reachability_graph(net, max_markings=max_markings)
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(graph.markings)
-    for source, transition, target in graph.edges():
-        digraph.add_edge(source, target, transition=transition)
     all_transitions = set(net.transitions)
-    condensation = nx.condensation(digraph)
-    for component_id in condensation.nodes:
-        if condensation.out_degree(component_id) != 0:
-            continue
-        members = condensation.nodes[component_id]["members"]
-        fired: set[str] = set()
-        for marking in members:
-            for label, target in graph.successors(marking):
-                if target in members:
-                    fired.add(label)
-        if fired != all_transitions:
+    for members in _strongly_connected_components(
+        graph.markings, lambda marking: [target for _, target in graph.successors(marking)]
+    ):
+        edges = [edge for marking in members for edge in graph.successors(marking)]
+        if any(target not in members for _, target in edges):
+            continue  # an edge leaves the component: not a bottom one
+        if {label for label, _ in edges} != all_transitions:
             return False
     return True
+
+
+def _strongly_connected_components(
+    nodes: Iterable[Hashable], successors: Callable[[Hashable], list]
+) -> list[set]:
+    """Tarjan's strongly connected components, iteratively (no recursion)."""
+    index: dict = {}
+    low: dict = {}
+    stack: list = []
+    on_stack: set = set()
+    components: list[set] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors(root)))]
+        while work:
+            node, pending = work[-1]
+            for target in pending:
+                if target not in index:
+                    index[target] = low[target] = len(index)
+                    stack.append(target)
+                    on_stack.add(target)
+                    work.append((target, iter(successors(target))))
+                    break
+                if target in on_stack:
+                    low[node] = min(low[node], index[target])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = set()
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.add(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
 
 
 def redundant_places(

@@ -9,6 +9,13 @@ of one-token SM-components that together contain every place — both to detect
 structural coding conflicts (Definition 11) and to refine cover functions
 (Section VII).
 
+The SM-component test (:func:`is_sm_component`) runs on the compiled net's
+masks: the place set is one int, each adjacent transition is checked with
+one AND per side (exactly one input and one output place in the set), and
+strong connectivity is one forward and one backward closure over the
+place-to-place edges those transitions induce.  The set-based test is kept
+as :func:`_reference_is_sm_component`, the differential-test oracle.
+
 Two computation routes are provided:
 
 * :func:`compute_sm_components` — enumerate SM-components from the minimal
@@ -24,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
-
+from repro.petri.compiled import compile_net
 from repro.petri.invariants import place_invariants
 from repro.petri.net import PetriNet
 
@@ -79,8 +85,65 @@ def is_sm_component(net: PetriNet, places: frozenset[str]) -> bool:
 
     Every adjacent transition must have exactly one input place and exactly
     one output place in the set, and the induced subnet must be strongly
-    connected.
+    connected.  Each such transition is then one edge from its input place
+    to its output place, so the subnet is strongly connected iff every
+    place of the set reaches, and is reached from, one of them.
     """
+    if not places:
+        return False
+    compiled = compile_net(net)
+    index = compiled.place_index
+    pre_masks = compiled.pre_masks
+    post_masks = compiled.post_masks
+    chosen = 0
+    for place in places:
+        chosen |= 1 << index[place]
+    successors: dict[int, int] = {}  # place bit -> out-place bits
+    predecessors: dict[int, int] = {}  # place bit -> in-place bits
+    mask = chosen
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        p = bit.bit_length() - 1
+        # a transition consuming p has input p alone in the set and some
+        # output in it; a transition producing p, output p alone and some
+        # input.  Both sides of every adjacent transition are checked, so
+        # it has exactly one input and one output place in the set.
+        out_places = 0
+        for t in compiled.consumers[p]:
+            after = post_masks[t] & chosen
+            if pre_masks[t] & chosen != bit or not after:
+                return False
+            out_places |= after
+        in_places = 0
+        for t in compiled.producers[p]:
+            before = pre_masks[t] & chosen
+            if post_masks[t] & chosen != bit or not before:
+                return False
+            in_places |= before
+        successors[bit] = out_places
+        predecessors[bit] = in_places
+    root = chosen & -chosen
+    return (
+        _closure(root, successors) == chosen
+        and _closure(root, predecessors) == chosen
+    )
+
+
+def _closure(start: int, edges: dict[int, int]) -> int:
+    """Bits reachable from ``start`` along ``edges`` (bit -> target bits)."""
+    reached = pending = start
+    while pending:
+        bit = pending & -pending
+        pending ^= bit
+        new = edges[bit] & ~reached
+        reached |= new
+        pending |= new
+    return reached
+
+
+def _reference_is_sm_component(net: PetriNet, places: frozenset[str]) -> bool:
+    """Set-based :func:`is_sm_component` (differential oracle)."""
     if not places:
         return False
     transitions = _adjacent_transitions(net, places)
@@ -89,15 +152,21 @@ def is_sm_component(net: PetriNet, places: frozenset[str]) -> bool:
             return False
         if len(net.postset(transition) & places) != 1:
             return False
-    graph = nx.DiGraph()
-    graph.add_nodes_from(places)
-    graph.add_nodes_from(transitions)
-    for transition in transitions:
-        for place in net.preset(transition) & places:
-            graph.add_edge(place, transition)
-        for place in net.postset(transition) & places:
-            graph.add_edge(transition, place)
-    return nx.is_strongly_connected(graph)
+    nodes = places | transitions
+
+    def reached(step) -> set[str]:
+        start = next(iter(places))
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            node = frontier.pop()
+            for other in step(node):
+                if other in nodes and other not in seen:
+                    seen.add(other)
+                    frontier.append(other)
+        return seen
+
+    return reached(net.postset) == nodes and reached(net.preset) == nodes
 
 
 def token_count(net: PetriNet, component: StateMachineComponent) -> int:

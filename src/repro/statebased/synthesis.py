@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.boolean.cover import Cover
-from repro.boolean.minimize import minimize_cover
+from repro.boolean.minimize import OffSetColumns, minimize_cover
 from repro.statebased.coding import analyze_state_coding
 from repro.statebased.regions import SignalRegions, state_space
 from repro.stg.consistency import check_consistency_state_based
@@ -131,12 +131,15 @@ def _synthesize_signal(
     disjoint ``(care, value)`` pairs with identical minterm semantics — the
     minimizer only ever asks semantic questions of them.  The complex
     gate's off-set is the set function's, and the reset function's off-set
-    is the complex gate's on-set, so each is computed once.
+    is the complex gate's on-set, so each is computed once; the off-set the
+    complex gate and the set function share is transposed once.
     """
     encoded = regions.encoded
     on_bits = regions.ger_bits(signal, "+") | regions.gqr_bits(signal, 1)
     off_bits = regions.ger_bits(signal, "-") | regions.gqr_bits(signal, 0)
-    off_set = encoded.space_pairs(encoded.key_set_of_bits(off_bits), complement=False)
+    off_set = OffSetColumns(
+        encoded.space_pairs(encoded.key_set_of_bits(off_bits), complement=False)
+    )
 
     if allow_combinational:
         # Complex gate per signal: a cover of the full next-state function.
@@ -164,12 +167,12 @@ def _set_reset_covers(
     signal: str,
     used_keys: set[int],
     on_bits: int,
-    set_off: list[tuple[int, int]],
+    set_off: OffSetColumns,
 ) -> tuple[Cover, Cover]:
     """Minimized set and reset covers against the exact off-sets.
 
     ``on_bits`` are the states of ``GER(+) ∪ GQR(1)``, the reset function's
-    off-set; ``set_off`` is the set function's off-set pairs.
+    off-set; ``set_off`` is the set function's off-set, transposed.
     """
     encoded = regions.encoded
     ger_plus = regions.ger_codes(signal, "+")

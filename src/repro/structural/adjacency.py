@@ -17,6 +17,12 @@ Both characterizations are implemented here: the necessary-condition search
 reduction procedure (:func:`forward_reduction`), and the combined search
 (:func:`structural_next_relation_checked`) which applies the sufficient
 condition when asked for.
+
+The searches run on the worklist walk kernel of :mod:`repro.structural.qps`:
+a forward walk from the transition's output places that stops at the
+signal's transitions and is not expanded through — nor records — the places
+concurrent to the signal (one mask per signal).  The name-based BFS is kept
+as :func:`_reference_path_successors`, the differential-test oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import Optional
 from repro.petri.net import PetriNet
 from repro.stg.stg import STG
 from repro.structural.concurrency import ConcurrencyRelation
+from repro.structural.qps import _WalkEngine, _engine_for
 
 
 def forward_reduction(net: PetriNet, removed_transitions: set[str]) -> PetriNet:
@@ -63,24 +70,37 @@ def forward_reduction(net: PetriNet, removed_transitions: set[str]) -> PetriNet:
     return reduced
 
 
-def _allowed_place(
-    stg: STG,
-    concurrency: ConcurrencyRelation,
-    place: str,
-    signal: str,
-) -> bool:
-    """Property 4 condition (1): the place must not be concurrent to the signal."""
-    return not concurrency.node_concurrent_with_signal(place, signal)
-
-
 def _path_successors(
+    stg: STG,
+    start: str,
+    signal: str,
+    stop_places: int = 0,
+    net: Optional[PetriNet] = None,
+) -> set[str]:
+    """Forward search from ``start`` avoiding other transitions of ``signal``.
+
+    Returns the transitions of ``signal`` reached first along some path that
+    passes no place of ``stop_places`` (a mask over the net's places).
+    """
+    engine = _engine_for(stg) if net is None else _WalkEngine(stg, net)
+    index = engine.transition_index.get(start)
+    if index is None:
+        return set()
+    stop = engine.signal_masks.get(signal, 0)
+    _, reached = engine.reach(
+        engine.compiled.post_masks[index], True, stop, stop_places
+    )
+    return engine.names_of_transitions(reached & stop)
+
+
+def _reference_path_successors(
     stg: STG,
     start: str,
     signal: str,
     allowed_place,
     net: Optional[PetriNet] = None,
 ) -> tuple[set[str], set[str]]:
-    """Forward search from ``start`` avoiding other transitions of ``signal``.
+    """Name-based :func:`_path_successors` (differential oracle).
 
     Returns ``(adjacent, visited_places)`` where ``adjacent`` are the
     transitions of ``signal`` reached first along some path, and
@@ -125,22 +145,20 @@ def structural_next_relation(
 ) -> dict[str, set[str]]:
     """``next`` relation based on the necessary conditions (Property 4).
 
-    For every requested transition, a forward breadth-first search through
+    For every requested transition, a forward walk through
     places non-concurrent to the signal and transitions of other signals
     collects the signal transitions reached first.  Any path found this way
     can be shortened to a simple path, so graph reachability in the restricted
     net captures exactly the paths of Property 4.
     """
+    concurrent_to = _engine_for(stg).scr_place_masks(concurrency)
     result: dict[str, set[str]] = {}
     targets = transitions if transitions is not None else stg.transitions
     for transition in targets:
         signal = stg.signal_of(transition)
-
-        def allowed(place: str, signal: str = signal) -> bool:
-            return _allowed_place(stg, concurrency, place, signal)
-
-        adjacent, _ = _path_successors(stg, transition, signal, allowed)
-        result[transition] = adjacent
+        result[transition] = _path_successors(
+            stg, transition, signal, concurrent_to(signal)
+        )
     return result
 
 
@@ -166,16 +184,11 @@ def structural_next_relation_checked(
         signal = stg.signal_of(transition)
         others = set(stg.transitions_of_signal(signal)) - {transition}
         reduced = forward_reduction(stg.net, others)
-
-        def allowed(_place: str) -> bool:
-            return True
-
         extra: set[str] = set()
         if reduced.has_node(transition):
             # Paths through concurrent places, restricted to the reduced net:
             # a successor found here is realizable without firing other
             # transitions of the signal first.
-            found, _ = _path_successors(stg, transition, signal, allowed, net=reduced)
-            extra = found
+            extra = _path_successors(stg, transition, signal, net=reduced)
         result[transition] = necessary.get(transition, set()) | extra
     return result

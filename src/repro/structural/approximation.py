@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.boolean.cover import Cover
+from repro.boolean.cover import Cover, _merged_universe, _remove_contained_packed
 from repro.boolean.cube import Cube
+from repro.boolean.interning import _VAR_INDEX
 from repro.stg.stg import STG
 from repro.structural.adjacency import structural_next_relation
 from repro.structural.concurrency import ConcurrencyRelation, compute_concurrency_relation
@@ -133,7 +134,9 @@ class SignalRegionApproximation:
         cache[key] = result
         return result
 
-    def _qr_cover_uncached(self, transition: str, restricted: bool) -> Cover:
+    def _qr_place_covers(self, transition: str, restricted: bool) -> list[Cover]:
+        """The covers of the places of QPS(t) (in name order) whose union
+        approximates QR(t), boundary places minus the successor ER covers."""
         signal = self.stg.signal_of(transition)
         places = set(self.qps.get(transition, set()))
         if restricted:
@@ -141,9 +144,8 @@ class SignalRegionApproximation:
                 if other == transition:
                     continue
                 places -= self.qps.get(other, set())
-        successors = self.next_relation.get(transition, set())
         boundary: dict[str, set[str]] = {}
-        for successor in successors:
+        for successor in self.next_relation.get(transition, set()):
             for place in self.stg.net.preset(successor):
                 if place in places:
                     boundary.setdefault(place, set()).add(successor)
@@ -153,15 +155,31 @@ class SignalRegionApproximation:
             for successor in boundary.get(place, ()):
                 cover = cover.sharp(self.er_cover(successor))
             covers.append(cover)
-        result = Cover.union_all(covers, self.stg.signal_names)
+        return covers
+
+    def _qr_cover_uncached(self, transition: str, restricted: bool) -> Cover:
+        covers = self._qr_place_covers(transition, restricted)
         anchor = self._signal_value_cube(transition, after_firing=True)
-        if anchor is not None:
-            result = result.intersect_cube(anchor)
+        if anchor is None:
+            result = Cover.union_all(covers, self.stg.signal_names)
+        else:
+            result = _anchored_union(covers, self.stg.signal_names, anchor)
         # Quiescent-region markings never enable a successor transition of the
         # signal, so (under CSC) the codes of the successor excitation regions
         # can be removed globally — this eliminates the overestimation that
         # reaches the boundary through places of concurrent branches.
-        for successor in successors:
+        for successor in self.next_relation.get(transition, set()):
+            result = result.sharp(self.er_cover(successor))
+        return result.with_variables(self.stg.signal_names)
+
+    def _reference_qr_cover_uncached(self, transition: str, restricted: bool) -> Cover:
+        """Union, then anchor: the differential oracle of the one-pass union."""
+        covers = self._qr_place_covers(transition, restricted)
+        result = Cover.union_all(covers, self.stg.signal_names)
+        anchor = self._signal_value_cube(transition, after_firing=True)
+        if anchor is not None:
+            result = result.intersect_cube(anchor)
+        for successor in self.next_relation.get(transition, set()):
             result = result.sharp(self.er_cover(successor))
         return result.with_variables(self.stg.signal_names)
 
@@ -237,6 +255,61 @@ class SignalRegionApproximation:
     def next_state_off_set(self, signal: str) -> Cover:
         """Off-set of the next-state function: GER(signal-) ∪ GQR(signal=0)."""
         return self.ger_cover(signal, "-").union(self.gqr_cover(signal, 0))
+
+
+def _anchored_union(covers: list[Cover], variables: list[str], anchor: Cube) -> Cover:
+    """``Cover.union_all(covers, variables).intersect_cube(anchor)`` in one
+    containment pass, for a one-literal ``anchor``.
+
+    Every cube is anchored first; products disjoint from the anchor are
+    dropped.  A cube contained in another stays contained once both are
+    anchored, so one scan over the products keeps the same cubes, with one
+    exception: a cube that carried the anchor literal and the same cube
+    without it become equal.  The union keeps the one without the literal
+    (it contains the other), so among equal products those that gained the
+    literal are visited first.  (With more anchor literals, cubes that
+    gained different ones tie too, and this order no longer decides as the
+    union does.)  The kept products are put in the order the two passes
+    give — fewest literals first, then input order — and a new
+    :class:`Cube` is built only for a product that gained the literal.
+    """
+    care = anchor._care
+    if care & (care - 1):
+        raise ValueError(f"the anchor must be one literal, not {anchor!r}")
+    start = Cover.empty(variables)
+    names, mask = start._variables, start._mask
+    cubes: list[Cube] = []
+    for cover in covers:
+        names, mask = _merged_universe(names, mask, cover)
+        cubes.extend(cover._cubes)
+    value = anchor._value
+    gained: list[tuple[int, int, int]] = []
+    carried: list[tuple[int, int, int]] = []
+    for index, cube in enumerate(cubes):
+        own_care = cube._care
+        if (cube._value ^ value) & own_care & care:
+            continue  # disjoint from the anchor
+        if care & ~own_care:
+            gained.append((index, own_care | care, cube._value | value))
+        else:
+            carried.append((index, own_care, cube._value))
+    kept = _remove_contained_packed(gained + carried)
+    kept.sort(key=lambda entry: (entry[1].bit_count(), entry[0]))
+    literals = anchor._literals
+    result = []
+    for index, product_care, product_value in kept:
+        cube = cubes[index]
+        if product_care != cube._care:
+            merged = dict(cube._literals)
+            merged.update(literals)
+            cube = Cube._raw(merged, product_care, product_value)
+        result.append(cube)
+    if kept and care & ~mask:
+        # every product carries the anchor's literals: the universe grows by
+        # its new variables in literal order
+        names += tuple(var for var in literals if (1 << _VAR_INDEX[var]) & ~mask)
+        mask |= care
+    return Cover._make(result, names, mask)
 
 
 def approximate_signal_regions(

@@ -61,6 +61,8 @@ class ConcurrencyRelation:
         self._rows: list[int] = [0] * len(self._names)
         # signal -> bitmask over node indices of the signal's transitions
         self._signal_masks: dict[str, int] = {}
+        # signal -> bitmask over place indices of the places concurrent to it
+        self._signal_place_masks: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Construction (used by the computation function)
@@ -119,6 +121,31 @@ class ConcurrencyRelation:
         if index is None:
             return False
         return bool(self._rows[index] & self._signal_mask(signal))
+
+    def place_names(self) -> list[str]:
+        """The place names in the order of the place bits (the net's)."""
+        return self._names[: self._num_places]
+
+    def signal_place_mask(self, signal: str) -> int:
+        """SCR over the places, as one mask over the place bits (memoised).
+
+        Bit ``i`` is set when place ``i`` is concurrent with some transition
+        of ``signal``.  The relation is symmetric, so this is the OR of the
+        rows of the signal's transitions, restricted to the places: answered
+        once per signal instead of once per (place, signal) query.
+        """
+        mask = self._signal_place_masks.get(signal)
+        if mask is None:
+            mask = 0
+            rows = self._rows
+            transitions = self._signal_mask(signal)
+            while transitions:
+                low = transitions & -transitions
+                mask |= rows[low.bit_length() - 1]
+                transitions ^= low
+            mask &= (1 << self._num_places) - 1
+            self._signal_place_masks[signal] = mask
+        return mask
 
     def pairs(self) -> set[frozenset[str]]:
         """All concurrent pairs as frozensets."""

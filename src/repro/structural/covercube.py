@@ -10,7 +10,14 @@ its (constant) value inside the marked region, which is determined by the
 the place can become marked without any further transition of the signal.
 
 All computations are graph searches on the STG structure restricted by the
-concurrency relation; nothing touches the reachability graph.
+concurrency relation; nothing touches the reachability graph.  They run on
+the worklist walk kernel of :mod:`repro.structural.qps` over place masks: a
+walk stops at the signal's transitions (a stop-transition mask) and does not
+expand through the places concurrent to the signal (a stop-place mask,
+answered once per signal from the relation's rows).  The values a signal can
+take while a place is marked are two masks, one per value.  The name-based
+breadth-first searches are kept as ``_reference_*`` functions, the
+differential-test oracles.
 """
 
 from __future__ import annotations
@@ -21,9 +28,41 @@ from typing import Optional
 from repro.boolean.cube import Cube
 from repro.stg.stg import STG
 from repro.structural.concurrency import ConcurrencyRelation, compute_concurrency_relation
+from repro.structural.qps import _WalkEngine, _engine_for
 
 
-def _nodes_reached_without_signal(
+def _value_masks(
+    stg: STG,
+    engine: _WalkEngine,
+    signal: str,
+    initial_value: Optional[int],
+    concurrent: int,
+) -> tuple[int, int]:
+    """Masks of the places where ``signal`` can be 0 / can be 1.
+
+    ``concurrent`` is the mask of the places concurrent to the signal: they
+    are reached but not expanded (the Property-4 restriction).
+    """
+    stop = engine.signal_masks.get(signal, 0)
+    post_masks = engine.compiled.post_masks
+    tindex = engine.transition_index
+    can_be = [0, 0]
+    for transition in stg.transitions_of_signal(signal):
+        label = stg.label(transition)
+        if label.direction not in "+-":
+            continue
+        places, _ = engine.reach(
+            post_masks[tindex[transition]], True, stop, concurrent
+        )
+        can_be[label.target_value] |= places
+    if initial_value is not None:
+        marked = engine.places_mask(stg.initial_marking.marked_places)
+        places, _ = engine.reach(marked, True, stop, concurrent)
+        can_be[initial_value] |= places
+    return can_be[0], can_be[1]
+
+
+def _reference_nodes_reached_without_signal(
     stg: STG,
     signal: str,
     sources: list[str],
@@ -89,6 +128,26 @@ def signal_value_at_places(
     Consistent STGs never produce several values for a place non-concurrent
     to the signal (Property 9).
     """
+    engine = _engine_for(stg)
+    concurrent = engine.scr_place_masks(concurrency)(signal)
+    zeros, ones = _value_masks(stg, engine, signal, initial_value, concurrent)
+    result: dict[str, Optional[int]] = {}
+    for i, place in enumerate(engine.place_names):
+        zero = zeros >> i & 1
+        if zero != ones >> i & 1:
+            result[place] = 1 - zero
+        else:
+            result[place] = None
+    return result
+
+
+def _reference_signal_value_at_places(
+    stg: STG,
+    signal: str,
+    initial_value: Optional[int] = None,
+    concurrency: Optional[ConcurrencyRelation] = None,
+) -> dict[str, Optional[int]]:
+    """Name-based :func:`signal_value_at_places` (differential oracle)."""
     possible: dict[str, set[int]] = {place: set() for place in stg.places}
 
     # Values imposed by preceding signal transitions.
@@ -96,7 +155,9 @@ def signal_value_at_places(
         label = stg.label(transition)
         if label.direction not in "+-":
             continue
-        reached = _nodes_reached_without_signal(stg, signal, [transition], concurrency)
+        reached = _reference_nodes_reached_without_signal(
+            stg, signal, [transition], concurrency
+        )
         for node in reached:
             if node in possible:
                 possible[node].add(label.target_value)
@@ -163,6 +224,28 @@ def structural_initial_values(
     not contribute a spurious direction.
     """
     values = dict(stg.initial_values)
+    engine = _engine_for(stg)
+    concurrent_to = engine.scr_place_masks(concurrency)
+    marked = engine.places_mask(stg.initial_marking.marked_places)
+    for signal in stg.signal_names:
+        if signal in values:
+            continue
+        stop = engine.signal_masks.get(signal, 0)
+        _, reached = engine.reach(marked, True, stop, concurrent_to(signal))
+        first_directions = {
+            stg.direction_of(transition)
+            for transition in engine.names_of_transitions(reached & stop)
+        }
+        values[signal] = 1 if first_directions & {"+", "-"} == {"-"} else 0
+    return values
+
+
+def _reference_structural_initial_values(
+    stg: STG,
+    concurrency: Optional[ConcurrencyRelation] = None,
+) -> dict[str, int]:
+    """Name-based :func:`structural_initial_values` (differential oracle)."""
+    values = dict(stg.initial_values)
     net = stg.net
     marked = sorted(stg.initial_marking.marked_places)
     for signal in stg.signal_names:
@@ -216,10 +299,34 @@ def compute_cover_cubes(
     if initial_values is None:
         initial_values = structural_initial_values(stg, concurrency)
     selected = signals if signals is not None else stg.signal_names
+    engine = _engine_for(stg)
+    concurrent_to = engine.scr_place_masks(concurrency)
+    names = engine.place_names
 
-    literals: dict[str, dict[str, int]] = {place: {} for place in stg.places}
+    literals: list[dict[str, int]] = [{} for _ in names]
     for signal in selected:
-        values = signal_value_at_places(
+        concurrent = concurrent_to(signal)
+        zeros, ones = _value_masks(
+            stg, engine, signal, initial_values.get(signal), concurrent
+        )
+        # one possible value, and constant while the place is marked
+        fixed = (zeros ^ ones) & ~concurrent
+        while fixed:
+            low = fixed & -fixed
+            literals[low.bit_length() - 1][signal] = 1 if ones & low else 0
+            fixed ^= low
+    return {place: Cube(assignment) for place, assignment in zip(names, literals)}
+
+
+def _reference_compute_cover_cubes(
+    stg: STG,
+    concurrency: ConcurrencyRelation,
+    initial_values: dict[str, int],
+) -> dict[str, Cube]:
+    """Name-based :func:`compute_cover_cubes` (differential oracle)."""
+    literals: dict[str, dict[str, int]] = {place: {} for place in stg.places}
+    for signal in stg.signal_names:
+        values = _reference_signal_value_at_places(
             stg, signal, initial_values.get(signal), concurrency
         )
         for place in stg.places:

@@ -11,24 +11,37 @@ quiescent region BR(t) (Appendix E): the places interleaved between the
 predecessor transitions of the signal and ``t``, obtained by the symmetric
 backward search.
 
-The walks run on the bit-packed kernel: places are bits of the compiled
-net's ``pre_masks``/``post_masks``, a walk is a mask fixed point (a
-transition is reached as soon as any of its adjacent places is visited, and
-expands to its far-side places unless it carries the walked signal), and the
-intersections that define QPS/BPS are single AND operations.  Per-transition
-walk results are memoised within one ``compute_*`` call, so the backward
-walks shared by many successors are computed once.  The node-at-a-time BFS
-is retained as :func:`_directional_place_walk` — the differential-test
-oracle.
+Every structural walk of the front-end runs on one kernel,
+:meth:`_WalkEngine.reach`: a worklist over the compiled net's place-to-
+transition tables (``consumers`` forward, ``producers`` backward).  A
+transition is reached as soon as one adjacent place on the walk's near side
+is expanded; unless it is a *stop transition* it adds its far-side places.
+A *stop place* is recorded as reached but not expanded.  Each place is
+expanded once and each transition reached once, so a walk costs
+``O(|P| + |F|)`` instead of one scan of every transition per step.  The
+result is the least fixed point of these rules, which is unique, so the
+visiting order does not matter.
+
+The QPS/BPS walks stop at the walked signal's transitions and at no place;
+the cover-cube walks (:mod:`repro.structural.covercube`) and the Property-4
+successor search (:mod:`repro.structural.adjacency`) also stop at the places
+concurrent to the signal, whose mask :meth:`_WalkEngine.scr_place_masks`
+answers once per signal.  The intersections that define QPS/BPS are single
+AND operations, and per-transition walk results are memoised on the engine,
+so the backward walks shared by many successors are computed once.  The
+node-at-a-time BFS is retained as :func:`_directional_place_walk` — the
+differential-test oracle.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.petri.compiled import compile_net
+from repro.petri.net import PetriNet
 from repro.stg.stg import STG
+from repro.structural.concurrency import ConcurrencyRelation
 
 
 def _engine_for(stg: STG) -> "_WalkEngine":
@@ -51,58 +64,104 @@ def _engine_for(stg: STG) -> "_WalkEngine":
 
 
 class _WalkEngine:
-    """Mask-based directional walks over one STG's compiled net."""
+    """Worklist walks over one STG's compiled net.
 
-    def __init__(self, stg: STG):
-        compiled = compile_net(stg.net)
+    ``net`` defaults to the STG's own net; another net over the same labels
+    (a forward reduction) may be given instead.
+    """
+
+    def __init__(self, stg: STG, net: Optional[PetriNet] = None):
+        compiled = compile_net(stg.net if net is None else net)
         self.compiled = compiled
         self.place_names = compiled.place_names
+        self.place_index = compiled.place_index
         self.transition_index = compiled.transition_index
         self.signal_of = [
             stg.signal_of(name) for name in compiled.transition_names
         ]
+        # signal -> mask over transition indices of its transitions
+        self.signal_masks: dict[str, int] = {}
+        for t, signal in enumerate(self.signal_of):
+            self.signal_masks[signal] = self.signal_masks.get(signal, 0) | 1 << t
         self._cache: dict[tuple[int, bool], tuple[int, int]] = {}
+
+    def reach(
+        self,
+        places: int,
+        forward: bool,
+        stop_transitions: int,
+        stop_places: int = 0,
+    ) -> tuple[int, int]:
+        """``(places_mask, transitions_mask)`` reached from ``places``.
+
+        The start places count as reached.  A reached place outside
+        ``stop_places`` reaches every transition it feeds in the walk's
+        direction; a reached transition outside ``stop_transitions`` reaches
+        its far-side places.
+        """
+        compiled = self.compiled
+        if forward:
+            feeds, out_of = compiled.consumers, compiled.post_masks
+        else:
+            feeds, out_of = compiled.producers, compiled.pre_masks
+        reached = 0
+        pending = places & ~stop_places
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            for u in feeds[low.bit_length() - 1]:
+                bit = 1 << u
+                if reached & bit:
+                    continue
+                reached |= bit
+                if stop_transitions & bit:
+                    continue
+                new = out_of[u] & ~places
+                if new:
+                    places |= new
+                    pending |= new & ~stop_places
+        return places, reached
 
     def walk(self, transition: int, forward: bool) -> tuple[int, int]:
         """``(places_mask, boundary_transition_mask)`` of a directional walk.
 
-        Starting from the far-side places of ``transition``, a transition is
-        visited once any adjacent place on the walk's near side is visited;
-        same-signal transitions become boundary and do not expand.
+        Starting from the far-side places of ``transition``, the walk stops
+        at the transitions of its signal, which form the boundary.
         """
         key = (transition, forward)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         compiled = self.compiled
-        pre_masks = compiled.pre_masks
-        post_masks = compiled.post_masks
-        into, out_of = (
-            (pre_masks, post_masks) if forward else (post_masks, pre_masks)
-        )
-        signal = self.signal_of[transition]
-        signal_of = self.signal_of
-        places = out_of[transition]
-        visited = 0
-        boundary = 0
-        changed = True
-        while changed:
-            changed = False
-            for u, reach in enumerate(into):
-                bit = 1 << u
-                if visited & bit or not reach & places:
-                    continue
-                visited |= bit
-                changed = True
-                if signal_of[u] == signal:
-                    boundary |= bit
-                    continue
-                expand = out_of[u] & ~places
-                if expand:
-                    places |= expand
-        result = (places, boundary)
+        start = (compiled.post_masks if forward else compiled.pre_masks)[transition]
+        stop = self.signal_masks[self.signal_of[transition]]
+        places, reached = self.reach(start, forward, stop)
+        result = (places, reached & stop)
         self._cache[key] = result
         return result
+
+    def scr_place_masks(
+        self, concurrency: Optional[ConcurrencyRelation]
+    ) -> Callable[[str], int]:
+        """Signal -> mask of the places concurrent to it (SCR, Definition 3).
+
+        Without a relation no place is concurrent.  The relation's place
+        bits must be this net's: every relation is built over (or loaded
+        against) the net of the STG it describes.
+        """
+        if concurrency is None:
+            return lambda signal: 0
+        if concurrency.place_names() != self.place_names:
+            raise ValueError("the concurrency relation is over another net")
+        return concurrency.signal_place_mask
+
+    def places_mask(self, names) -> int:
+        """Mask of the named places."""
+        index = self.place_index
+        mask = 0
+        for name in names:
+            mask |= 1 << index[name]
+        return mask
 
     def names_of_places(self, mask: int) -> set[str]:
         names = self.place_names

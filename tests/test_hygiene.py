@@ -1,13 +1,17 @@
-"""Source hygiene: no unused imports anywhere in ``src/``.
+"""Source hygiene: no unused imports anywhere in ``src/``, and no import
+at module load of anything outside the standard library and ``repro``.
 
 A stdlib AST scan.  An imported name counts as used when the module reads
 it (including inside string annotations), lists it in ``__all__``, or when
-a package ``__init__.py`` imports it from this module (a re-export).
+a package ``__init__.py`` imports it from this module (a re-export).  An
+import inside a function body runs only when called (the optional pysat
+backend is imported that way), so only the others count as loaded.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -114,4 +118,58 @@ def test_scan_flags_an_unused_import(tmp_path):
         "pkg/mod.py:2: os",
         "pkg/mod.py:3: Union",
         "pkg/mod.py:4: Ordered",
+    ]
+
+
+def _load_time_imports(tree: ast.Module):
+    """(line, top-level package) of every absolute import outside a def."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            yield node.lineno, node.module.split(".")[0]
+        pending.extend(ast.iter_child_nodes(node))
+
+
+def third_party_imports(root: Path = SRC) -> list[str]:
+    allowed = set(sys.stdlib_module_names) | {"repro"}
+    findings = []
+    for path in sorted(root.rglob("*.py")):
+        for line, package in sorted(_load_time_imports(ast.parse(path.read_text()))):
+            if package not in allowed:
+                findings.append(f"{path.relative_to(root)}:{line}: {package}")
+    return findings
+
+
+def test_src_loads_only_the_standard_library():
+    assert third_party_imports() == []
+
+
+def test_scan_flags_a_third_party_import(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "import json\n"
+        "import networkx as nx\n"
+        "from repro.boolean import cube\n"
+        "from . import sibling\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    numpy = None\n"
+        "class Holder:\n"
+        "    from yaml import safe_load\n"
+        "def solver():\n"
+        "    import pysat.solvers\n"
+        "    return pysat.solvers\n"
+    )
+    assert third_party_imports(tmp_path) == [
+        "pkg/mod.py:2: networkx",
+        "pkg/mod.py:6: numpy",
+        "pkg/mod.py:10: yaml",
     ]
