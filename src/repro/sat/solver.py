@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import os
 import random
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -77,6 +78,11 @@ class CDCLSolver:
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._activity: list[float] = [0.0]
+        # branching heap of (-activity, var) entries with lazy deletion: an
+        # entry is stale once its activity is outdated, and ``_in_heap[v]``
+        # says whether v has an entry at its current activity
+        self._heap: list[tuple[float, int]] = []
+        self._in_heap = bytearray(1)
         self._saved_phase: list[int] = [-1]
         self._var_inc = 1.0
         self._var_decay = 1.0 / 0.95
@@ -116,7 +122,12 @@ class CDCLSolver:
         # differently while any single seed stays fully deterministic; the
         # draws are taken in variable order, so variable v always gets the
         # v-th draw however the universe grew
-        self._activity.extend([draw() * 1e-6 for _ in range(grow)])
+        fresh = [draw() * 1e-6 for _ in range(grow)]
+        self._activity.extend(fresh)
+        heap = self._heap
+        for var, activity in enumerate(fresh, self._num_vars + 1):
+            heappush(heap, (-activity, var))
+        self._in_heap.extend(b"\x01" * grow)
         self._assign.extend([0] * grow)
         self._level.extend([0] * grow)
         self._reason.extend([None] * grow)
@@ -233,11 +244,17 @@ class CDCLSolver:
         if self._decision_level() <= level:
             return
         bound = self._trail_lim[level]
+        heap = self._heap
+        in_heap = self._in_heap
+        activity = self._activity
         for lit in reversed(self._trail[bound:]):
             var = abs(lit)
             self._saved_phase[var] = self._assign[var]
             self._assign[var] = 0
             self._reason[var] = None
+            if not in_heap[var]:
+                in_heap[var] = 1
+                heappush(heap, (-activity[var], var))
         del self._trail[bound:]
         del self._trail_lim[level:]
         self._qhead = len(self._trail)
@@ -312,12 +329,31 @@ class CDCLSolver:
     # ------------------------------------------------------------------ #
 
     def _bump(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
+        activity = self._activity
+        activity[var] += self._var_inc
+        if activity[var] > 1e100:
             inverse = 1e-100
             for v in range(1, self._num_vars + 1):
-                self._activity[v] *= inverse
+                activity[v] *= inverse
             self._var_inc *= inverse
+            self._rebuild_heap()
+        elif self._in_heap[var]:
+            heappush(self._heap, (-activity[var], var))
+
+    def _rebuild_heap(self) -> None:
+        """One fresh entry per unassigned variable (after a rescale)."""
+        activity = self._activity
+        assign = self._assign
+        in_heap = self._in_heap
+        heap = []
+        for var in range(1, self._num_vars + 1):
+            if assign[var] == 0:
+                heap.append((-activity[var], var))
+                in_heap[var] = 1
+            else:
+                in_heap[var] = 0
+        heapify(heap)
+        self._heap = heap
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
         seen = bytearray(self._num_vars + 1)
@@ -376,6 +412,29 @@ class CDCLSolver:
     # ------------------------------------------------------------------ #
 
     def _pick_branch_var(self) -> Optional[int]:
+        """The unassigned variable of highest activity, lowest index on ties.
+
+        Pops stale entries and assigned variables off the heap top; the
+        variable returned keeps its entry until a later pick finds it
+        assigned, and ``_cancel_until`` pushes a variable back only when it
+        has none.  Picks what :meth:`_reference_pick_branch_var` picks.
+        """
+        heap = self._heap
+        activity = self._activity
+        assign = self._assign
+        while heap:
+            negative, var = heap[0]
+            if -negative != activity[var]:
+                heappop(heap)  # stale: the variable has a newer entry
+            elif assign[var] != 0:
+                heappop(heap)
+                self._in_heap[var] = 0
+            else:
+                return var
+        return None
+
+    def _reference_pick_branch_var(self) -> Optional[int]:
+        """The linear scan the heap replaces — the differential oracle."""
         best = None
         best_act = -1.0
         activity = self._activity
