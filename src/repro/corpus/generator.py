@@ -202,10 +202,7 @@ def _apply_mutation(stg: STG, mutation: dict) -> None:
                 if stg.net.is_place(place) and _is_orphan_place(stg, place, transition):
                     stg.net.remove_place(place)
             stg.net.remove_transition(transition)
-        stg._labels = {  # drop stale labels
-            name: label for name, label in stg._labels.items()
-            if label.signal != signal
-        }
+        stg.remove_labels(stg.transitions_of_signal(signal))
         stg._signals.pop(signal, None)
         stg._initial_values.pop(signal, None)
     elif op == "retime_transition":

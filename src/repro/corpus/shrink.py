@@ -53,9 +53,7 @@ def _without_signal(stg: STG, signal: str) -> Optional[STG]:
     for place in list(clone.places):
         if not (clone.net.preset(place) | clone.net.postset(place)):
             clone.net.remove_place(place)
-    clone._labels = {
-        name: label for name, label in clone._labels.items() if label.signal != signal
-    }
+    clone.remove_labels(clone.transitions_of_signal(signal))
     clone._signals.pop(signal, None)
     clone._initial_values.pop(signal, None)
     return clone
@@ -64,7 +62,7 @@ def _without_signal(stg: STG, signal: str) -> Optional[STG]:
 def _without_transition(stg: STG, transition: str) -> STG:
     clone = stg.copy()
     clone.net.remove_transition(transition)
-    clone._labels.pop(transition, None)
+    clone.remove_labels((transition,))
     for place in list(clone.places):
         if not (clone.net.preset(place) | clone.net.postset(place)):
             clone.net.remove_place(place)

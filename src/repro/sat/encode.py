@@ -19,21 +19,28 @@ The synthesis of a set/reset/complete cover is encoded as *cube selection*:
   state, tied to the disjunction of the candidates covering its code, with
   one implication per reachability-graph edge inside the region —
   ``covered(state) → covered(predecessor)``;
-* cost bounds are one-directional weighted unary counters
-  (:func:`add_counter`, after Sinz's sequential counter) over the
-  selection variables — weight 1 for the gate count, the cube's literal
-  count for the literal count; each bound is one unit clause on an output.
+* cost bounds are not part of the CNF: the descent of
+  :mod:`repro.sat.synthesize` puts weighted at-most constraints over the
+  selection variables (weight 1 for the gate count, the cube's literal
+  count for the literal count) into the solver natively.
+  :func:`add_counter`, a one-directional weighted unary counter after
+  Sinz's sequential counter, is their CNF form, for solvers without
+  native constraints and as the differential oracle of the native ones.
 
 All cube arithmetic runs on the packed integer ``(care, value)`` masks of
 :mod:`repro.boolean.interning`'s process-global variable order; cubes only
 materialize as :class:`~repro.boolean.cube.Cube` objects when a model is
-decoded back into a :class:`~repro.boolean.cover.Cover`.
+decoded back into a :class:`~repro.boolean.cover.Cover`.  Those bit
+positions depend on what the process interned first, so nothing that
+orders the search sorts by them: candidates are ordered by their masks
+renumbered to the STG's signal order (:func:`signal_order_remap`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import lru_cache
+from typing import Callable, Sequence
 
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
@@ -44,6 +51,7 @@ __all__ = [
     "CoverProblem",
     "SignalEncoding",
     "enumerate_implicants",
+    "signal_order_remap",
     "build_encoding",
     "add_counter",
     "cube_of_masks",
@@ -83,6 +91,42 @@ class CoverProblem:
     quiescent_states: tuple[tuple[int, int], ...] = ()
     #: ``(pred_state, state)`` edges inside the quiescent region
     quiescent_edges: tuple[tuple[int, int], ...] = ()
+    #: interner bit of each STG signal, in the STG's signal order — the
+    #: process-independent order candidates are sorted by (empty: the
+    #: interner's own bit order)
+    signal_bits: tuple[int, ...] = ()
+
+
+@lru_cache(maxsize=64)
+def signal_order_remap(signal_bits: tuple[int, ...]) -> Callable[[int], int]:
+    """Renumber packed masks to signal order: bit ``signal_bits[i]`` → bit ``i``.
+
+    Bits outside ``signal_bits`` are dropped.  The map is precomputed as one
+    256-entry table per byte of the interner's bit positions that holds a
+    signal, so renumbering a mask costs one lookup per such byte.  An empty
+    ``signal_bits`` is the identity.
+    """
+    if not signal_bits:
+        return lambda mask: mask
+    spread: dict[int, list[int]] = {}
+    for local, bit in enumerate(signal_bits):
+        shift, offset = divmod(bit, 8)
+        spread.setdefault(shift * 8, [0] * 8)[offset] = 1 << local
+    parts: list[tuple[int, list[int]]] = []
+    for shift, of_offset in sorted(spread.items()):
+        table = [0] * 256
+        for byte in range(1, 256):
+            low = byte & -byte
+            table[byte] = table[byte ^ low] | of_offset[low.bit_length() - 1]
+        parts.append((shift, table))
+
+    def remap(mask: int) -> int:
+        local = 0
+        for shift, table in parts:
+            local |= table[(mask >> shift) & 255]
+        return local
+
+    return remap
 
 
 def enumerate_implicants(
@@ -91,6 +135,7 @@ def enumerate_implicants(
     off_pairs: Sequence[tuple[int, int]],
     budget: int = 4096,
     primes_only: bool = False,
+    signal_bits: tuple[int, ...] = (),
 ) -> list[tuple[int, int]]:
     """Every implicant covering at least one seed code, packed and deduped.
 
@@ -107,6 +152,10 @@ def enumerate_implicants(
     selects a non-prime.  It is **unsound** under monotonicity side
     constraints, where expanding a cube can newly cover a quiescent state
     whose predecessor chain is not covered.
+
+    The result is ordered most specific first, then by the masks renumbered
+    to ``signal_bits`` order (see :func:`signal_order_remap`), so it is the
+    same in every process.
     """
     seen: set[tuple[int, int]] = set()
     frontier: list[tuple[int, int]] = []
@@ -154,8 +203,10 @@ def enumerate_implicants(
                 for bit in _bits_of(care)
             )
         }
-    # deterministic order: most-specific first, then by packed masks
-    return sorted(seen, key=lambda p: (-p[0].bit_count(), p[0], p[1]))
+    remap = signal_order_remap(signal_bits)
+    return sorted(
+        seen, key=lambda p: (-p[0].bit_count(), remap(p[0]), remap(p[1]))
+    )
 
 
 def _bits_of(mask: int):
@@ -206,6 +257,7 @@ def build_encoding(
         problem.off_pairs,
         budget=budget,
         primes_only=primes_only and not problem.quiescent_states,
+        signal_bits=problem.signal_bits,
     )
     select_vars = list(range(1, len(candidates) + 1))
     encoding = SignalEncoding(

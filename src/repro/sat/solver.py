@@ -8,7 +8,11 @@ The solver implements the standard conflict-driven clause-learning loop:
 * Luby-sequence restarts with phase saving,
 * incremental use: clauses may be added between ``solve()`` calls (the
   exclude-model enumeration loop of :mod:`repro.sat.synthesize`), and
-  ``solve(assumptions)`` solves under temporary unit assumptions.
+  ``solve(assumptions)`` solves under temporary unit assumptions,
+* native weighted at-most constraints (``add_at_most``/``tighten``, in the
+  manner of MiniCARD): a running sum per constraint, items forced false
+  once they no longer fit, and explanation clauses built only when
+  conflict analysis reads them.
 
 Clauses are loaded in batches: :meth:`CDCLSolver.add_clauses` unwinds the
 trail once and simplifies each clause against the root assignment inline,
@@ -36,6 +40,8 @@ import random
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
+from repro.sat.encode import add_counter
+
 __all__ = [
     "CDCLSolver",
     "PysatSolver",
@@ -58,11 +64,44 @@ def _luby(x: int) -> int:
     return 1 << seq
 
 
+class _AtMost:
+    """One weighted at-most constraint ``sum(weight of true items) <= bound``.
+
+    ``items`` are ``(literal, weight)`` pairs, heaviest first, so a scan for
+    items that no longer fit stops at the first that does.  ``counted`` is
+    the stack of items whose truth ``_propagate`` has added into ``total``,
+    in trail order: the items of a cancelled trail suffix are a suffix of
+    it, and literals the propagation never reached are not on it.
+    """
+
+    __slots__ = ("items", "weights", "bound", "total", "counted")
+
+    def __init__(self, items: list[tuple[int, int]], bound: int):
+        self.items = items
+        self.weights = dict(items)
+        self.bound = bound
+        self.total = 0
+        self.counted: list[int] = []
+
+    def explain(self, count: int, item: int) -> list[int]:
+        """The reason clause of ``item`` forced false: ``¬item ∨ ¬t₁ … ¬tₖ``.
+
+        ``t₁ … tₖ`` are the first ``count`` counted items, the ones true when
+        the propagation forced ``item``; the forced literal comes first.
+        """
+        clause = [-item]
+        clause.extend([-t for t in self.counted[:count]])
+        return clause
+
+
 class CDCLSolver:
     """Conflict-driven clause learning over DIMACS-style signed literals.
 
     Variables are positive integers ``1..num_vars``; a literal is ``v`` or
     ``-v``.  ``add_clause`` grows the variable universe on demand.
+
+    A variable's reason is a clause index, or ``(constraint, count, item)``
+    for an item an at-most constraint forced false (see :meth:`_AtMost.explain`).
     """
 
     def __init__(self, num_vars: int = 0, seed: int = 0):
@@ -89,6 +128,9 @@ class CDCLSolver:
         self._restart_base = 64
         self._rng = random.Random(seed)
         self._ok = True
+        # at-most constraints, and each item literal's (constraint, weight)s
+        self._cards: list[_AtMost] = []
+        self._card_watch: dict[int, list[tuple[_AtMost, int]]] = {}
         self.stats = {
             "decisions": 0,
             "conflicts": 0,
@@ -224,13 +266,92 @@ class CDCLSolver:
         return True
 
     # ------------------------------------------------------------------ #
+    # Weighted at-most constraints
+    # ------------------------------------------------------------------ #
+
+    def add_at_most(self, items: Iterable[tuple[int, int]], bound: int) -> int:
+        """Add ``sum(weight for literal, weight in items if literal) <= bound``.
+
+        Weights are non-negative integers (weight-0 items are dropped, a
+        repeated literal's weights add up); an item's complement may not be
+        an item too.  Returns a handle for :meth:`tighten`.  Like
+        :meth:`add_clauses` this works at the root level: the bound is
+        applied to the root assignment at once, and an infeasible one makes
+        the formula UNSAT.
+        """
+        weights: dict[int, int] = {}
+        for lit, weight in items:
+            lit, weight = int(lit), int(weight)
+            if lit == 0:
+                raise ValueError("0 is not a literal")
+            if weight < 0:
+                raise ValueError("at-most weights must be non-negative")
+            if -lit in weights:
+                raise ValueError(f"complementary items {lit} and {-lit}")
+            self.ensure_vars(abs(lit))
+            if weight:
+                weights[lit] = weights.get(lit, 0) + weight
+        card = _AtMost(sorted(weights.items(), key=lambda item: -item[1]), int(bound))
+        handle = len(self._cards)
+        self._cards.append(card)
+        for lit, weight in card.items:
+            self._card_watch.setdefault(lit, []).append((card, weight))
+        if self._to_root():
+            assign = self._assign
+            for lit, weight in card.items:
+                if (assign[lit] if lit > 0 else -assign[-lit]) == 1:
+                    card.counted.append(lit)
+                    card.total += weight
+            self._settle(card)
+        return handle
+
+    def tighten(self, handle: int, bound: int) -> bool:
+        """Lower the bound of an at-most constraint; False once UNSAT.
+
+        Bounds only tighten: a clause learnt under a bound still holds under
+        any tighter one, never under a looser one.
+        """
+        card = self._cards[handle]
+        if bound > card.bound:
+            raise ValueError(
+                f"at-most bounds only tighten ({card.bound} -> {bound})"
+            )
+        card.bound = int(bound)
+        if self._to_root():
+            self._settle(card)
+        return self._ok
+
+    def _to_root(self) -> bool:
+        """Unwind to the root and finish its propagation; False when UNSAT."""
+        if not self._ok:
+            return False
+        self._cancel_until(0)
+        if self._propagate() is not None:
+            self._ok = False
+        return self._ok
+
+    def _settle(self, card: _AtMost) -> None:
+        """Apply a root-level bound: force the items that no longer fit."""
+        slack = card.bound - card.total
+        if slack < 0:
+            self._ok = False
+            return
+        for lit, weight in card.items:
+            if weight <= slack:
+                break
+            if self._value(lit) == 0:
+                self._enqueue(-lit, (card, len(card.counted), lit))
+        if self._propagate() is not None:
+            self._ok = False
+
+    # ------------------------------------------------------------------ #
     # Trail
     # ------------------------------------------------------------------ #
 
     def _decision_level(self) -> int:
         return len(self._trail_lim)
 
-    def _enqueue(self, lit: int, reason: Optional[int]) -> bool:
+    def _enqueue(self, lit: int, reason) -> bool:
         var = abs(lit)
         if self._assign[var] != 0:
             return self._value(lit) == 1
@@ -255,6 +376,11 @@ class CDCLSolver:
             if not in_heap[var]:
                 in_heap[var] = 1
                 heappush(heap, (-activity[var], var))
+        assign = self._assign
+        for card in self._cards:
+            counted = card.counted
+            while counted and assign[abs(counted[-1])] == 0:
+                card.total -= card.weights[counted.pop()]
         del self._trail[bound:]
         del self._trail_lim[level:]
         self._qhead = len(self._trail)
@@ -263,22 +389,25 @@ class CDCLSolver:
     # Propagation
     # ------------------------------------------------------------------ #
 
-    def _propagate(self) -> Optional[int]:
-        """Unit propagation; returns a conflicting clause index or None.
+    def _propagate(self) -> Optional[list[int]]:
+        """Unit propagation; returns a conflicting clause or None.
 
         Literal values (``assign[v]``, negated for ``-v``) and watch-list
         indices are computed inline: this loop runs for every literal the
-        search assigns.
+        search assigns.  A true literal is added into the at-most
+        constraints it is an item of after its clause watches are visited;
+        a constraint conflict returns the negation of the counted items.
         """
         clauses = self._clauses
         watches = self._watches
+        card_watch = self._card_watch
         assign = self._assign
         level = self._level
         reason = self._reason
         trail = self._trail
         current = len(self._trail_lim)
         qhead = start = self._qhead
-        conflict: Optional[int] = None
+        conflict: Optional[list[int]] = None
         while qhead < len(trail):
             lit = trail[qhead]
             qhead += 1
@@ -310,7 +439,7 @@ class CDCLSolver:
                     watchers[j] = ci
                     j += 1
                     if value == -1:
-                        conflict = ci
+                        conflict = clause
                         break
                     var = first if first > 0 else -first
                     assign[var] = 1 if first > 0 else -1
@@ -320,6 +449,27 @@ class CDCLSolver:
             watchers[j:] = watchers[i:]  # after a conflict, keep the unvisited
             if conflict is not None:
                 break
+            if card_watch and lit in card_watch:
+                for card, weight in card_watch[lit]:
+                    counted = card.counted
+                    counted.append(lit)
+                    card.total += weight
+                    slack = card.bound - card.total
+                    if slack < 0:
+                        conflict = [-t for t in counted]
+                        break
+                    count = len(counted)
+                    for item, item_weight in card.items:
+                        if item_weight <= slack:
+                            break
+                        if (assign[item] if item > 0 else -assign[-item]) == 0:
+                            var = item if item > 0 else -item
+                            assign[var] = -1 if item > 0 else 1
+                            level[var] = current
+                            reason[var] = (card, count, item)
+                            trail.append(-item)
+                if conflict is not None:
+                    break
         self.stats["propagations"] += qhead - start
         self._qhead = len(trail)
         return conflict
@@ -355,7 +505,8 @@ class CDCLSolver:
         heapify(heap)
         self._heap = heap
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
+    def _analyze(self, clause: list[int]) -> tuple[list[int], int]:
+        """First-UIP learnt clause and backjump level of a conflicting clause."""
         seen = bytearray(self._num_vars + 1)
         learnt: list[int] = [0]  # slot 0 holds the asserting literal
         bt_level = 0
@@ -364,7 +515,6 @@ class CDCLSolver:
         index = len(self._trail)
         current = self._decision_level()
         while True:
-            clause = self._clauses[confl]
             for q in clause if p is None else clause[1:]:
                 var = abs(q)
                 if not seen[var] and self._level[var] > 0:
@@ -385,7 +535,12 @@ class CDCLSolver:
             if counter == 0:
                 break
             seen[abs(p)] = 0
-            confl = self._reason[abs(p)]
+            reason = self._reason[abs(p)]
+            if reason.__class__ is int:
+                clause = self._clauses[reason]
+            else:
+                card, count, item = reason
+                clause = card.explain(count, item)
         learnt[0] = -p
         return learnt, bt_level
 
@@ -575,6 +730,26 @@ class PysatSolver:
     def add_clauses(self, clauses) -> bool:
         for clause in clauses:
             self.add_clause(clause)
+        return True
+
+    def add_at_most(self, items, bound: int) -> list[int]:
+        """A unary counter (:func:`~repro.sat.encode.add_counter`) plus a
+        unit clause on its output; the handle is the output list."""
+        clauses: list[list[int]] = []
+        self._num_vars, outputs = add_counter(
+            clauses, [(int(l), int(w)) for l, w in items], max(bound, 0) + 1,
+            self._num_vars,
+        )
+        self.add_clauses(clauses)
+        self.tighten(outputs, bound)
+        return outputs
+
+    def tighten(self, handle: list[int], bound: int) -> bool:
+        if bound < 0:
+            self.add_clause([1])
+            self.add_clause([-1])  # no sum is negative: UNSAT
+        elif bound < len(handle):
+            self.add_clause([-handle[bound]])
         return True
 
     def solve(self, assumptions=(), max_conflicts=None) -> Optional[bool]:

@@ -8,14 +8,22 @@ instances — ``set``/``reset`` (monotone excitation functions) and
 ``complete`` (the combinational next-state function) — each to the
 **lexicographic minimum** (fewest cubes, then fewest literals):
 
-1. *gate descent*: solve once, then tighten a unary counter over the
-   selection variables one unit clause at a time until UNSAT — the last
-   satisfiable bound is the provable minimum cube count;
+1. *gate descent*: solve once, then put a native at-most constraint over
+   the selection variables (``add_at_most``) and tighten it below each
+   model's cube count until UNSAT — the last satisfiable bound is the
+   provable minimum cube count;
 2. *literal descent*: fresh solver pinned to the minimum cube count,
-   same game on a weighted counter (cube weight = literal count);
+   same game on a weighted constraint (cube weight = literal count);
 3. *enumeration*: fresh solver pinned to both minima; every model is a
    minimum implementation and is excluded by a blocking clause over its
    selected cubes until the space is dry (or ``max_solutions`` truncates).
+
+Each phase has its own solver because bounds only tighten: a clause learnt
+under one bound holds under every tighter bound, not under a looser one.
+The minima are sorted by candidate indices and the circuit is built from
+the first: candidates are in a process-independent order (see
+:func:`~repro.sat.encode.enumerate_implicants`), so the pick does not
+depend on which minimum the search found first.
 
 The implementation architecture is then chosen exactly: minimum literal
 cost among the combinational complex gate, the set/reset C-latch and the
@@ -35,13 +43,13 @@ from typing import Optional
 
 from repro.obs import current_obs
 
-from repro.boolean.interning import mask_of_tuple
+from repro.boolean.interning import mask_of_tuple, var_index
 from repro.sat.encode import (
     CoverProblem,
     SignalEncoding,
-    add_counter,
     build_encoding,
     cover_of_masks,
+    signal_order_remap,
 )
 from repro.sat.solver import new_solver
 from repro.statebased.regions import SignalRegions, state_space
@@ -79,7 +87,9 @@ class ProblemSolution:
     #: minimum cube count / minimum literal count (at that cube count)
     gates: int
     literals: int
-    #: every minimum implementation, as sorted packed-cube mask lists
+    #: every minimum implementation, as packed-cube mask lists in candidate
+    #: order, sorted by candidate indices: ``solutions[0]`` is the canonical
+    #: minimum, whichever the search happened to find first
     solutions: list[list[tuple[int, int]]]
     #: True when ``max_solutions`` cut the enumeration short
     truncated: bool = False
@@ -105,8 +115,9 @@ _SOLVER_WORK = ("conflicts", "propagations", "decisions", "restarts", "learned")
 def _observe_phase(obs, phase: str, solver, started: float) -> None:
     """Feed one descent phase's wall time and solver work into the registry.
 
-    Each phase runs on a *fresh* solver, so its ``stats`` dict is exactly
-    this phase's work — no delta bookkeeping needed.
+    Each phase runs on a *fresh* solver (the encoding plus its own at-most
+    constraints), so its ``stats`` dict is exactly this phase's work — no
+    delta bookkeeping needed.
     """
     if obs is None:
         return
@@ -129,28 +140,18 @@ def _fresh_solver(encoding: SignalEncoding, seed: int, prefer: Optional[str]):
     return solver
 
 
-def _add_counter_to(solver, items, width):
-    """Attach a counter to a live solver; returns its output variables."""
-    clauses: list[list[int]] = []
-    next_var, outputs = add_counter(clauses, items, width, solver.num_vars)
-    solver.ensure_vars(next_var)
-    solver.add_clauses(clauses)
-    return outputs
-
-
 def _descend(solver, encoding: SignalEncoding, items, first: int) -> int:
     """Tighten ``sum(items) ≤ B`` until UNSAT; return the minimum sum.
 
-    ``first`` is the weighted sum of an already-found model; the counter is
-    built once at that width and each tightening is a single unit clause.
+    ``first`` is the weighted sum of an already-found model; one at-most
+    constraint is added at that bound and each step tightens it below the
+    last model's sum.
     """
     best = first
-    if best <= 0:
-        return best
-    outputs = _add_counter_to(solver, items, best)
+    handle = solver.add_at_most(items, best)
     weight_of = dict(items)
     while best > 0:
-        if not solver.add_clause([-outputs[best - 1]]):
+        if not solver.tighten(handle, best - 1):
             break
         if solver.solve() is not True:
             break
@@ -222,8 +223,7 @@ def minimize_problem(
     phase_started = time.perf_counter()
     with _span("literals"):
         solver = _fresh_solver(encoding, seed, prefer)
-        gate_outs = _add_counter_to(solver, unit_items, gates + 1)
-        solver.add_clause([-gate_outs[gates]])
+        solver.add_at_most(unit_items, gates)
         if solver.solve() is not True:  # pragma: no cover - phase 1 proved SAT
             raise ExactSynthesisError(
                 f"{problem.signal}/{problem.kind}: minimum-gate bound lost"
@@ -240,21 +240,22 @@ def minimize_problem(
     phase_started = time.perf_counter()
     with _span("enumerate"):
         solver = _fresh_solver(encoding, seed, prefer)
-        gate_outs = _add_counter_to(solver, unit_items, gates + 1)
-        solver.add_clause([-gate_outs[gates]])
-        lit_outs = _add_counter_to(solver, weighted_items, literals + 1)
-        solver.add_clause([-lit_outs[literals]])
-        solutions: list[list[tuple[int, int]]] = []
+        solver.add_at_most(unit_items, gates)
+        solver.add_at_most(weighted_items, literals)
+        selections: list[list[int]] = []
         truncated = False
         while solver.solve() is True:
-            model = solver.model()
-            selection = encoding.selection_of_model(model)
-            solutions.append(sorted(encoding.candidates[i] for i in selection))
-            if len(solutions) >= max_solutions:
+            selection = encoding.selection_of_model(solver.model())
+            selections.append(selection)
+            if len(selections) >= max_solutions:
                 truncated = True
                 break
             if not solver.add_clause([-encoding.select_vars[i] for i in selection]):
                 break
+        solutions = [
+            [encoding.candidates[i] for i in selection]
+            for selection in sorted(selections)
+        ]
     conflicts += getattr(solver, "stats", {}).get("conflicts", 0)
     _observe_phase(obs, "enumerate", solver, phase_started)
     if not solutions:  # pragma: no cover - phases 1-2 proved feasibility
@@ -287,7 +288,13 @@ def _signal_problems(
     encoded = regions.encoded
     indexed = encoded.indexed()
     codes = encoded.packed_codes
-    signals_mask = mask_of_tuple(tuple(encoded.stg.signal_names))
+    signal_names = tuple(encoded.stg.signal_names)
+    signals_mask = mask_of_tuple(signal_names)
+    signal_bits = tuple(var_index(name) for name in signal_names)
+    remap = signal_order_remap(signal_bits)
+
+    def on_codes_of(bits: int) -> tuple[int, ...]:
+        return tuple(sorted(regions.code_set(bits), key=remap))
 
     def quiescent_of(bits: int):
         states = tuple((s, codes[s]) for s in state_indices(bits))
@@ -313,26 +320,29 @@ def _signal_problems(
         signal=signal,
         kind="set",
         signals_mask=signals_mask,
-        on_codes=tuple(sorted(regions.code_set(ger_plus))),
+        on_codes=on_codes_of(ger_plus),
         off_pairs=off_of(ger_minus | gqr_zero),
         quiescent_states=set_states,
         quiescent_edges=set_edges,
+        signal_bits=signal_bits,
     )
     reset_problem = CoverProblem(
         signal=signal,
         kind="reset",
         signals_mask=signals_mask,
-        on_codes=tuple(sorted(regions.code_set(ger_minus))),
+        on_codes=on_codes_of(ger_minus),
         off_pairs=off_of(ger_plus | gqr_one),
         quiescent_states=reset_states,
         quiescent_edges=reset_edges,
+        signal_bits=signal_bits,
     )
     complete_problem = CoverProblem(
         signal=signal,
         kind="complete",
         signals_mask=signals_mask,
-        on_codes=tuple(sorted(regions.code_set(ger_plus | gqr_one))),
+        on_codes=on_codes_of(ger_plus | gqr_one),
         off_pairs=off_of(ger_minus | gqr_zero),
+        signal_bits=signal_bits,
     )
     return set_problem, reset_problem, complete_problem
 
@@ -375,7 +385,8 @@ def _best_gated_latch(
     Eligibility follows :func:`repro.synthesis.engine._try_gated_latch`:
     both covers single cubes with identical support at Hamming distance
     one; the cost is the Appendix D count — the shared literals plus the
-    data and control inputs.
+    data and control inputs.  The pairs come in candidate order (reset
+    cube, then set cube), which is the same in every process.
     """
     if not set_solution.problem.on_codes or not reset_solution.problem.on_codes:
         return None
@@ -400,7 +411,7 @@ def _best_gated_latch(
                 best_pairs.append(((care, set_value), (care, reset_value)))
     if best_cost is None:
         return None
-    return best_cost, sorted(best_pairs)
+    return best_cost, best_pairs
 
 
 # ---------------------------------------------------------------------- #

@@ -30,6 +30,9 @@ class STG:
         self.net = PetriNet(name)
         self._signals: dict[str, SignalType] = {}
         self._labels: dict[str, SignalTransition] = {}
+        # signal -> {"": all its transitions, "+"/"-"/"~": by direction}, in
+        # label order; built on first query, dropped whenever labels change
+        self._by_signal: Optional[dict[str, dict[str, list[str]]]] = None
         self._initial_values: dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
@@ -111,6 +114,7 @@ class STG:
         name = transition.name()
         self.net.add_transition(name)
         self._labels[name] = transition
+        self._by_signal = None
         if transition.signal not in self._signals:
             self._signals[transition.signal] = SignalType.INPUT
         return transition
@@ -173,30 +177,42 @@ class STG:
         """The switching direction (``+``/``-``) of a transition."""
         return self._labels[transition].direction
 
+    def remove_labels(self, transitions: Iterable[str]) -> None:
+        """Forget the labels of ``transitions`` (absent names are ignored).
+
+        The net's nodes are left alone: callers that delete transitions from
+        ``net`` drop their labels here.
+        """
+        for transition in transitions:
+            self._labels.pop(transition, None)
+        self._by_signal = None
+
+    def _signal_index(self, signal: str) -> dict[str, list[str]]:
+        index = self._by_signal
+        if index is None:
+            index = {}
+            for t, lab in self._labels.items():
+                entry = index.setdefault(lab.signal, {"": []})
+                entry[""].append(t)
+                entry.setdefault(lab.direction, []).append(t)
+            self._by_signal = index
+        return index.get(signal, {})
+
     def transitions_of_signal(self, signal: str) -> list[str]:
         """All transitions of one signal."""
-        return [t for t, lab in self._labels.items() if lab.signal == signal]
+        return list(self._signal_index(signal).get("", ()))
 
     def rising_transitions(self, signal: str) -> list[str]:
         """All rising transitions of a signal."""
-        return [
-            t for t, lab in self._labels.items()
-            if lab.signal == signal and lab.is_rising
-        ]
+        return self.transitions_by_direction(signal, "+")
 
     def falling_transitions(self, signal: str) -> list[str]:
         """All falling transitions of a signal."""
-        return [
-            t for t, lab in self._labels.items()
-            if lab.signal == signal and lab.is_falling
-        ]
+        return self.transitions_by_direction(signal, "-")
 
     def transitions_by_direction(self, signal: str, direction: str) -> list[str]:
         """Transitions of a signal with a given direction (``+`` or ``-``)."""
-        return [
-            t for t, lab in self._labels.items()
-            if lab.signal == signal and lab.direction == direction
-        ]
+        return list(self._signal_index(signal).get(direction, ()))
 
     @property
     def initial_marking(self) -> Marking:

@@ -6,14 +6,15 @@ of the 13 ``repro gap`` specs makes, in call order: the problem (signal,
 kind, candidate count), its outcome (gates, literals, solution count,
 ``truncated``) and, for each of its three descent phases, the solver's work
 counters, its variable count and the length of its clause arena (problem
-plus learnt clauses).  The pure-python CDCL engine is forced, whatever
+plus learnt clauses; the cost bounds are native at-most constraints, not
+clauses).  The pure-python CDCL engine is forced, whatever
 ``$REPRO_SAT_SOLVER`` says.
 
-The specs are traced in a fresh interpreter, in registry order, as the
-golden file was: candidate cubes are ordered by their packed masks, whose
-bit positions follow the process-global variable order of
-:mod:`repro.boolean.interning`, so a process that interned other signals
-first searches the same problems in another order.
+The specs are traced in the test process, after whatever it ran before:
+candidate cubes are ordered by their masks renumbered to the STG's signal
+order, not by the bit positions of the process-global interner
+(:mod:`repro.boolean.interning`), so the search does not depend on what
+the process interned first.
 
 The synthesis descent loads its unit clauses one per call, so the file also
 pins a solver fed in batches: seeded random clause batches (units,
@@ -37,8 +38,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import subprocess
-import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -153,26 +152,6 @@ def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.fixture(scope="module")
-def fresh() -> dict:
-    """The golden document as a fresh interpreter computes it now."""
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join(filter(None, path)),
-        REPRO_SAT_SOLVER="cdcl",
-    )
-    result = subprocess.run(
-        [sys.executable, __file__],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-        check=True,
-    )
-    return json.loads(result.stdout)
-
-
 def test_golden_covers_the_gap_registry(golden):
     assert list(golden["specs"]) == list(GAP_SPECS)
 
@@ -183,9 +162,10 @@ def test_batch_trace_matches(seed, golden):
 
 
 @pytest.mark.parametrize("name", GAP_SPECS)
-def test_search_trace_matches(name, golden, fresh):
+def test_search_trace_matches(name, golden, monkeypatch):
+    monkeypatch.setenv("REPRO_SAT_SOLVER", "cdcl")
     expected = golden["specs"][name]
-    actual = fresh["specs"][name]
+    actual = trace(name)
     for index, (want, got) in enumerate(zip(expected, actual)):
         assert got == want, f"{name}: minimize_problem call {index} diverged"
     assert len(actual) == len(expected)

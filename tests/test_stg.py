@@ -60,6 +60,35 @@ class TestSTGConstruction:
         stg.add_arc("a+", "b+")
         assert stg.net.is_place("<a+,b+>")
 
+    @pytest.mark.parametrize("name", sorted(CLASSIC_SOURCES))
+    def test_signal_index_matches_a_label_scan(self, name):
+        stg = load_classic(name)
+        labels = {t: stg.label(t) for t in stg.transitions}
+        for signal in stg.signal_names + ["absent"]:
+            assert stg.transitions_of_signal(signal) == [
+                t for t, lab in labels.items() if lab.signal == signal
+            ]
+            for direction in "+-~":
+                assert stg.transitions_by_direction(signal, direction) == [
+                    t for t, lab in labels.items()
+                    if lab.signal == signal and lab.direction == direction
+                ]
+            assert stg.rising_transitions(signal) == stg.transitions_by_direction(signal, "+")
+            assert stg.falling_transitions(signal) == stg.transitions_by_direction(signal, "-")
+
+    def test_signal_index_follows_label_changes(self, fig1):
+        stg = fig1.copy()
+        signal = stg.signal_names[0]
+        before = stg.transitions_of_signal(signal)
+        stg.add_transition(f"{signal}+/9")
+        assert stg.transitions_of_signal(signal) == before + [f"{signal}+/9"]
+        stg.remove_labels([f"{signal}+/9", before[0]])
+        assert stg.transitions_of_signal(signal) == before[1:]
+        assert fig1.transitions_of_signal(signal) == before
+        # callers get copies: mutating one leaves the index alone
+        stg.transitions_of_signal(signal).clear()
+        assert stg.transitions_of_signal(signal) == before[1:]
+
     def test_copy_is_independent(self, fig1):
         clone = fig1.copy("clone")
         clone.set_initial_value("a", 1)
