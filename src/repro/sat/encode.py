@@ -238,6 +238,26 @@ class SignalEncoding:
         """Indices of the selected candidates under a satisfying model."""
         return [i for i, var in enumerate(self.select_vars) if model.get(var)]
 
+    def cost_floors(self) -> tuple[int, int]:
+        """Lower bounds on the cube and the literal count of every model.
+
+        On-set codes whose covering candidates are pairwise disjoint need a
+        cube each.  A greedy pick of such codes (fewest covering candidates
+        first; the coverage clauses are the first ``len(on_codes)`` clauses)
+        bounds the cube count by their number and the literal count by the
+        sum of each one's cheapest covering candidate.
+        """
+        weight_of = dict(zip(self.select_vars, self.weights()))
+        taken: set[int] = set()
+        cubes = literals = 0
+        rows = self.clauses[: len(self.problem.on_codes)]
+        for row in sorted(rows, key=len):
+            if taken.isdisjoint(row):
+                taken.update(row)
+                cubes += 1
+                literals += min(weight_of[var] for var in row)
+        return cubes, literals
+
 
 def build_encoding(
     problem: CoverProblem, budget: int = 4096, primes_only: bool = False

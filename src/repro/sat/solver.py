@@ -282,15 +282,17 @@ class CDCLSolver:
         weights: dict[int, int] = {}
         for lit, weight in items:
             lit, weight = int(lit), int(weight)
-            if lit == 0:
-                raise ValueError("0 is not a literal")
             if weight < 0:
                 raise ValueError("at-most weights must be non-negative")
+            weights[lit] = weights.get(lit, 0) + weight
+        if 0 in weights:
+            raise ValueError("0 is not a literal")
+        for lit in weights:
             if -lit in weights:
                 raise ValueError(f"complementary items {lit} and {-lit}")
-            self.ensure_vars(abs(lit))
-            if weight:
-                weights[lit] = weights.get(lit, 0) + weight
+        if weights:
+            self.ensure_vars(max(max(weights), -min(weights)))
+        weights = {lit: weight for lit, weight in weights.items() if weight}
         card = _AtMost(sorted(weights.items(), key=lambda item: -item[1]), int(bound))
         handle = len(self._cards)
         self._cards.append(card)
@@ -336,11 +338,13 @@ class CDCLSolver:
         if slack < 0:
             self._ok = False
             return
+        assign = self._assign
+        count = len(card.counted)
         for lit, weight in card.items:
             if weight <= slack:
                 break
-            if self._value(lit) == 0:
-                self._enqueue(-lit, (card, len(card.counted), lit))
+            if assign[abs(lit)] == 0:
+                self._enqueue(-lit, (card, count, lit))
         if self._propagate() is not None:
             self._ok = False
 
@@ -365,18 +369,22 @@ class CDCLSolver:
         if self._decision_level() <= level:
             return
         bound = self._trail_lim[level]
+        trail = self._trail
+        assign = self._assign
+        saved_phase = self._saved_phase
+        reason = self._reason
         heap = self._heap
         in_heap = self._in_heap
         activity = self._activity
-        for lit in reversed(self._trail[bound:]):
-            var = abs(lit)
-            self._saved_phase[var] = self._assign[var]
-            self._assign[var] = 0
-            self._reason[var] = None
+        for index in range(len(trail) - 1, bound - 1, -1):
+            lit = trail[index]
+            var = lit if lit > 0 else -lit
+            saved_phase[var] = assign[var]
+            assign[var] = 0
+            reason[var] = None
             if not in_heap[var]:
                 in_heap[var] = 1
                 heappush(heap, (-activity[var], var))
-        assign = self._assign
         for card in self._cards:
             counted = card.counted
             while counted and assign[abs(counted[-1])] == 0:
@@ -478,21 +486,14 @@ class CDCLSolver:
     # Conflict analysis (first UIP)
     # ------------------------------------------------------------------ #
 
-    def _bump(self, var: int) -> None:
+    def _rescale(self) -> None:
+        """Scale every activity down once one passed 1e100; rebuild the heap
+        with one fresh entry per unassigned variable."""
         activity = self._activity
-        activity[var] += self._var_inc
-        if activity[var] > 1e100:
-            inverse = 1e-100
-            for v in range(1, self._num_vars + 1):
-                activity[v] *= inverse
-            self._var_inc *= inverse
-            self._rebuild_heap()
-        elif self._in_heap[var]:
-            heappush(self._heap, (-activity[var], var))
-
-    def _rebuild_heap(self) -> None:
-        """One fresh entry per unassigned variable (after a rescale)."""
-        activity = self._activity
+        inverse = 1e-100
+        for v in range(1, self._num_vars + 1):
+            activity[v] *= inverse
+        self._var_inc *= inverse
         assign = self._assign
         in_heap = self._in_heap
         heap = []
@@ -506,36 +507,56 @@ class CDCLSolver:
         self._heap = heap
 
     def _analyze(self, clause: list[int]) -> tuple[list[int], int]:
-        """First-UIP learnt clause and backjump level of a conflicting clause."""
+        """First-UIP learnt clause and backjump level of a conflicting clause.
+
+        Every variable met above the root gets its activity bumped (its heap
+        entry renewed), in the order the clauses are read.
+        """
         seen = bytearray(self._num_vars + 1)
+        level = self._level
+        trail = self._trail
+        activity = self._activity
+        in_heap = self._in_heap
+        increment = self._var_inc
         learnt: list[int] = [0]  # slot 0 holds the asserting literal
         bt_level = 0
         counter = 0
         p: Optional[int] = None
-        index = len(self._trail)
-        current = self._decision_level()
+        index = len(trail)
+        current = len(self._trail_lim)
         while True:
             for q in clause if p is None else clause[1:]:
-                var = abs(q)
-                if not seen[var] and self._level[var] > 0:
-                    seen[var] = 1
-                    self._bump(var)
-                    if self._level[var] >= current:
-                        counter += 1
-                    else:
-                        learnt.append(q)
-                        if self._level[var] > bt_level:
-                            bt_level = self._level[var]
+                var = q if q > 0 else -q
+                if seen[var]:
+                    continue
+                var_level = level[var]
+                if var_level == 0:
+                    continue
+                seen[var] = 1
+                bumped = activity[var] + increment
+                activity[var] = bumped
+                if bumped > 1e100:
+                    self._rescale()
+                    increment = self._var_inc
+                elif in_heap[var]:
+                    heappush(self._heap, (-bumped, var))
+                if var_level >= current:
+                    counter += 1
+                else:
+                    learnt.append(q)
+                    if var_level > bt_level:
+                        bt_level = var_level
             while True:
                 index -= 1
-                p = self._trail[index]
-                if seen[abs(p)]:
+                p = trail[index]
+                if seen[p if p > 0 else -p]:
                     break
             counter -= 1
             if counter == 0:
                 break
-            seen[abs(p)] = 0
-            reason = self._reason[abs(p)]
+            var = p if p > 0 else -p
+            seen[var] = 0
+            reason = self._reason[var]
             if reason.__class__ is int:
                 clause = self._clauses[reason]
             else:

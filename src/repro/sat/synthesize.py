@@ -11,7 +11,10 @@ instances — ``set``/``reset`` (monotone excitation functions) and
 1. *gate descent*: solve once, then put a native at-most constraint over
    the selection variables (``add_at_most``) and tighten it below each
    model's cube count until UNSAT — the last satisfiable bound is the
-   provable minimum cube count;
+   provable minimum cube count — or until a model meets the lower bound of
+   on-set codes that need a cube each
+   (:meth:`~repro.sat.encode.SignalEncoding.cost_floors`), which proves it
+   minimum without the UNSAT call;
 2. *literal descent*: fresh solver pinned to the minimum cube count,
    same game on a weighted constraint (cube weight = literal count);
 3. *enumeration*: fresh solver pinned to both minima; every model is a
@@ -140,17 +143,19 @@ def _fresh_solver(encoding: SignalEncoding, seed: int, prefer: Optional[str]):
     return solver
 
 
-def _descend(solver, encoding: SignalEncoding, items, first: int) -> int:
-    """Tighten ``sum(items) ≤ B`` until UNSAT; return the minimum sum.
+def _descend(solver, encoding: SignalEncoding, items, first: int, floor: int) -> int:
+    """Tighten ``sum(items) ≤ B`` until UNSAT or ``floor``; the minimum sum.
 
     ``first`` is the weighted sum of an already-found model; one at-most
     constraint is added at that bound and each step tightens it below the
-    last model's sum.
+    last model's sum.  ``floor`` is a proven lower bound (see
+    :meth:`~repro.sat.encode.SignalEncoding.cost_floors`): a model that
+    reaches it is minimum without an UNSAT proof.
     """
     best = first
     handle = solver.add_at_most(items, best)
     weight_of = dict(items)
-    while best > 0:
+    while best > floor:
         if not solver.tighten(handle, best - 1):
             break
         if solver.solve() is not True:
@@ -192,6 +197,7 @@ def minimize_problem(
             "covering cube (state coding conflict?)"
         )
     stats = {"candidates": len(encoding.candidates)}
+    gate_floor, literal_floor = encoding.cost_floors()
     unit_items = [(var, 1) for var in encoding.select_vars]
     weights = encoding.weights()
     weighted_items = [
@@ -215,7 +221,7 @@ def minimize_problem(
                 f"{problem.signal}/{problem.kind}: no monotone cover exists"
             )
         first = len(encoding.selection_of_model(solver.model()))
-        gates = _descend(solver, encoding, unit_items, first)
+        gates = _descend(solver, encoding, unit_items, first, gate_floor)
     conflicts = getattr(solver, "stats", {}).get("conflicts", 0)
     _observe_phase(obs, "cubes", solver, phase_started)
 
@@ -232,7 +238,7 @@ def minimize_problem(
         first = sum(
             weights[i] for i in encoding.selection_of_model(model)
         )
-        literals = _descend(solver, encoding, weighted_items, first)
+        literals = _descend(solver, encoding, weighted_items, first, literal_floor)
     conflicts += getattr(solver, "stats", {}).get("conflicts", 0)
     _observe_phase(obs, "literals", solver, phase_started)
 

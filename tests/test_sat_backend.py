@@ -12,6 +12,8 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Pipeline, SynthesisOptions, compare, get_backend
 from repro.api.artifacts import SynthesisArtifact
@@ -21,6 +23,7 @@ from repro.sat.encode import (
     CoverProblem,
     SatBudgetExceeded,
     add_counter,
+    build_encoding,
     enumerate_implicants,
 )
 from repro.sat.solver import CDCLSolver
@@ -140,6 +143,89 @@ class TestMinimizeProblem:
         solution = minimize_problem(problem, max_solutions=1)
         assert len(solution.solutions) == 1
         assert solution.truncated is True
+
+
+def _brute_force_minima(encoding, most: int):
+    """(gates, literals, count) of the lexicographic minima, by enumeration.
+
+    A selection's auxiliary state variables are what the encoding ties them
+    to (the OR of the selected cubes covering the state's code), so a
+    selection is feasible when every clause holds under that completion.
+    """
+    problem = encoding.problem
+    weights = encoding.weights()
+    for size in range(1, most + 1):
+        best = None
+        count = 0
+        for selection in itertools.combinations(range(len(encoding.candidates)), size):
+            value = {encoding.select_vars[i]: True for i in selection}
+            for state, code in problem.quiescent_states:
+                value[encoding.state_vars[state]] = any(
+                    (code & encoding.candidates[i][0]) == encoding.candidates[i][1]
+                    for i in selection
+                )
+            if not all(
+                any(value.get(abs(lit), False) == (lit > 0) for lit in clause)
+                for clause in encoding.clauses
+            ):
+                continue
+            literals = sum(weights[i] for i in selection)
+            if best is None or literals < best:
+                best, count = literals, 1
+            elif literals == best:
+                count += 1
+        if best is not None:
+            return size, best, count
+    raise AssertionError("no cover with one cube per on-set code")
+
+
+@st.composite
+def small_problems(draw):
+    """Random 3-signal cover problems, optionally with quiescent constraints."""
+    roles = draw(st.lists(st.sampled_from("ood-"), min_size=8, max_size=8))
+    on = [code for code, role in enumerate(roles) if role == "o"][:3]
+    if not on:
+        on = [draw(st.integers(0, 7))]
+    off = [code for code, role in enumerate(roles) if role == "-" and code not in on]
+    dc = [code for code in range(8) if code not in on and code not in off]
+    kind = draw(st.sampled_from(("set", "complete")))
+    states: tuple = ()
+    edges: tuple = ()
+    if kind == "set" and dc:
+        codes = draw(st.lists(st.sampled_from(dc), max_size=4))
+        states = tuple(enumerate(codes))
+        if len(states) > 1:
+            pairs = draw(
+                st.lists(st.tuples(st.integers(0, len(states) - 1),
+                                   st.integers(0, len(states) - 1)), max_size=4)
+            )
+            edges = tuple(pair for pair in pairs if pair[0] != pair[1])
+    return CoverProblem(
+        signal="x",
+        kind=kind,
+        signals_mask=0b111,
+        on_codes=tuple(on),
+        off_pairs=tuple((0b111, code) for code in off),
+        quiescent_states=states,
+        quiescent_edges=edges,
+    )
+
+
+class TestMinimaAgainstEnumeration:
+    @settings(max_examples=60, deadline=None)
+    @given(problem=small_problems())
+    def test_descent_floors_and_enumeration(self, problem):
+        encoding = build_encoding(problem, primes_only=problem.kind == "complete")
+        gates, literals, count = _brute_force_minima(encoding, len(problem.on_codes))
+        cube_floor, literal_floor = encoding.cost_floors()
+        assert cube_floor <= gates
+        assert literal_floor <= literals
+        solution = minimize_problem(problem, max_solutions=10_000)
+        assert (solution.gates, solution.literals) == (gates, literals)
+        assert len(solution.solutions) == count and not solution.truncated
+        assert solution.solutions == sorted(solution.solutions, key=lambda cubes: [
+            encoding.candidates.index(cube) for cube in cubes
+        ])
 
 
 class TestExactSynthesize:
