@@ -457,27 +457,26 @@ class CDCLSolver:
             watchers[j:] = watchers[i:]  # after a conflict, keep the unvisited
             if conflict is not None:
                 break
-            if card_watch and lit in card_watch:
-                for card, weight in card_watch[lit]:
-                    counted = card.counted
-                    counted.append(lit)
-                    card.total += weight
-                    slack = card.bound - card.total
-                    if slack < 0:
-                        conflict = [-t for t in counted]
-                        break
-                    count = len(counted)
-                    for item, item_weight in card.items:
-                        if item_weight <= slack:
-                            break
-                        if (assign[item] if item > 0 else -assign[-item]) == 0:
-                            var = item if item > 0 else -item
-                            assign[var] = -1 if item > 0 else 1
-                            level[var] = current
-                            reason[var] = (card, count, item)
-                            trail.append(-item)
-                if conflict is not None:
+            for card, weight in card_watch.get(lit, ()):
+                counted = card.counted
+                counted.append(lit)
+                card.total += weight
+                slack = card.bound - card.total
+                if slack < 0:
+                    conflict = [-t for t in counted]
                     break
+                count = len(counted)
+                for item, item_weight in card.items:
+                    if item_weight <= slack:
+                        break
+                    if (assign[item] if item > 0 else -assign[-item]) == 0:
+                        var = item if item > 0 else -item
+                        assign[var] = -1 if item > 0 else 1
+                        level[var] = current
+                        reason[var] = (card, count, item)
+                        trail.append(-item)
+            if conflict is not None:
+                break
         self.stats["propagations"] += qhead - start
         self._qhead = len(trail)
         return conflict
