@@ -25,7 +25,12 @@ from repro.sat.solver import CDCLSolver, _reference_dpll
 
 
 class CheckedSolver(CDCLSolver):
-    """A solver whose every branching pick is checked against the scan."""
+    """A solver whose every branching pick is checked against the scan, and
+    whose lazy at-most reasons are checked whenever a conflict is analysed:
+    each explanation starts with its forced literal, and every other literal
+    is false and earlier on the trail."""
+
+    picks = 0
 
     def _pick_branch_var(self):
         picked = super()._pick_branch_var()
@@ -33,7 +38,18 @@ class CheckedSolver(CDCLSolver):
         self.picks += 1
         return picked
 
-    picks = 0
+    def _analyze(self, clause):
+        position = {abs(lit): index for index, lit in enumerate(self._trail)}
+        for index, lit in enumerate(self._trail):
+            reason = self._reason[abs(lit)]
+            if isinstance(reason, tuple):
+                card, count, item = reason
+                explanation = card.explain(count, item)
+                assert explanation[0] == lit == -item
+                for other in explanation[1:]:
+                    assert self._value(other) == -1
+                    assert position[abs(other)] < index
+        return super()._analyze(clause)
 
 
 def weighted_sum(items, model) -> int:
@@ -158,6 +174,20 @@ def test_descent_to_the_minimum():
             break
     assert best == 4  # c + d
     assert solver.solve() is False
+
+
+def test_reason_reads_only_the_items_counted_before_the_forcing():
+    # d implies a; a (2) true forces x (3) false under bound 4; x false
+    # forces b (1) true, which is counted after x; b leads to a conflict on
+    # c whose analysis resolves back to d through x's reason, which must
+    # name a alone
+    d, a, x, b, e, c = 1, 2, 3, 4, 5, 6
+    solver = CheckedSolver()
+    solver.add_at_most([(a, 2), (x, 3), (b, 1)], 4)
+    solver.add_clauses([[-d, a], [x, b], [-b, e], [-e, c], [-e, -c]])
+    assert solver.solve([d]) is False
+    assert solver.solve() is True
+    assert solver.value_of(d) is False
 
 
 class TestApi:
