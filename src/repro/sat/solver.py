@@ -311,7 +311,10 @@ class CDCLSolver:
         """Lower the bound of an at-most constraint; False once UNSAT.
 
         Bounds only tighten: a clause learnt under a bound still holds under
-        any tighter one, never under a looser one.
+        any tighter one, never under a looser one.  So a descent goes on on
+        the same solver while its answers are SAT, and after an UNSAT one
+        loads a fresh solver at the last bound a model met (see
+        :class:`repro.sat.synthesize._Descent`).
         """
         card = self._cards[handle]
         if bound > card.bound:

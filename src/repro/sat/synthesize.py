@@ -8,21 +8,24 @@ instances — ``set``/``reset`` (monotone excitation functions) and
 ``complete`` (the combinational next-state function) — each to the
 **lexicographic minimum** (fewest cubes, then fewest literals):
 
-1. *gate descent*: solve once, then put a native at-most constraint over
-   the selection variables (``add_at_most``) and tighten it below each
-   model's cube count until UNSAT — the last satisfiable bound is the
-   provable minimum cube count — or until a model meets the lower bound of
-   on-set codes that need a cube each
-   (:meth:`~repro.sat.encode.SignalEncoding.cost_floors`), which proves it
-   minimum without the UNSAT call;
-2. *literal descent*: fresh solver pinned to the minimum cube count,
-   same game on a weighted constraint (cube weight = literal count);
-3. *enumeration*: fresh solver pinned to both minima; every model is a
+1. *gate descent*: solve once, put a native at-most constraint over the
+   selection variables (``add_at_most``) at that model's cube count, and
+   tighten it straight to the lower bound of on-set codes that need a
+   cube each (:meth:`~repro.sat.encode.SignalEncoding.cost_floors`): a
+   model there is minimum.  When the floor is UNSAT, a fresh solver steps
+   one unit below each model until UNSAT or the proven ``floor + 1``;
+2. *literal descent*: the cube bound tightened to that minimum, the same
+   game on a weighted constraint (cube weight = literal count);
+3. *enumeration*: with both bounds at their minima, every model is a
    minimum implementation and is excluded by a blocking clause over its
    selected cubes until the space is dry (or ``max_solutions`` truncates).
 
-Each phase has its own solver because bounds only tighten: a clause learnt
-under one bound holds under every tighter bound, not under a looser one.
+The phases share one solver (:class:`_Descent`): adding a constraint or
+tightening a bound never invalidates a learnt clause.  Only an UNSAT
+answer ends a solver, because bounds only tighten; the next step loads a
+fresh one with every bound some model met.  On the 13 ``repro gap`` specs
+87 cover problems load 92 solvers.
+
 The minima are sorted by candidate indices and the circuit is built from
 the first: candidates are in a process-independent order (see
 :func:`~repro.sat.encode.enumerate_implicants`), so the pick does not
@@ -40,7 +43,7 @@ reports the structural baseline at the strongest level inside the space.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -115,19 +118,18 @@ class ExactSynthesisResult:
 _SOLVER_WORK = ("conflicts", "propagations", "decisions", "restarts", "learned")
 
 
-def _observe_phase(obs, phase: str, solver, started: float) -> None:
+def _observe_phase(obs, phase: str, work: dict, started: float) -> None:
     """Feed one descent phase's wall time and solver work into the registry.
 
-    Each phase runs on a *fresh* solver (the encoding plus its own at-most
-    constraints), so its ``stats`` dict is exactly this phase's work — no
-    delta bookkeeping needed.
+    ``work`` is the phase's delta of :meth:`_Descent.work`: the phases of
+    one cover problem share a solver, so each reads the counters before and
+    after it runs.
     """
     if obs is None:
         return
     obs.sat_phase_seconds.observe(time.perf_counter() - started, phase=phase)
-    stats = getattr(solver, "stats", None) or {}
     for kind in _SOLVER_WORK:
-        amount = stats.get(kind, 0)
+        amount = work.get(kind, 0)
         if amount:
             obs.sat_work.inc(float(amount), kind=kind)
 
@@ -143,30 +145,88 @@ def _fresh_solver(encoding: SignalEncoding, seed: int, prefer: Optional[str]):
     return solver
 
 
-def _descend(solver, encoding: SignalEncoding, items, first: int, floor: int) -> int:
-    """Tighten ``sum(items) ≤ B`` until UNSAT or ``floor``; the minimum sum.
+class _Descent:
+    """The solver of one cover problem's descent, and the bounds it carries.
 
-    ``first`` is the weighted sum of an already-found model; one at-most
-    constraint is added at that bound and each step tightens it below the
-    last model's sum.  ``floor`` is a proven lower bound (see
-    :meth:`~repro.sat.encode.SignalEncoding.cost_floors`): a model that
-    reaches it is minimum without an UNSAT proof.
+    All three phases run on one solver while it stays satisfiable: adding
+    an at-most constraint, tightening a bound or adding a blocking clause
+    never invalidates a learnt clause.  An UNSAT answer ends the solver,
+    since the bound it refuted can never be loosened again; the next step
+    loads a fresh one with the encoding and each constraint at the last
+    bound a model met.
     """
-    best = first
-    handle = solver.add_at_most(items, best)
-    weight_of = dict(items)
-    while best > floor:
-        if not solver.tighten(handle, best - 1):
-            break
-        if solver.solve() is not True:
-            break
-        model = solver.model()
-        best = sum(
-            weight_of[var]
-            for var in encoding.select_vars
-            if model.get(var)
-        )
-    return best
+
+    def __init__(self, encoding: SignalEncoding, seed: int, prefer: Optional[str]):
+        self.encoding = encoding
+        self.seed = seed
+        self.prefer = prefer
+        #: ``[items, bound]`` per at-most constraint, at a bound a model met
+        self.bounds: list[list] = []
+        self.handles: list = []
+        self.solver = None
+        #: solvers loaded, and the work counters of those UNSAT ended
+        self.built = 0
+        self.spent = dict.fromkeys(_SOLVER_WORK, 0)
+        #: candidate indices of the last model, read before any tighten
+        #: (which unwinds the assignment to the root)
+        self.selection: list[int] = []
+
+    def live(self):
+        """The live solver; a fresh one after an UNSAT answer."""
+        if self.solver is None:
+            self.solver = _fresh_solver(self.encoding, self.seed, self.prefer)
+            self.built += 1
+            self.handles = [
+                self.solver.add_at_most(items, bound) for items, bound in self.bounds
+            ]
+        return self.solver
+
+    def work(self) -> dict[str, int]:
+        """Work counters summed over every solver this problem loaded."""
+        stats = getattr(self.solver, "stats", None) or {}
+        return {kind: self.spent[kind] + stats.get(kind, 0) for kind in _SOLVER_WORK}
+
+    def solve(self) -> bool:
+        """Solve on the live solver: keep a model's selection, or end the solver."""
+        solver = self.live()
+        if solver.solve() is True:
+            self.selection = self.encoding.selection_of_model(solver.model())
+            return True
+        self.spent = self.work()
+        self.solver = None
+        return False
+
+    def minimum(self, weights: list[int], floor: int) -> int:
+        """Minimize the selection's total weight, trying ``floor`` first.
+
+        ``floor`` is a proven lower bound (see
+        :meth:`~repro.sat.encode.SignalEncoding.cost_floors`).  An at-most
+        constraint is added at the last model's weight and tightened
+        straight to ``floor``: a model there is minimum.  When ``floor`` is
+        UNSAT, ``floor + 1`` is proven, and a fresh solver steps one unit
+        below each model until UNSAT or that bound.  The constraint ends at
+        the minimum on the live solver.
+        """
+        best = sum(weights[i] for i in self.selection)
+        items = list(zip(self.encoding.select_vars, weights))
+        self.bounds.append([items, best])
+        if self.solver is not None:
+            self.handles.append(self.solver.add_at_most(items, best))
+        if best > floor and not self._meets(weights, floor):
+            while best > floor + 1 and self._meets(weights, best - 1):
+                best = self.bounds[-1][1]
+        best = self.bounds[-1][1]
+        if self.solver is not None:
+            self.solver.tighten(self.handles[-1], best)
+        return best
+
+    def _meets(self, weights: list[int], bound: int) -> bool:
+        """Tighten the last constraint to ``bound``; True if a model meets it."""
+        self.live().tighten(self.handles[-1], bound)
+        if not self.solve():
+            return False
+        self.bounds[-1][1] = sum(weights[i] for i in self.selection)
+        return True
 
 
 def minimize_problem(
@@ -196,80 +256,65 @@ def minimize_problem(
             f"{problem.signal}/{problem.kind}: an on-set code has no valid "
             "covering cube (state coding conflict?)"
         )
-    stats = {"candidates": len(encoding.candidates)}
     gate_floor, literal_floor = encoding.cost_floors()
-    unit_items = [(var, 1) for var in encoding.select_vars]
-    weights = encoding.weights()
-    weighted_items = [
-        (var, weight) for var, weight in zip(encoding.select_vars, weights)
-    ]
+    descent = _Descent(encoding, seed, prefer)
+    phases: dict[str, dict[str, int]] = {}
     obs = current_obs()
 
-    def _span(phase: str):
+    @contextmanager
+    def _phase(name: str):
+        started = time.perf_counter()
+        before = descent.work()
         if obs is None:
-            return nullcontext()
-        return obs.tracer.span(
-            "sat:" + phase, signal=problem.signal, kind=problem.kind
-        )
+            yield
+        else:
+            with obs.tracer.span(
+                "sat:" + name, signal=problem.signal, kind=problem.kind
+            ):
+                yield
+        after = descent.work()
+        phases[name] = {kind: after[kind] - before[kind] for kind in _SOLVER_WORK}
+        _observe_phase(obs, name, phases[name], started)
 
     # phase 1: minimum cube count
-    phase_started = time.perf_counter()
-    with _span("cubes"):
-        solver = _fresh_solver(encoding, seed, prefer)
-        if solver.solve() is not True:
+    with _phase("cubes"):
+        if not descent.solve():
             raise ExactSynthesisError(
                 f"{problem.signal}/{problem.kind}: no monotone cover exists"
             )
-        first = len(encoding.selection_of_model(solver.model()))
-        gates = _descend(solver, encoding, unit_items, first, gate_floor)
-    conflicts = getattr(solver, "stats", {}).get("conflicts", 0)
-    _observe_phase(obs, "cubes", solver, phase_started)
+        gates = descent.minimum([1] * len(encoding.candidates), gate_floor)
 
     # phase 2: minimum literal count at that cube count
-    phase_started = time.perf_counter()
-    with _span("literals"):
-        solver = _fresh_solver(encoding, seed, prefer)
-        solver.add_at_most(unit_items, gates)
-        if solver.solve() is not True:  # pragma: no cover - phase 1 proved SAT
-            raise ExactSynthesisError(
-                f"{problem.signal}/{problem.kind}: minimum-gate bound lost"
-            )
-        model = solver.model()
-        first = sum(
-            weights[i] for i in encoding.selection_of_model(model)
-        )
-        literals = _descend(solver, encoding, weighted_items, first, literal_floor)
-    conflicts += getattr(solver, "stats", {}).get("conflicts", 0)
-    _observe_phase(obs, "literals", solver, phase_started)
+    with _phase("literals"):
+        literals = descent.minimum(encoding.weights(), literal_floor)
 
     # phase 3: enumerate every (gates, literals) minimum
-    phase_started = time.perf_counter()
-    with _span("enumerate"):
-        solver = _fresh_solver(encoding, seed, prefer)
-        solver.add_at_most(unit_items, gates)
-        solver.add_at_most(weighted_items, literals)
+    with _phase("enumerate"):
         selections: list[list[int]] = []
         truncated = False
-        while solver.solve() is True:
-            selection = encoding.selection_of_model(solver.model())
-            selections.append(selection)
+        while descent.solve():
+            selections.append(descent.selection)
             if len(selections) >= max_solutions:
                 truncated = True
                 break
-            if not solver.add_clause([-encoding.select_vars[i] for i in selection]):
+            blocking = [-encoding.select_vars[i] for i in descent.selection]
+            if not descent.solver.add_clause(blocking):
                 break
         solutions = [
             [encoding.candidates[i] for i in selection]
             for selection in sorted(selections)
         ]
-    conflicts += getattr(solver, "stats", {}).get("conflicts", 0)
-    _observe_phase(obs, "enumerate", solver, phase_started)
     if not solutions:  # pragma: no cover - phases 1-2 proved feasibility
         raise ExactSynthesisError(
             f"{problem.signal}/{problem.kind}: enumeration found no model"
         )
-    stats["conflicts"] = conflicts
-    stats["seconds"] = time.perf_counter() - start
+    stats = {
+        "candidates": len(encoding.candidates),
+        "solvers": descent.built,
+        "phases": phases,
+        "conflicts": descent.work()["conflicts"],
+        "seconds": time.perf_counter() - start,
+    }
     return ProblemSolution(
         problem=problem,
         gates=gates,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,12 @@ from repro.api import Pipeline, SynthesisOptions, compare, get_backend
 from repro.api.artifacts import SynthesisArtifact
 from repro.api.backends import BACKEND_NAMES, SATBackend
 from repro.api.spec import Spec
+from repro.experiments.optimality_gap import GAP_SPECS
+from repro.sat import synthesize as sat_synthesize
 from repro.sat.encode import (
     CoverProblem,
     SatBudgetExceeded,
+    SignalEncoding,
     add_counter,
     build_encoding,
     enumerate_implicants,
@@ -211,10 +215,26 @@ def small_problems(draw):
     )
 
 
+def _zero_floors(encoding):
+    """Floors of zero: no cube probe can succeed, so every descent falls back."""
+    return 0, 0
+
+
 class TestMinimaAgainstEnumeration:
     @settings(max_examples=60, deadline=None)
     @given(problem=small_problems())
     def test_descent_floors_and_enumeration(self, problem):
+        self._check(problem)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=small_problems())
+    def test_fallback_descent_without_floors(self, problem):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SignalEncoding, "cost_floors", _zero_floors)
+            self._check(problem)
+
+    @staticmethod
+    def _check(problem):
         encoding = build_encoding(problem, primes_only=problem.kind == "complete")
         gates, literals, count = _brute_force_minima(encoding, len(problem.on_codes))
         cube_floor, literal_floor = encoding.cost_floors()
@@ -226,6 +246,114 @@ class TestMinimaAgainstEnumeration:
         assert solution.solutions == sorted(solution.solutions, key=lambda cubes: [
             encoding.candidates.index(cube) for cube in cubes
         ])
+
+
+GOLDEN_TRACE = Path(__file__).resolve().parent / "data" / "sat_search_trace.json"
+
+#: the gap-spec cover problems whose literal floor lies below the minimum:
+#: the floor probe is UNSAT, so each loads exactly one fresh solver more
+FALLBACK_PROBLEMS = {
+    ("dma_ctrl", "xreq", "reset"),
+    ("selector", "ack1", "reset"),
+    ("selector", "ack1", "complete"),
+    ("selector", "ack2", "reset"),
+    ("selector", "ack2", "complete"),
+}
+
+
+def _solved(name: str, **kwargs) -> list:
+    """``(problem, solution, solvers)`` of every cover problem of a gap spec.
+
+    ``solvers`` are the solvers the problem loaded.  Each descent phase ends
+    at most two (at its floor probe and at its last step), and enumeration
+    may need one more: a problem that loads a sixth fails at once, so a
+    descent that never ends fails too.
+    """
+    solved: list = []
+    built: list = []
+    new_solver = sat_synthesize.new_solver
+    minimize = sat_synthesize.minimize_problem
+
+    def counting_solver(*args, **options):
+        built.append(new_solver(*args, **options))
+        assert len(built) <= 5, "a cover problem loaded more than five solvers"
+        return built[-1]
+
+    def recording(problem, **options):
+        built.clear()
+        solution = minimize(problem, **options)
+        solved.append((problem, solution, list(built)))
+        return solution
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sat_synthesize, "new_solver", counting_solver)
+        patch.setattr(sat_synthesize, "minimize_problem", recording)
+        exact_synthesize(Spec.from_benchmark(name).stg, assume_csc=True, **kwargs)
+    return solved
+
+
+def _minima(solved) -> list:
+    return [
+        (p.signal, p.kind, s.gates, s.literals, s.solutions, s.truncated)
+        for p, s, _ in solved
+    ]
+
+
+class TestOneSolverDescent:
+    """The three phases share a solver; only an UNSAT answer loads another."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN_TRACE.read_text())["specs"]
+
+    @pytest.mark.parametrize("name", ["dma_ctrl", "selector", "parallelizer"])
+    def test_failed_floor_probes_load_one_more_solver(self, name, golden, monkeypatch):
+        monkeypatch.setenv("REPRO_SAT_SOLVER", "cdcl")
+        solved = _solved(name)
+        assert len(solved) == len(golden[name])
+        for (problem, solution, solvers), want in zip(solved, golden[name]):
+            fallback = (name, problem.signal, problem.kind) in FALLBACK_PROBLEMS
+            assert len(solvers) == solution.stats["solvers"] == 1 + fallback
+            outcome = (solution.gates, solution.literals, len(solution.solutions))
+            assert outcome == (want["gates"], want["literals"], want["solutions"])
+            assert not solution.truncated
+            # conflicts are summed over every solver the problem loaded
+            spent = sum(solver.stats["conflicts"] for solver in solvers)
+            assert solution.stats["conflicts"] == spent == want["conflicts"]
+            phases = solution.stats["phases"]
+            assert sum(phase["conflicts"] for phase in phases.values()) == spent
+
+    def test_bounds_end_at_the_minima_on_the_live_solver(self):
+        # on = x0·x3' with 1 cube of 2 literals.  From the full selection (a
+        # model of every encoding: 3 cubes here) the floor probe at 0 fails,
+        # and the fresh solver's model under the bound 2 has 1 cube: the
+        # cube bound must still end at 1 before the literal descent, which
+        # meets its floor on that solver
+        problem = CoverProblem(
+            signal="x",
+            kind="complete",
+            signals_mask=0b1111,
+            on_codes=(1, 3, 5, 7),
+            off_pairs=tuple((0b1111, code) for code in (2, 4, 6, 8, 9, 10, 12, 13, 14)),
+        )
+        encoding = build_encoding(problem, primes_only=True)
+        descent = sat_synthesize._Descent(encoding, seed=0, prefer="cdcl")
+        assert descent.solve()
+        descent.selection = list(range(len(encoding.candidates)))
+        gates = descent.minimum([1] * len(encoding.candidates), 0)
+        literals = descent.minimum(encoding.weights(), encoding.cost_floors()[1])
+        assert (gates, literals) == (1, 2)
+        assert descent.built == 2
+        assert [card.bound for card in descent.solver._cards] == [gates, literals]
+
+    @pytest.mark.parametrize("name", GAP_SPECS)
+    def test_fallback_everywhere_keeps_the_minima(self, name, monkeypatch):
+        monkeypatch.setenv("REPRO_SAT_SOLVER", "cdcl")
+        expected = _minima(_solved(name))
+        monkeypatch.setattr(SignalEncoding, "cost_floors", _zero_floors)
+        fallen = _solved(name)
+        assert _minima(fallen) == expected
+        assert all(len(solvers) >= 2 for _, _, solvers in fallen)
 
 
 class TestExactSynthesize:

@@ -4,10 +4,13 @@
 :func:`~repro.sat.synthesize.minimize_problem` call that the exact synthesis
 of the 13 ``repro gap`` specs makes, in call order: the problem (signal,
 kind, candidate count), its outcome (gates, literals, solution count,
-``truncated``) and, for each of its three descent phases, the solver's work
-counters, its variable count and the length of its clause arena (problem
-plus learnt clauses; the cost bounds are native at-most constraints, not
-clauses).  The pure-python CDCL engine is forced, whatever
+``truncated``, the ``conflicts`` it reports), each solver it loaded (the
+final work counters, the variable count and the length of the clause
+arena: problem plus learnt clauses; the cost bounds are native at-most
+constraints, not clauses), and the solver work of each of its three
+descent phases.  The phases share one solver until an UNSAT answer ends
+it, so a phase's work is a delta of the counters summed over the
+problem's solvers.  The pure-python CDCL engine is forced, whatever
 ``$REPRO_SAT_SOLVER`` says.
 
 The specs are traced in the test process, after whatever it ran before:
@@ -76,7 +79,8 @@ def _recording():
             "literals": solution.literals,
             "solutions": len(solution.solutions),
             "truncated": solution.truncated,
-            "phases": [
+            "conflicts": solution.stats.get("conflicts", 0),
+            "solvers": [
                 {
                     "stats": dict(solver.stats),
                     "num_vars": solver.num_vars,
@@ -84,6 +88,7 @@ def _recording():
                 }
                 for solver in solvers[first:]
             ],
+            "phases": solution.stats.get("phases", {}),
         })
         return solution
 
@@ -169,8 +174,18 @@ def test_search_trace_matches(name, golden, monkeypatch):
     for index, (want, got) in enumerate(zip(expected, actual)):
         assert got == want, f"{name}: minimize_problem call {index} diverged"
     assert len(actual) == len(expected)
-    # every problem with an on-set runs exactly three descent phases
-    assert all(len(p["phases"]) in (0, 3) for p in actual)
+    for problem in actual:
+        if not problem["solvers"]:  # an empty on-set needs no search
+            assert problem["phases"] == {} and problem["conflicts"] == 0
+            continue
+        # three descent phases, whose work adds up to that of every solver
+        assert list(problem["phases"]) == ["cubes", "literals", "enumerate"]
+        for kind in problem["phases"]["cubes"]:
+            spent = sum(solver["stats"][kind] for solver in problem["solvers"])
+            assert sum(phase[kind] for phase in problem["phases"].values()) == spent
+        assert problem["conflicts"] == sum(
+            solver["stats"]["conflicts"] for solver in problem["solvers"]
+        )
 
 
 if __name__ == "__main__":
