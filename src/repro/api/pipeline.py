@@ -69,6 +69,7 @@ from repro.gates.library import get_library
 from repro.gates.verify import verify_mapped_netlist
 from repro.petri.smcover import compute_sm_components, compute_sm_cover
 from repro.statebased.regions import SignalRegions, state_space
+from repro.structural.adjacency import structural_next_relation
 from repro.structural.approximation import approximate_signal_regions
 from repro.structural.concurrency import compute_concurrency_relation
 from repro.structural.consistency import check_consistency_structural
@@ -330,12 +331,14 @@ class Pipeline:
             start = time.perf_counter()
             stg = spec.stg
             concurrency = compute_concurrency_relation(stg)
+            next_relation = structural_next_relation(stg, concurrency)
             consistent = True
             if options.check_consistency:
                 report = check_consistency_structural(
                     stg,
                     concurrency,
                     use_sufficient_conditions=options.use_sufficient_adjacency,
+                    next_relation=next_relation,
                 )
                 consistent = report.consistent
                 if not consistent:
@@ -344,7 +347,9 @@ class Pipeline:
                         f"autoconcurrent={report.autoconcurrent_transitions}, "
                         f"switchover={report.switchover_violations}"
                     )
-            approximation = approximate_signal_regions(stg, concurrency)
+            approximation = approximate_signal_regions(
+                stg, concurrency, next_relation=next_relation
+            )
             components = compute_sm_components(stg.net)
             try:
                 sm_cover = compute_sm_cover(stg.net, components)

@@ -318,12 +318,16 @@ def approximate_signal_regions(
     cover_functions: Optional[dict[str, Cover]] = None,
     initial_values: Optional[dict[str, int]] = None,
     compute_backward: bool = True,
+    next_relation: Optional[dict[str, set[str]]] = None,
 ) -> SignalRegionApproximation:
     """Build the structural approximation of all signal regions of an STG.
 
     ``cover_functions`` may carry refined (multi-cube) covers produced by
     :func:`repro.structural.refinement.refine_cover_functions`; when omitted,
-    the single-cube approximations of Lemma 10 are used.
+    the single-cube approximations of Lemma 10 are used.  ``next_relation``
+    is the Property-4 relation of
+    :func:`~repro.structural.adjacency.structural_next_relation`, computed
+    here when omitted.
     """
     if concurrency is None:
         concurrency = compute_concurrency_relation(stg)
@@ -335,7 +339,8 @@ def approximate_signal_regions(
             place: Cover([cube], stg.signal_names)
             for place, cube in place_cubes.items()
         }
-    next_relation = structural_next_relation(stg, concurrency)
+    if next_relation is None:
+        next_relation = structural_next_relation(stg, concurrency)
     qps = compute_qps(stg, next_relation=next_relation)
     bps = (
         compute_backward_place_sets(stg, next_relation=next_relation)

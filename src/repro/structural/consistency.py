@@ -82,6 +82,7 @@ def check_consistency_structural(
     stg: STG,
     concurrency: Optional[ConcurrencyRelation] = None,
     use_sufficient_conditions: bool = False,
+    next_relation: Optional[dict[str, set[str]]] = None,
 ) -> StructuralConsistencyReport:
     """Structural consistency verification of a free-choice STG (Fig. 9).
 
@@ -93,13 +94,17 @@ def check_consistency_structural(
         signals whose necessary-condition adjacency looks incomplete.  The
         paper reports that for all practical benchmarks the necessary
         conditions already imply sufficiency, so this defaults to False.
+    next_relation:
+        The Property-4 relation of :func:`structural_next_relation`, when
+        the caller computed it already; it is left as it is.
     """
     if concurrency is None:
         concurrency = compute_concurrency_relation(stg)
 
     autoconcurrent = find_autoconcurrent_transitions(stg, concurrency)
 
-    next_relation = structural_next_relation(stg, concurrency)
+    if next_relation is None:
+        next_relation = structural_next_relation(stg, concurrency)
     incomplete = [
         transition
         for transition, successors in next_relation.items()
@@ -109,8 +114,9 @@ def check_consistency_structural(
     if use_sufficient_conditions and incomplete:
         used_sufficient = True
         refined = structural_next_relation_checked(stg, concurrency, incomplete)
+        next_relation = dict(next_relation)
         for transition, successors in refined.items():
-            next_relation[transition] |= successors
+            next_relation[transition] = next_relation[transition] | successors
 
     switchover = find_switchover_violations(stg, next_relation)
 
