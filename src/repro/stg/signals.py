@@ -57,16 +57,6 @@ class SignalTransition:
     # ------------------------------------------------------------------ #
 
     @property
-    def is_rising(self) -> bool:
-        """True for a rising (``+``) transition."""
-        return self.direction == "+"
-
-    @property
-    def is_falling(self) -> bool:
-        """True for a falling (``-``) transition."""
-        return self.direction == "-"
-
-    @property
     def target_value(self) -> int:
         """Value of the signal after the transition fires (1 for ``+``)."""
         if self.direction == "+":
