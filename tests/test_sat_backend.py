@@ -261,7 +261,7 @@ FALLBACK_PROBLEMS = {
 }
 
 
-def _solved(name: str, **kwargs) -> list:
+def _solved(name: str) -> list:
     """``(problem, solution, solvers)`` of every cover problem of a gap spec.
 
     ``solvers`` are the solvers the problem loaded.  Each descent phase ends
@@ -288,7 +288,7 @@ def _solved(name: str, **kwargs) -> list:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sat_synthesize, "new_solver", counting_solver)
         patch.setattr(sat_synthesize, "minimize_problem", recording)
-        exact_synthesize(Spec.from_benchmark(name).stg, assume_csc=True, **kwargs)
+        exact_synthesize(Spec.from_benchmark(name).stg, assume_csc=True)
     return solved
 
 
