@@ -147,61 +147,3 @@ def test_sat_smoke(benchmark):
     assert report.matching
     assert exact.details["exact"] is True
     assert exact.literals <= report.structural.synthesis.literals
-
-
-def test_sat_pysat_vs_cdcl(benchmark, perf_record, print_table):
-    """Backend comparison: the in-tree CDCL against pysat's Minisat.
-
-    Skips cleanly when the optional ``python-sat`` extra is absent (the
-    default image); with it installed the table pins that both backends
-    reach the *same* literal minima — the backend is a speed knob, never a
-    quality knob — and records the per-spec wall-clock split.
-    """
-    from repro.sat.solver import pysat_available
-
-    if not pysat_available():
-        import pytest
-
-        pytest.skip("python-sat not installed; CDCL-only environment")
-
-    cases = ["fig6", "converter_2to4", "sequencer", "dma_ctrl"]
-
-    def run_both():
-        out = {}
-        for name in cases:
-            stg = get_benchmark(name)
-            started = time.perf_counter()
-            cdcl = exact_synthesize(stg, prefer="cdcl")
-            cdcl_s = time.perf_counter() - started
-            started = time.perf_counter()
-            ps = exact_synthesize(stg, prefer="pysat")
-            pysat_s = time.perf_counter() - started
-            out[name] = (cdcl, cdcl_s, ps, pysat_s)
-        return out
-
-    results = benchmark.pedantic(run_both, iterations=1, rounds=1)
-
-    rows = []
-    record: dict = {}
-    for name in cases:
-        cdcl, cdcl_s, ps, pysat_s = results[name]
-        cdcl_lits = cdcl.circuit.literal_count()
-        pysat_lits = ps.circuit.literal_count()
-        # both backends descend to the same proven minimum
-        assert cdcl_lits == pysat_lits, name
-        rows.append(
-            {
-                "spec": name,
-                "cdcl_s": round(cdcl_s, 4),
-                "pysat_s": round(pysat_s, 4),
-                "speedup": round(cdcl_s / pysat_s, 2) if pysat_s else None,
-                "literals": cdcl_lits,
-            }
-        )
-        record[name] = {
-            "cdcl_s": round(cdcl_s, 6),
-            "pysat_s": round(pysat_s, 6),
-            "literals": cdcl_lits,
-        }
-    print_table(rows, title="Exact synthesis — CDCL vs. pysat backend")
-    perf_record["results"].setdefault("sat", {})["pysat_vs_cdcl"] = record

@@ -132,18 +132,6 @@ class SATBackend:
 
     name = "sat"
 
-    def __init__(
-        self,
-        candidate_budget: int = 4096,
-        max_solutions: int = 64,
-        seed: int = 0,
-        prefer: Optional[str] = None,
-    ):
-        self.candidate_budget = candidate_budget
-        self.max_solutions = max_solutions
-        self.seed = seed
-        self.prefer = prefer
-
     def synthesize(
         self,
         pipeline,
@@ -160,10 +148,6 @@ class SATBackend:
             check_specification=options.check_consistency,
             regions=pipeline.states(spec, max_markings),
             assume_csc=options.assume_csc,
-            candidate_budget=self.candidate_budget,
-            max_solutions=self.max_solutions,
-            seed=self.seed,
-            prefer=self.prefer,
         )
         return _artifact(
             self.name, spec, options, result.circuit, start,

@@ -13,7 +13,7 @@ table.
 """
 
 from repro.sat.encode import SatBudgetExceeded
-from repro.sat.solver import CDCLSolver, new_solver, pysat_available
+from repro.sat.solver import CDCLSolver
 from repro.sat.synthesize import (
     ExactSynthesisError,
     ExactSynthesisResult,
@@ -26,6 +26,4 @@ __all__ = [
     "ExactSynthesisResult",
     "SatBudgetExceeded",
     "exact_synthesize",
-    "new_solver",
-    "pysat_available",
 ]

@@ -23,9 +23,9 @@ The synthesis of a set/reset/complete cover is encoded as *cube selection*:
   :mod:`repro.sat.synthesize` puts weighted at-most constraints over the
   selection variables (weight 1 for the gate count, the cube's literal
   count for the literal count) into the solver natively.
-  :func:`add_counter`, a one-directional weighted unary counter after
-  Sinz's sequential counter, is their CNF form, for solvers without
-  native constraints and as the differential oracle of the native ones.
+  :func:`_reference_add_counter`, a one-directional weighted unary counter
+  after Sinz's sequential counter, is their CNF form, kept only as the
+  differential oracle of the native ones.
 
 All cube arithmetic runs on the packed integer ``(care, value)`` masks of
 :mod:`repro.boolean.interning`'s process-global variable order; cubes only
@@ -53,7 +53,7 @@ __all__ = [
     "enumerate_implicants",
     "signal_order_remap",
     "build_encoding",
-    "add_counter",
+    "_reference_add_counter",
     "cube_of_masks",
     "cover_of_masks",
 ]
@@ -318,13 +318,18 @@ def build_encoding(
     return encoding
 
 
-def add_counter(
+def _reference_add_counter(
     clauses: list[list[int]],
     items: Sequence[tuple[int, int]],
     width: int,
     next_var: int,
 ) -> tuple[int, list[int]]:
-    """Weighted unary counter with reusable threshold outputs.
+    """Weighted unary counter with reusable threshold outputs — the oracle.
+
+    The CNF form of the cost bounds, kept to pin the solver's native
+    :meth:`~repro.sat.solver.CDCLSolver.add_at_most` /
+    :meth:`~repro.sat.solver.CDCLSolver.tighten` constraints in the
+    differential tests; synthesis never builds it.
 
     ``items`` are ``(literal, weight)`` pairs; the returned ``outputs`` list
     has ``outputs[j]`` forced true whenever the weighted sum of the true

@@ -26,27 +26,19 @@ store-cacheable synthesis artifacts rely on.  The search tree of the exact
 backend's descent is pinned phase by phase, with batched loading, by the
 golden trace of ``tests/test_sat_search_trace.py``.
 
-If the optional `pysat` package is installed, :func:`new_solver` can hand
-out a :class:`PysatSolver` adapter behind the same interface
-(``REPRO_SAT_SOLVER=pysat`` or ``prefer="pysat"``); tier-1 never requires
-it — the pure-python engine is the default and the only code path
-exercised in CI's dependency-free job.
+This is the only solver of the exact backend: every descent builds a
+:class:`CDCLSolver` at seed 0, so a stored artifact's search statistics
+depend on nothing but the specification.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional, Sequence
 
-from repro.sat.encode import add_counter
-
 __all__ = [
     "CDCLSolver",
-    "PysatSolver",
-    "new_solver",
-    "pysat_available",
     "_reference_dpll",
 ]
 
@@ -693,129 +685,6 @@ class CDCLSolver:
             self._trail_lim.append(len(self._trail))
             phase = self._saved_phase[var]
             self._enqueue(var if phase > 0 else -var, None)
-
-
-# ---------------------------------------------------------------------- #
-# Optional pysat fast path
-# ---------------------------------------------------------------------- #
-
-
-def pysat_available() -> bool:
-    """True when the optional `pysat` package can actually be imported."""
-    try:
-        from pysat.solvers import Solver  # noqa: F401
-    except Exception:  # pragma: no cover - absent in the reference env
-        return False
-    return True  # pragma: no cover
-
-
-class PysatSolver:
-    """Adapter exposing a `pysat` solver behind the CDCLSolver interface.
-
-    Only constructed when `pysat` imports; tier-1 never instantiates it.
-    """
-
-    def __init__(self, num_vars: int = 0, seed: int = 0, engine: str = "glucose3"):
-        from pysat.solvers import Solver
-
-        self.seed = seed
-        self._solver = Solver(name=engine)
-        self._num_vars = num_vars
-        self._model: dict[int, bool] = {}
-        # the same key set as CDCLSolver.stats, so instrumentation reads a
-        # uniform surface; pysat fills in what its accum_stats() exposes
-        self.stats = {
-            "conflicts": 0,
-            "decisions": 0,
-            "propagations": 0,
-            "restarts": 0,
-            "learned": 0,
-        }
-
-    @property
-    def num_vars(self) -> int:
-        return self._num_vars
-
-    def new_var(self) -> int:
-        self._num_vars += 1
-        return self._num_vars
-
-    def ensure_vars(self, count: int) -> None:
-        self._num_vars = max(self._num_vars, count)
-
-    def add_clause(self, lits) -> bool:
-        lits = [int(l) for l in lits]
-        for lit in lits:
-            self.ensure_vars(abs(lit))
-        self._solver.add_clause(lits)
-        return True
-
-    def add_clauses(self, clauses) -> bool:
-        for clause in clauses:
-            self.add_clause(clause)
-        return True
-
-    def add_at_most(self, items, bound: int) -> list[int]:
-        """A unary counter (:func:`~repro.sat.encode.add_counter`) plus a
-        unit clause on its output; the handle is the output list."""
-        clauses: list[list[int]] = []
-        self._num_vars, outputs = add_counter(
-            clauses, [(int(l), int(w)) for l, w in items], max(bound, 0) + 1,
-            self._num_vars,
-        )
-        self.add_clauses(clauses)
-        self.tighten(outputs, bound)
-        return outputs
-
-    def tighten(self, handle: list[int], bound: int) -> bool:
-        if bound < 0:
-            self.add_clause([1])
-            self.add_clause([-1])  # no sum is negative: UNSAT
-        elif bound < len(handle):
-            self.add_clause([-handle[bound]])
-        return True
-
-    def solve(self, assumptions=(), max_conflicts=None) -> Optional[bool]:
-        result = self._solver.solve(assumptions=list(assumptions))
-        if result:
-            self._model = {abs(l): l > 0 for l in self._solver.get_model() or ()}
-        try:  # pragma: no cover - depends on the optional extra
-            accumulated = self._solver.accum_stats() or {}
-            for key in ("conflicts", "decisions", "propagations", "restarts"):
-                if key in accumulated:
-                    self.stats[key] = int(accumulated[key])
-        except Exception:  # noqa: BLE001 - stats are best-effort telemetry
-            pass
-        return bool(result)
-
-    def value_of(self, var: int) -> Optional[bool]:
-        return self._model.get(var)
-
-    def model(self) -> dict[int, bool]:
-        return dict(self._model)
-
-
-def new_solver(seed: int = 0, prefer: Optional[str] = None):
-    """Construct a solver: the pure-python CDCL engine, or `pysat` if asked.
-
-    ``prefer`` (or ``$REPRO_SAT_SOLVER``) selects ``"cdcl"`` (default),
-    ``"pysat"`` (errors if absent), or ``"auto"`` (pysat when available).
-    """
-    choice = (prefer or os.environ.get("REPRO_SAT_SOLVER") or "cdcl").lower()
-    if choice == "cdcl":
-        return CDCLSolver(seed=seed)
-    if choice == "pysat":
-        if not pysat_available():
-            raise RuntimeError(
-                "REPRO_SAT_SOLVER=pysat requested but the pysat package is "
-                "not installed (tier-1 stays dependency-free: use cdcl)"
-            )
-        return PysatSolver(seed=seed)  # pragma: no cover
-    if choice == "auto":
-        if pysat_available():  # pragma: no cover
-            return PysatSolver(seed=seed)
-        return CDCLSolver(seed=seed)
-    raise ValueError(f"unknown SAT solver preference {choice!r}")
 
 
 # ---------------------------------------------------------------------- #

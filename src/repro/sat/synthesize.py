@@ -24,7 +24,10 @@ The phases share one solver (:class:`_Descent`): adding a constraint or
 tightening a bound never invalidates a learnt clause.  Only an UNSAT
 answer ends a solver, because bounds only tighten; the next step loads a
 fresh one with every bound some model met.  On the 13 ``repro gap`` specs
-87 cover problems load 92 solvers.
+87 cover problems load 92 solvers.  Every solver is a
+:class:`~repro.sat.solver.CDCLSolver` at its default seed, and the search
+has no setting beyond the candidate budget, so the minima and the
+reported ``conflicts`` depend on the specification alone.
 
 The minima are sorted by candidate indices and the circuit is built from
 the first: candidates are in a process-independent order (see
@@ -57,7 +60,7 @@ from repro.sat.encode import (
     cover_of_masks,
     signal_order_remap,
 )
-from repro.sat.solver import new_solver
+from repro.sat.solver import CDCLSolver
 from repro.statebased.regions import SignalRegions, state_space
 from repro.statebased.synthesis import (
     StateBasedSynthesisError,
@@ -134,8 +137,8 @@ def _observe_phase(obs, phase: str, work: dict, started: float) -> None:
             obs.sat_work.inc(float(amount), kind=kind)
 
 
-def _fresh_solver(encoding: SignalEncoding, seed: int, prefer: Optional[str]):
-    solver = new_solver(seed=seed, prefer=prefer)
+def _fresh_solver(encoding: SignalEncoding) -> CDCLSolver:
+    solver = CDCLSolver()
     solver.ensure_vars(encoding.num_vars)
     if not solver.add_clauses(encoding.clauses):
         raise ExactSynthesisError(
@@ -156,14 +159,12 @@ class _Descent:
     bound a model met.
     """
 
-    def __init__(self, encoding: SignalEncoding, seed: int, prefer: Optional[str]):
+    def __init__(self, encoding: SignalEncoding):
         self.encoding = encoding
-        self.seed = seed
-        self.prefer = prefer
         #: ``[items, bound]`` per at-most constraint, at a bound a model met
         self.bounds: list[list] = []
         self.handles: list = []
-        self.solver = None
+        self.solver: Optional[CDCLSolver] = None
         #: solvers loaded, and the work counters of those UNSAT ended
         self.built = 0
         self.spent = dict.fromkeys(_SOLVER_WORK, 0)
@@ -174,7 +175,7 @@ class _Descent:
     def live(self):
         """The live solver; a fresh one after an UNSAT answer."""
         if self.solver is None:
-            self.solver = _fresh_solver(self.encoding, self.seed, self.prefer)
+            self.solver = _fresh_solver(self.encoding)
             self.built += 1
             self.handles = [
                 self.solver.add_at_most(items, bound) for items, bound in self.bounds
@@ -183,8 +184,10 @@ class _Descent:
 
     def work(self) -> dict[str, int]:
         """Work counters summed over every solver this problem loaded."""
-        stats = getattr(self.solver, "stats", None) or {}
-        return {kind: self.spent[kind] + stats.get(kind, 0) for kind in _SOLVER_WORK}
+        if self.solver is None:
+            return dict(self.spent)
+        stats = self.solver.stats
+        return {kind: self.spent[kind] + stats[kind] for kind in _SOLVER_WORK}
 
     def solve(self) -> bool:
         """Solve on the live solver: keep a model's selection, or end the solver."""
@@ -233,8 +236,6 @@ def minimize_problem(
     problem: CoverProblem,
     budget: int = 4096,
     max_solutions: int = 64,
-    seed: int = 0,
-    prefer: Optional[str] = None,
 ) -> ProblemSolution:
     """Lexicographic (cubes, literals) minimization plus full enumeration."""
     start = time.perf_counter()
@@ -257,7 +258,7 @@ def minimize_problem(
             "covering cube (state coding conflict?)"
         )
     gate_floor, literal_floor = encoding.cost_floors()
-    descent = _Descent(encoding, seed, prefer)
+    descent = _Descent(encoding)
     phases: dict[str, dict[str, int]] = {}
     obs = current_obs()
 
@@ -477,9 +478,6 @@ def exact_synthesize(
     regions: Optional[SignalRegions] = None,
     assume_csc: bool = False,
     candidate_budget: int = 4096,
-    max_solutions: int = 64,
-    seed: int = 0,
-    prefer: Optional[str] = None,
 ) -> ExactSynthesisResult:
     """Synthesize the provably minimum-literal circuit of a specification.
 
@@ -488,10 +486,10 @@ def exact_synthesize(
     the same specification check) but replaces heuristic two-level
     minimization with the SAT descent of :func:`minimize_problem`, then
     picks the cheapest of the three implementation architectures per
-    signal.  ``candidate_budget`` bounds the per-problem implicant space and
-    ``max_solutions`` the enumeration; blowing the former raises
-    :class:`~repro.sat.encode.SatBudgetExceeded` (a capacity skip, not a
-    synthesis failure).
+    signal.  ``candidate_budget`` bounds the per-problem implicant space;
+    blowing it raises :class:`~repro.sat.encode.SatBudgetExceeded` (a
+    capacity skip, not a synthesis failure).  Enumeration keeps at most
+    ``minimize_problem``'s default of 64 minima per cover problem.
     """
     start = time.perf_counter()
     if regions is None:
@@ -509,13 +507,7 @@ def exact_synthesize(
     signal_stats: dict[str, dict] = {}
     for signal in targets:
         implementation, info = _synthesize_signal(
-            regions,
-            signal,
-            variables,
-            budget=candidate_budget,
-            max_solutions=max_solutions,
-            seed=seed,
-            prefer=prefer,
+            regions, signal, variables, budget=candidate_budget
         )
         circuit.implementations[signal] = implementation
         signal_stats[signal] = info
@@ -536,25 +528,12 @@ def _synthesize_signal(
     signal: str,
     variables: tuple[str, ...],
     budget: int,
-    max_solutions: int,
-    seed: int,
-    prefer: Optional[str],
 ):
     """Minimum implementation of one signal across all architectures."""
     set_problem, reset_problem, complete_problem = _signal_problems(regions, signal)
-    set_solution = minimize_problem(
-        set_problem, budget=budget, max_solutions=max_solutions, seed=seed, prefer=prefer
-    )
-    reset_solution = minimize_problem(
-        reset_problem, budget=budget, max_solutions=max_solutions, seed=seed, prefer=prefer
-    )
-    complete_solution = minimize_problem(
-        complete_problem,
-        budget=budget,
-        max_solutions=max_solutions,
-        seed=seed,
-        prefer=prefer,
-    )
+    set_solution = minimize_problem(set_problem, budget=budget)
+    reset_solution = minimize_problem(reset_problem, budget=budget)
+    complete_solution = minimize_problem(complete_problem, budget=budget)
     gated = _best_gated_latch(set_solution, reset_solution, budget)
 
     latch_cost = set_solution.literals + reset_solution.literals

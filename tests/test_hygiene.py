@@ -4,8 +4,8 @@ at module load of anything outside the standard library and ``repro``.
 A stdlib AST scan.  An imported name counts as used when the module reads
 it (including inside string annotations), lists it in ``__all__``, or when
 a package ``__init__.py`` imports it from this module (a re-export).  An
-import inside a function body runs only when called (the optional pysat
-backend is imported that way), so only the others count as loaded.
+import inside a function body runs only when called, so only the others
+count as loaded.
 """
 
 from __future__ import annotations

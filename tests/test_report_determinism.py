@@ -9,6 +9,11 @@ interpreters, one in registry order and one in reverse, and the
 ``Report.to_json()`` documents, with every ``*seconds`` value zeroed, must
 match byte for byte.
 
+Nor on where a stage was resolved or how many workers ran: a warm run
+that reads every synthesis from a store must report what the cold run
+that wrote it computed, and ``repro gap`` must give the same rows with one
+worker or two.
+
 Run by hand, the module prints one such run::
 
     PYTHONPATH=src python tests/test_report_determinism.py sat reverse
@@ -21,10 +26,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
 from repro.api import Pipeline, SynthesisOptions
+from repro.api.cli import main
 from repro.experiments.optimality_gap import GAP_SPECS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,10 +50,12 @@ def _zero_seconds(document):
     return document
 
 
-def reports(backend: str, order: str) -> dict[str, str]:
+def reports(
+    backend: str, order: str, pipeline: Optional[Pipeline] = None
+) -> dict[str, str]:
     """Zeroed-seconds report text of every gap spec, synthesized in ``order``."""
     names = list(GAP_SPECS) if order == "forward" else list(reversed(GAP_SPECS))
-    pipeline = Pipeline()
+    pipeline = pipeline or Pipeline()
     options = SynthesisOptions(assume_csc=True)
     return {
         name: json.dumps(
@@ -82,6 +91,31 @@ def test_forward_and_reverse_runs_report_the_same(backend):
     assert sorted(forward) == sorted(GAP_SPECS)
     differ = [name for name in GAP_SPECS if forward[name] != backward[name]]
     assert not differ, f"{backend}: reports depend on the run order: {differ}"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_warm_store_run_reports_what_the_cold_run_computed(backend, tmp_path):
+    store = tmp_path / "store"
+    cold_pipeline = Pipeline(store=store)
+    cold = reports(backend, "forward", cold_pipeline)
+    assert cold_pipeline.stage_calls["synthesize"] == len(GAP_SPECS)
+    warm_pipeline = Pipeline(store=store)
+    warm = reports(backend, "forward", warm_pipeline)
+    assert warm_pipeline.stage_calls["synthesize"] == 0
+    differ = [name for name in GAP_SPECS if cold[name] != warm[name]]
+    assert not differ, f"{backend}: stored reports differ from computed: {differ}"
+
+
+def _gap_rows(capsys, jobs: int) -> list:
+    code = main(["gap", "--no-store", "--json", "--jobs", str(jobs)])
+    assert code == 0
+    return _zero_seconds(json.loads(capsys.readouterr().out))
+
+
+def test_gap_rows_do_not_depend_on_the_worker_count(capsys):
+    one = _gap_rows(capsys, 1)
+    assert [row["spec"] for row in one[:-1]] == list(GAP_SPECS)
+    assert _gap_rows(capsys, 2) == one
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from repro.sat.encode import (
     CoverProblem,
     SatBudgetExceeded,
     SignalEncoding,
-    add_counter,
+    _reference_add_counter,
     build_encoding,
     enumerate_implicants,
 )
@@ -43,7 +43,7 @@ class TestCardinalityEncodings:
         items = [(1, 2), (2, 1), (3, 3)]
         width = 6
         clauses: list[list[int]] = []
-        next_var, outputs = add_counter(clauses, items, width, 3)
+        next_var, outputs = _reference_add_counter(clauses, items, width, 3)
         assert len(outputs) == width
         solver = CDCLSolver()
         solver.ensure_vars(next_var)
@@ -62,7 +62,7 @@ class TestCardinalityEncodings:
 
     def test_add_counter_empty(self):
         clauses: list[list[int]] = []
-        assert add_counter(clauses, [], 4, 0) == (0, [])
+        assert _reference_add_counter(clauses, [], 4, 0) == (0, [])
         assert clauses == []
 
 
@@ -271,11 +271,11 @@ def _solved(name: str) -> list:
     """
     solved: list = []
     built: list = []
-    new_solver = sat_synthesize.new_solver
+    cdcl_solver = sat_synthesize.CDCLSolver
     minimize = sat_synthesize.minimize_problem
 
     def counting_solver(*args, **options):
-        built.append(new_solver(*args, **options))
+        built.append(cdcl_solver(*args, **options))
         assert len(built) <= 5, "a cover problem loaded more than five solvers"
         return built[-1]
 
@@ -286,7 +286,7 @@ def _solved(name: str) -> list:
         return solution
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sat_synthesize, "new_solver", counting_solver)
+        patch.setattr(sat_synthesize, "CDCLSolver", counting_solver)
         patch.setattr(sat_synthesize, "minimize_problem", recording)
         exact_synthesize(Spec.from_benchmark(name).stg, assume_csc=True)
     return solved
@@ -307,8 +307,7 @@ class TestOneSolverDescent:
         return json.loads(GOLDEN_TRACE.read_text())["specs"]
 
     @pytest.mark.parametrize("name", ["dma_ctrl", "selector", "parallelizer"])
-    def test_failed_floor_probes_load_one_more_solver(self, name, golden, monkeypatch):
-        monkeypatch.setenv("REPRO_SAT_SOLVER", "cdcl")
+    def test_failed_floor_probes_load_one_more_solver(self, name, golden):
         solved = _solved(name)
         assert len(solved) == len(golden[name])
         for (problem, solution, solvers), want in zip(solved, golden[name]):
@@ -337,7 +336,7 @@ class TestOneSolverDescent:
             off_pairs=tuple((0b1111, code) for code in (2, 4, 6, 8, 9, 10, 12, 13, 14)),
         )
         encoding = build_encoding(problem, primes_only=True)
-        descent = sat_synthesize._Descent(encoding, seed=0, prefer="cdcl")
+        descent = sat_synthesize._Descent(encoding)
         assert descent.solve()
         descent.selection = list(range(len(encoding.candidates)))
         gates = descent.minimum([1] * len(encoding.candidates), 0)
@@ -348,7 +347,6 @@ class TestOneSolverDescent:
 
     @pytest.mark.parametrize("name", GAP_SPECS)
     def test_fallback_everywhere_keeps_the_minima(self, name, monkeypatch):
-        monkeypatch.setenv("REPRO_SAT_SOLVER", "cdcl")
         expected = _minima(_solved(name))
         monkeypatch.setattr(SignalEncoding, "cost_floors", _zero_floors)
         fallen = _solved(name)

@@ -7,9 +7,10 @@ differential sweep here interleaves ``solve()`` (with and without
 assumptions), ``add_clause`` and ``tighten`` on random formulas with one or
 two weighted constraints, and checks every verdict against
 ``_reference_dpll`` on the same clauses plus the
-:func:`~repro.sat.encode.add_counter` encoding of each bound, every model
-against every clause and bound, and every branching decision of the heap
-against the linear scan it replaced (``_reference_pick_branch_var``).
+:func:`~repro.sat.encode._reference_add_counter` encoding of each bound,
+every model against every clause and bound, and every branching decision
+of the heap against the linear scan it replaced
+(``_reference_pick_branch_var``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sat.encode import add_counter
+from repro.sat.encode import _reference_add_counter
 from repro.sat.solver import CDCLSolver, _reference_dpll
 
 
@@ -63,7 +64,7 @@ def reference_verdict(num_vars, clauses, constraints, assumptions) -> bool:
     for items, bound in constraints:
         if bound < 0:
             return False
-        next_var, outputs = add_counter(cnf, items, bound + 1, next_var)
+        next_var, outputs = _reference_add_counter(cnf, items, bound + 1, next_var)
         if outputs:
             cnf.append([-outputs[bound]])
     return _reference_dpll(cnf, next_var)[0]

@@ -10,8 +10,7 @@ arena: problem plus learnt clauses; the cost bounds are native at-most
 constraints, not clauses), and the solver work of each of its three
 descent phases.  The phases share one solver until an UNSAT answer ends
 it, so a phase's work is a delta of the counters summed over the
-problem's solvers.  The pure-python CDCL engine is forced, whatever
-``$REPRO_SAT_SOLVER`` says.
+problem's solvers.
 
 The specs are traced in the test process, after whatever it ran before:
 candidate cubes are ordered by their masks renumbered to the STG's signal
@@ -39,7 +38,6 @@ Regenerate (only when the search changes on purpose) with::
 from __future__ import annotations
 
 import json
-import os
 import random
 from contextlib import contextmanager
 from pathlib import Path
@@ -60,11 +58,11 @@ def _recording():
     """Record every ``minimize_problem`` call and the solvers it builds."""
     problems: list[dict] = []
     solvers: list = []
-    new_solver = sat_synthesize.new_solver
+    cdcl_solver = sat_synthesize.CDCLSolver
     minimize_problem = sat_synthesize.minimize_problem
 
     def recording_solver(*args, **kwargs):
-        solver = new_solver(*args, **kwargs)
+        solver = cdcl_solver(*args, **kwargs)
         solvers.append(solver)
         return solver
 
@@ -92,12 +90,12 @@ def _recording():
         })
         return solution
 
-    sat_synthesize.new_solver = recording_solver
+    sat_synthesize.CDCLSolver = recording_solver
     sat_synthesize.minimize_problem = recording_minimize
     try:
         yield problems
     finally:
-        sat_synthesize.new_solver = new_solver
+        sat_synthesize.CDCLSolver = cdcl_solver
         sat_synthesize.minimize_problem = minimize_problem
 
 
@@ -167,8 +165,7 @@ def test_batch_trace_matches(seed, golden):
 
 
 @pytest.mark.parametrize("name", GAP_SPECS)
-def test_search_trace_matches(name, golden, monkeypatch):
-    monkeypatch.setenv("REPRO_SAT_SOLVER", "cdcl")
+def test_search_trace_matches(name, golden):
     expected = golden["specs"][name]
     actual = trace(name)
     for index, (want, got) in enumerate(zip(expected, actual)):
@@ -189,5 +186,4 @@ def test_search_trace_matches(name, golden, monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ["REPRO_SAT_SOLVER"] = "cdcl"
     print(json.dumps(build_golden(), indent=1))

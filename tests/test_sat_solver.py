@@ -13,13 +13,7 @@ import random
 
 import pytest
 
-from repro.sat.solver import (
-    CDCLSolver,
-    _luby,
-    _reference_dpll,
-    new_solver,
-    pysat_available,
-)
+from repro.sat.solver import CDCLSolver, _luby, _reference_dpll
 
 
 def satisfies(clauses, model: dict[int, bool]) -> bool:
@@ -302,26 +296,3 @@ class TestBulkLoading:
         assert solver.value_of(3) is None and solver.value_of(4) is None
         assert solver.solve() is True
         assert satisfies([[1, 2]], solver.model())
-
-
-class TestSolverFactory:
-    def test_default_is_cdcl(self):
-        assert isinstance(new_solver(), CDCLSolver)
-
-    def test_explicit_cdcl(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SAT_SOLVER", "pysat")
-        # an explicit prefer= wins over the environment
-        assert isinstance(new_solver(prefer="cdcl"), CDCLSolver)
-
-    def test_unknown_preference(self):
-        with pytest.raises(ValueError, match="unknown SAT solver"):
-            new_solver(prefer="quantum")
-
-    @pytest.mark.skipif(pysat_available(), reason="pysat installed")
-    def test_pysat_absent_is_explicit_error(self):
-        with pytest.raises(RuntimeError, match="pysat"):
-            new_solver(prefer="pysat")
-
-    @pytest.mark.skipif(pysat_available(), reason="pysat installed")
-    def test_auto_degrades_to_cdcl(self):
-        assert isinstance(new_solver(prefer="auto"), CDCLSolver)
