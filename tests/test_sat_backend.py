@@ -374,11 +374,37 @@ class TestExactSynthesize:
         with pytest.raises(SatBudgetExceeded):
             exact_synthesize(fig6, candidate_budget=1)
 
+    @pytest.mark.parametrize("option", ["prefer", "seed", "max_solutions"])
+    def test_search_takes_no_solver_options(self, fig6, option):
+        with pytest.raises(TypeError, match=option):
+            exact_synthesize(fig6, **{option: 1})
+
+    def test_environment_selects_no_solver(self, monkeypatch):
+        # the search depends only on the spec: a solver-selecting variable
+        # left in the environment changes neither minima nor conflicts
+        expected = _solved("selector")
+        monkeypatch.setenv("REPRO_SAT_SOLVER", "pysat")
+        solved = _solved("selector")
+        assert _minima(solved) == _minima(expected)
+        assert [s.stats["conflicts"] for _, s, _ in solved] == [
+            s.stats["conflicts"] for _, s, _ in expected
+        ]
+        assert all(
+            type(solver) is CDCLSolver for _, _, solvers in solved for solver in solvers
+        )
+
 
 class TestSATBackend:
     def test_registered(self):
         assert "sat" in BACKEND_NAMES
         assert isinstance(get_backend("sat"), SATBackend)
+
+    @pytest.mark.parametrize(
+        "option", ["candidate_budget", "max_solutions", "seed", "prefer"]
+    )
+    def test_backend_takes_no_options(self, option):
+        with pytest.raises(TypeError):
+            SATBackend(**{option: 1})
 
     @pytest.mark.parametrize("name", EXACT_NAMES)
     def test_agrees_with_both_backends_and_never_worse(self, name):
