@@ -143,14 +143,18 @@ class TestVerifierCatchesBadCircuits:
 
     def test_non_monotonic_cover_is_detected(self):
         stg = fig7_glatch_stg(2)
-        result = synthesize(stg, SynthesisOptions(level=5))
+        # at level 2 y is a latch: set x0 x1, reset x0' x1' (at higher
+        # levels it is implemented combinationally)
+        result = synthesize(stg, SynthesisOptions(level=2))
         circuit = result.circuit
         y = circuit["y"]
-        if not y.uses_latch:
-            pytest.skip("y was implemented combinationally")
+        assert y.uses_latch
         variables = tuple(stg.signal_names)
         # a set cover that also covers part of the falling quiescent region
         glitchy = Cover(y.set_cover.cubes + [Cube({"x0": 1, "x1": 0, "y": 0})], variables)
         circuit.implementations["y"] = latch_implementation("y", glitchy, y.reset_cover)
         report = verify_speed_independence(stg, circuit)
         assert not report.speed_independent
+        # the extra cube sets y where the specification holds it at 0
+        assert report.functional_errors
+        assert all(error.startswith("signal y:") for error in report.functional_errors)
