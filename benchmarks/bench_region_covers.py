@@ -21,7 +21,7 @@ import platform
 import statistics
 import time
 
-from repro.api import Pipeline, SynthesisOptions
+from repro.api import Pipeline
 from repro.boolean.cover import (
     Cover,
     _reference_intersect_cube,
@@ -90,7 +90,7 @@ def _timed(approximation) -> tuple[float, list[list]]:
 def _compare(monkeypatch, names, rounds: int) -> list[dict]:
     rows = []
     for name in names:
-        refinement = Pipeline().refine(name, SynthesisOptions())
+        refinement = Pipeline().refine(name)
         approximation = refinement.approximation
         packed, reference = [], []
         for _ in range(rounds):

@@ -26,7 +26,7 @@ def main(philosophers: int = 3) -> None:
 
     pipeline = Pipeline()
     options = SynthesisOptions(level=5, assume_csc=True)
-    analysis = pipeline.analyze(spec, options)
+    analysis = pipeline.analyze(spec)
     print(
         f"SM-components found: {analysis.sm_components}; "
         f"SM-cover size: {analysis.sm_cover_size}"

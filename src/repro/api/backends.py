@@ -86,7 +86,7 @@ class StructuralBackend:
         options: SynthesisOptions,
         max_markings: Optional[int] = None,
     ) -> SynthesisArtifact:
-        refinement = pipeline.refine(spec, options)
+        refinement = pipeline.refine(spec)
         require_csc(refinement, options)
         # a refinement loaded from the artifact store rebuilds its
         # approximation object (refined cover functions) on demand
@@ -117,7 +117,6 @@ class StateBasedBackend:
         result = synthesize_state_based(
             spec.stg,
             signals=options.signals,
-            check_specification=options.check_consistency,
             regions=pipeline.states(spec, max_markings),
             assume_csc=options.assume_csc,
         )
@@ -145,7 +144,6 @@ class SATBackend:
         result = exact_synthesize(
             spec.stg,
             signals=options.signals,
-            check_specification=options.check_consistency,
             regions=pipeline.states(spec, max_markings),
             assume_csc=options.assume_csc,
         )

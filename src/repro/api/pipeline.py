@@ -29,10 +29,13 @@ artifacts are persisted, so a request served from the store never asks
 for it.
 
 Every stage memoises its artifact keyed on the spec's content hash plus the
-options that influence it.  The key design point is that the *analysis* key
-does not include the minimization level, so a level sweep (like Fig. 13's
-M1..M5) through one pipeline reuses the analysis/refinement front-end
-instead of recomputing it per level.  ``Pipeline.stage_calls`` counts actual
+options that influence it.  The ``analyze`` and ``refine`` stages run the
+paper's one configuration of the front-end, so their keys are the spec
+alone: a level sweep (like Fig. 13's M1..M5) through one pipeline reuses
+the analysis/refinement front-end instead of recomputing it per level.
+The later stages add the options (level, ``assume_csc``, ``signals``), the
+backend, the ``max_markings`` bound where the state space is read, and the
+gate library where it matters.  ``Pipeline.stage_calls`` counts actual
 computations (cache misses), which the test-suite uses to pin the reuse
 behaviour.
 
@@ -85,15 +88,8 @@ def _options_key(options: SynthesisOptions) -> tuple:
     return (
         options.level,
         options.assume_csc,
-        options.check_consistency,
-        options.use_sufficient_adjacency,
         tuple(options.signals) if options.signals is not None else None,
     )
-
-
-def _analysis_key(options: SynthesisOptions) -> tuple:
-    """The subset of options the analysis front-end depends on (no level)."""
-    return (options.check_consistency, options.use_sufficient_adjacency)
 
 
 def _library_key(library: Optional[GateLibrary]) -> Optional[tuple]:
@@ -317,36 +313,25 @@ class Pipeline:
     # Stage: analyze
     # ------------------------------------------------------------------ #
 
-    def analyze(
-        self,
-        spec: SpecLike,
-        options: Optional[SynthesisOptions] = None,
-    ) -> AnalysisArtifact:
+    def analyze(self, spec: SpecLike) -> AnalysisArtifact:
         """Run the shared structural analysis front-end."""
         spec = Spec.load(spec)
-        options = options or SynthesisOptions()
-        key = ("analyze", spec.content_hash, _analysis_key(options))
+        key = ("analyze", spec.content_hash)
 
         def compute() -> AnalysisArtifact:
             start = time.perf_counter()
             stg = spec.stg
             concurrency = compute_concurrency_relation(stg)
             next_relation = structural_next_relation(stg, concurrency)
-            consistent = True
-            if options.check_consistency:
-                report = check_consistency_structural(
-                    stg,
-                    concurrency,
-                    use_sufficient_conditions=options.use_sufficient_adjacency,
-                    next_relation=next_relation,
+            report = check_consistency_structural(
+                stg, concurrency, next_relation=next_relation
+            )
+            if not report.consistent:
+                raise SynthesisError(
+                    "the STG is not consistent: "
+                    f"autoconcurrent={report.autoconcurrent_transitions}, "
+                    f"switchover={report.switchover_violations}"
                 )
-                consistent = report.consistent
-                if not consistent:
-                    raise SynthesisError(
-                        "the STG is not consistent: "
-                        f"autoconcurrent={report.autoconcurrent_transitions}, "
-                        f"switchover={report.switchover_violations}"
-                    )
             approximation = approximate_signal_regions(
                 stg, concurrency, next_relation=next_relation
             )
@@ -362,7 +347,7 @@ class Pipeline:
                 transitions=stg.net.num_transitions(),
                 signals=list(stg.signal_names),
                 non_input_signals=list(stg.non_input_signals),
-                consistent=consistent,
+                consistent=True,
                 sm_components=len(components),
                 sm_cover_size=len(sm_cover),
                 seconds=time.perf_counter() - start,
@@ -377,16 +362,11 @@ class Pipeline:
     # Stage: refine
     # ------------------------------------------------------------------ #
 
-    def refine(
-        self,
-        spec: SpecLike,
-        options: Optional[SynthesisOptions] = None,
-    ) -> RefinementArtifact:
+    def refine(self, spec: SpecLike) -> RefinementArtifact:
         """Refine the cover functions and run the structural CSC check."""
         spec = Spec.load(spec)
-        options = options or SynthesisOptions()
-        analysis = self.analyze(spec, options)
-        key = ("refine", spec.content_hash, _analysis_key(options))
+        analysis = self.analyze(spec)
+        key = ("refine", spec.content_hash)
 
         def compute() -> RefinementArtifact:
             start = time.perf_counter()
@@ -655,10 +635,10 @@ class Pipeline:
             # reuse the exact front-end artifacts the circuit was built from
             refinement = synthesis.refinement
             if refinement is None:
-                refinement = self.refine(spec, options)
+                refinement = self.refine(spec)
             analysis = refinement.analysis
             if analysis is None:
-                analysis = self.analyze(spec, options)
+                analysis = self.analyze(spec)
         mapping = None
         if map_technology or verify_mapped:
             mapping = self.map(

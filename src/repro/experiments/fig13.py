@@ -27,20 +27,17 @@ LEVELS: tuple[str, ...] = ("M1", "M2", "M3", "M4", "M5", "TM")
 def fig13_per_benchmark(
     names: Optional[list[str]] = None,
     pipeline: Optional[Pipeline] = None,
-    store=None,
-    on_event=None,
 ) -> dict[str, dict[str, dict]]:
     """Literals and area per benchmark and level, via the cached pipeline.
 
     Returns ``{benchmark: {level: {"literals": int, "area": int}}}``; the
     test-suite uses the per-benchmark breakdown to pin the monotonicity of
-    the level sweep.  ``store`` attaches a durable artifact store and
-    ``on_event`` the structured event stream.
+    the level sweep.
     """
     if names is None:
         names = classic_names(synthesizable_only=True)
     if pipeline is None:
-        pipeline = Pipeline(store=store, on_event=on_event)
+        pipeline = Pipeline()
     results: dict[str, dict[str, dict]] = {}
     for name in names:
         spec = Spec.from_benchmark(name)
@@ -58,14 +55,9 @@ def fig13_per_benchmark(
     return results
 
 
-def fig13_rows(
-    names: Optional[list[str]] = None,
-    pipeline: Optional[Pipeline] = None,
-    store=None,
-    on_event=None,
-) -> list[dict]:
+def fig13_rows(names: Optional[list[str]] = None) -> list[dict]:
     """Average area per minimization level over the benchmark set."""
-    per_benchmark = fig13_per_benchmark(names, pipeline, store=store, on_event=on_event)
+    per_benchmark = fig13_per_benchmark(names)
     rows: list[dict] = []
     baseline = None
     for level in LEVELS:

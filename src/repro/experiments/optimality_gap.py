@@ -108,9 +108,7 @@ def run_gap_job(job: Job, pipeline, faults) -> dict:
 def gap_rows(
     names: Optional[list[str]] = None,
     level: int = 5,
-    pipeline=None,
     store=None,
-    on_event=None,
     jobs: Optional[int] = None,
     timeout: Optional[float] = None,
     max_markings: Optional[int] = None,
@@ -134,13 +132,7 @@ def gap_rows(
         )
         for name in names
     ]
-    scheduler = Scheduler(
-        jobs=jobs,
-        store=store,
-        on_event=on_event,
-        pipeline=pipeline,
-        timeout=timeout,
-    )
+    scheduler = Scheduler(jobs=jobs, store=store, timeout=timeout)
     by_index: dict[int, dict] = {}
     for result in scheduler.iter_results(job_list):
         if result.report is not None:

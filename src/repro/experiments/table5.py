@@ -30,20 +30,11 @@ from repro.synthesis import SynthesisOptions
 def table5_rows(
     names: Optional[list[str]] = None,
     verify: bool = True,
-    pipeline: Optional[Pipeline] = None,
-    store=None,
-    on_event=None,
 ) -> list[dict]:
-    """One row per benchmark: sizes and areas of the three flows.
-
-    ``store`` attaches a durable artifact store (areas are the product here,
-    not timings, so warm runs are sound); ``on_event`` receives the
-    pipeline's structured stage events.
-    """
+    """One row per benchmark: sizes and areas of the three flows."""
     if names is None:
         names = classic_names(synthesizable_only=True)
-    if pipeline is None:
-        pipeline = Pipeline(store=store, on_event=on_event)
+    pipeline = Pipeline()
     rows: list[dict] = []
     base_options = SynthesisOptions(level=5)
     partial_options = SynthesisOptions(level=3, assume_csc=True)

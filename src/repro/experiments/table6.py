@@ -13,7 +13,6 @@ the full analyze → refine → synthesize chain.
 
 from __future__ import annotations
 
-from repro.api.events import Event
 from repro.api.pipeline import Pipeline
 from repro.api.spec import Spec
 from repro.benchmarks import scalable
@@ -39,24 +38,18 @@ BASELINE_MARKING_LIMIT = 200_000
 def table6_rows(
     cases=None,
     baseline_limit: int = BASELINE_MARKING_LIMIT,
-    on_event=None,
 ) -> list[dict]:
     """One row per scalable benchmark with both flows' run times.
 
-    ``on_event`` receives structured progress events (one ``job`` record per
-    case plus the per-stage pipeline events) — the callback API replacing
-    print-based progress.  No store is attached: the timing columns are the
-    product here, so every case must actually compute.
+    No store is attached: the timing columns are the product here, so every
+    case must actually compute.
     """
     if cases is None:
         cases = DEFAULT_CASES
     rows: list[dict] = []
-    for index, (name, builder, markings) in enumerate(cases):
-        if on_event is not None:
-            on_event(Event(kind="job", spec=name, status="start",
-                           index=index + 1, total=len(cases)))
+    for name, builder, markings in cases:
         spec = Spec.from_stg(builder(), name=name)
-        pipeline = Pipeline(on_event=on_event)
+        pipeline = Pipeline()
         structural = pipeline.run(spec, SynthesisOptions(level=3, assume_csc=True))
 
         baseline_seconds: float | str
@@ -84,8 +77,4 @@ def table6_rows(
                 "structural_lits": structural.literals,
             }
         )
-        if on_event is not None:
-            on_event(Event(kind="job", spec=name, status="done",
-                           index=index + 1, total=len(cases),
-                           seconds=structural.total_seconds))
     return rows

@@ -10,7 +10,6 @@ cross-over.
 
 from __future__ import annotations
 
-from repro.api.events import Event
 from repro.api.pipeline import Pipeline
 from repro.api.spec import Spec
 from repro.benchmarks import scalable
@@ -26,13 +25,8 @@ def table7_rows(
     philosophers=DEFAULT_PHILOSOPHERS,
     pipelines=DEFAULT_PIPELINES,
     baseline_limit: int = BASELINE_MARKING_LIMIT,
-    on_event=None,
 ) -> list[dict]:
-    """Rows for both scalable families.
-
-    ``on_event`` receives one ``job`` progress event per case plus the
-    pipeline's ``stage`` events (no store: the timings are the product).
-    """
+    """Rows for both scalable families (no store: the timings are the product)."""
     rows: list[dict] = []
     cases = [
         (f"philosophers_{n}", lambda n=n: scalable.dining_philosophers(n))
@@ -41,12 +35,9 @@ def table7_rows(
         (f"muller_pipeline_{n}", lambda n=n: scalable.muller_pipeline(n))
         for n in pipelines
     ]
-    for index, (name, builder) in enumerate(cases):
-        if on_event is not None:
-            on_event(Event(kind="job", spec=name, status="start",
-                           index=index + 1, total=len(cases)))
+    for name, builder in cases:
         spec = Spec.from_stg(builder(), name=name)
-        pipeline = Pipeline(on_event=on_event)
+        pipeline = Pipeline()
         structural = pipeline.run(spec, SynthesisOptions(level=3, assume_csc=True))
         try:
             baseline = pipeline.run(
@@ -71,8 +62,4 @@ def table7_rows(
                 "structural_lits": structural.literals,
             }
         )
-        if on_event is not None:
-            on_event(Event(kind="job", spec=name, status="done",
-                           index=index + 1, total=len(cases),
-                           seconds=structural.total_seconds))
     return rows

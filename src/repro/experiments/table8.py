@@ -55,17 +55,9 @@ def _benchmark_set() -> list[tuple[Spec, int | None]]:
     return items
 
 
-def table8_rows(
-    enumeration_limit: int = 300_000,
-    store=None,
-    on_event=None,
-) -> list[dict]:
-    """Per-benchmark counts plus the two aggregated groups of Table VIII.
-
-    ``store``/``on_event`` attach a durable store and the structured event
-    stream (the counted quantities are timing-independent).
-    """
-    pipeline = Pipeline(store=store, on_event=on_event)
+def table8_rows(enumeration_limit: int = 300_000) -> list[dict]:
+    """Per-benchmark counts plus the two aggregated groups of Table VIII."""
+    pipeline = Pipeline()
     per_benchmark: list[dict] = []
     for spec, closed_form in _benchmark_set():
         if closed_form is not None:

@@ -24,6 +24,10 @@ Grammar (``;``-separated clauses)::
     REPRO_OBS="dir=/tmp/run;trace=off"      # metrics only
     REPRO_OBS="off"                         # force-disable
 
+The keys are ``dir``, ``service`` and ``trace``; any other key is a
+``ValueError``.  Metrics have no switch: an active bundle always records
+them, and ``trace=off`` only drops the trace sink.
+
 Deep layers that cannot take a parameter (the SAT descent inside a
 backend) read the thread-local set by :func:`activate` — the pipeline
 activates its ``Obs`` around every stage compute, so
@@ -72,12 +76,10 @@ class Obs:
         dir: Union[str, os.PathLike, None] = None,  # noqa: A002 - grammar key
         service: Optional[str] = None,
         trace: bool = True,
-        metrics: bool = True,
     ):
         self.dir = Path(dir) if dir is not None else None
         self.service = service or f"pid{os.getpid()}"
         self.trace_enabled = bool(trace)
-        self.metrics_enabled = bool(metrics)
         self.registry = Registry(service=self.service)
         sink = None
         if self.dir is not None and self.trace_enabled:
@@ -158,8 +160,8 @@ class Obs:
                 fields["dir"] = value
             elif key == "service":
                 fields["service"] = value
-            elif key in ("trace", "metrics"):
-                fields[key] = value.lower() not in _OFF_TOKENS
+            elif key == "trace":
+                fields["trace"] = value.lower() not in _OFF_TOKENS
             else:
                 raise ValueError(f"unknown obs key {key!r} in {clause!r}")
         return cls(**fields)
@@ -173,8 +175,6 @@ class Obs:
             clauses.append(f"service={self.service}")
         if not self.trace_enabled:
             clauses.append("trace=off")
-        if not self.metrics_enabled:
-            clauses.append("metrics=off")
         return ";".join(clauses) if clauses else "on"
 
     def reconfigure(
@@ -187,7 +187,6 @@ class Obs:
             dir=dir if dir is not None else self.dir,
             service=service if service is not None else self.service,
             trace=self.trace_enabled,
-            metrics=self.metrics_enabled,
         )
 
     # -- persistence ---------------------------------------------------- #
@@ -201,7 +200,7 @@ class Obs:
     def write_snapshot(self) -> Optional[Path]:
         """Persist this process's metrics for supervisor aggregation."""
         path = self.snapshot_path
-        if path is None or not self.metrics_enabled:
+        if path is None:
             return None
         try:
             return self.registry.write_snapshot(path)

@@ -40,19 +40,17 @@ def load_snapshot(path: Union[str, os.PathLike]) -> Optional[dict]:
     return document
 
 
-def load_snapshots(
-    directory: Union[str, os.PathLike], pattern: str = "metrics-*.json"
-) -> list[dict]:
+def load_snapshots(directory: Union[str, os.PathLike]) -> list[dict]:
     """Every readable per-process snapshot in a fleet run directory."""
     snapshots = []
-    for path in sorted(Path(directory).glob(pattern)):
+    for path in sorted(Path(directory).glob("metrics-*.json")):
         document = load_snapshot(path)
         if document is not None:
             snapshots.append(document)
     return snapshots
 
 
-def merge_snapshots(snapshots: list[dict], service: str = "fleet") -> dict:
+def merge_snapshots(snapshots: list[dict]) -> dict:
     """Exact aggregation of per-process snapshots.
 
     Counters and histogram bucket counts / sums / sample counts add;
@@ -62,7 +60,7 @@ def merge_snapshots(snapshots: list[dict], service: str = "fleet") -> dict:
     means mixed code versions and the offending series is skipped rather
     than merged wrongly.
     """
-    merged: dict = {"service": service, "merged_from": len(snapshots), "metrics": {}}
+    merged: dict = {"service": "fleet", "merged_from": len(snapshots), "metrics": {}}
     out = merged["metrics"]
     for snapshot in snapshots:
         for name, metric in snapshot.get("metrics", {}).items():

@@ -38,8 +38,8 @@ from typing import Optional, Union
 TRACE_HEADER = "X-Repro-Trace"
 
 
-def _new_id(nbytes: int = 8) -> str:
-    return os.urandom(nbytes).hex()
+def _new_id() -> str:
+    return os.urandom(8).hex()
 
 
 @dataclass(frozen=True)
@@ -214,12 +214,10 @@ class Tracer:
 # ---------------------------------------------------------------------- #
 
 
-def load_records(
-    directory: Union[str, os.PathLike], pattern: str = "trace-*.jsonl"
-) -> list[dict]:
+def load_records(directory: Union[str, os.PathLike]) -> list[dict]:
     """Every readable span record from every sink in a run directory."""
     records = []
-    for path in sorted(Path(directory).glob(pattern)):
+    for path in sorted(Path(directory).glob("trace-*.jsonl")):
         try:
             text = path.read_text(encoding="utf-8")
         except OSError:

@@ -19,7 +19,7 @@ from repro.petri.properties import (
     is_live,
     redundant_places,
 )
-from repro.petri.invariants import place_invariants, minimal_place_invariants
+from repro.petri.invariants import place_invariants
 from repro.petri.smcover import StateMachineComponent, compute_sm_components, compute_sm_cover
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "is_live",
     "redundant_places",
     "place_invariants",
-    "minimal_place_invariants",
     "StateMachineComponent",
     "compute_sm_components",
     "compute_sm_cover",

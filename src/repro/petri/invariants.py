@@ -382,17 +382,3 @@ def _prune_combined(
             kept.append(row)
     return kept
 
-
-def minimal_place_invariants(net: PetriNet) -> list[frozenset[str]]:
-    """Supports of the minimal P-semiflows."""
-    return [frozenset(inv) for inv in place_invariants(net)]
-
-
-def token_count_of_invariant(net: PetriNet, invariant: dict[str, int]) -> int:
-    """Weighted token count of the initial marking over an invariant.
-
-    This count is preserved by every firing; for a one-token SM-component it
-    equals 1.
-    """
-    marking = net.initial_marking
-    return sum(weight * marking[place] for place, weight in invariant.items())

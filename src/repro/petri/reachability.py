@@ -15,7 +15,6 @@ also kept as the oracle for the kernel's differential tests.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from collections.abc import Iterable, Iterator
 from typing import Optional
@@ -39,7 +38,6 @@ __all__ = [
     "StateSpaceLimitExceeded",
     "build_reachability_graph",
     "count_reachable_markings",
-    "random_walk",
     "concurrent_pairs_from_rg",
     "marking_sets_of_places",
 ]
@@ -351,7 +349,6 @@ class IndexedGraph:
 
 def build_reachability_graph(
     net: PetriNet,
-    initial: Optional[Marking] = None,
     max_markings: Optional[int] = None,
 ) -> ReachabilityGraph:
     """Breadth-first exhaustive exploration of the reachable markings.
@@ -364,15 +361,13 @@ def build_reachability_graph(
     Parameters
     ----------
     net:
-        The Petri net.
-    initial:
-        Starting marking (default: the net's initial marking).
+        The Petri net, explored from its initial marking.
     max_markings:
         Optional safety bound; exceeding it raises
         :class:`StateSpaceLimitExceeded`.  Used by benchmarks that demonstrate
         the state-explosion of the baseline.
     """
-    start = initial if initial is not None else net.initial_marking
+    start = net.initial_marking
     compiled = compile_net(net)
     try:
         packed_start = compiled.pack(start)
@@ -395,11 +390,10 @@ def build_reachability_graph(
 
 def count_reachable_markings(
     net: PetriNet,
-    initial: Optional[Marking] = None,
     max_markings: Optional[int] = None,
 ) -> int:
     """Count reachable markings without storing the edges."""
-    start = initial if initial is not None else net.initial_marking
+    start = net.initial_marking
     compiled = compile_net(net)
     try:
         packed_start = compiled.pack(start)
@@ -439,30 +433,6 @@ def _bounded_explore(
             return None
         return compiled, order, enabled, edges
     return None
-
-
-def random_walk(
-    net: PetriNet,
-    steps: int,
-    initial: Optional[Marking] = None,
-    seed: int = 0,
-) -> list[str]:
-    """A pseudo-random feasible firing sequence of at most ``steps`` firings.
-
-    Used by property-based tests and by the hazard simulator to exercise
-    arbitrary interleavings without building the full reachability graph.
-    """
-    rng = random.Random(seed)
-    current = initial if initial is not None else net.initial_marking
-    sequence: list[str] = []
-    for _ in range(steps):
-        enabled = net.enabled_transitions(current)
-        if not enabled:
-            break
-        choice = rng.choice(enabled)
-        sequence.append(choice)
-        current = net.fire(choice, current)
-    return sequence
 
 
 def concurrent_pairs_from_rg(graph: ReachabilityGraph) -> set[frozenset[str]]:

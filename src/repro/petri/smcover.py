@@ -21,9 +21,9 @@ Two computation routes are provided:
 * :func:`compute_sm_components` — enumerate SM-components from the minimal
   place semiflows (Farkas algorithm in :mod:`repro.petri.invariants`);
 * :func:`find_sm_component_containing` — targeted backtracking search for an
-  SM-component containing a given place (optionally avoiding another place),
-  which is what the refinement step of Section VII needs and what keeps the
-  scalable benchmarks polynomial.
+  SM-component containing a given place, which completes the cover when the
+  semiflows leave a place uncovered and keeps the scalable benchmarks
+  polynomial.
 """
 
 from __future__ import annotations
@@ -185,17 +185,13 @@ def make_component(net: PetriNet, places: frozenset[str]) -> StateMachineCompone
 # ---------------------------------------------------------------------- #
 
 
-def compute_sm_components(
-    net: PetriNet,
-    one_token_only: bool = True,
-    max_components: Optional[int] = None,
-) -> list[StateMachineComponent]:
-    """SM-components obtained from the minimal place semiflows.
+def compute_sm_components(net: PetriNet) -> list[StateMachineComponent]:
+    """The one-token SM-components obtained from the minimal place semiflows.
 
     Every minimal semiflow with 0/1 weights whose support satisfies the
-    SM-component conditions yields a component.  ``one_token_only`` keeps
-    only components holding exactly one initial token (the ones used by the
-    synthesis method).
+    SM-component conditions yields a component; only the components holding
+    exactly one initial token (the ones used by the synthesis method) are
+    kept.
     """
     components: list[StateMachineComponent] = []
     for invariant in place_invariants(net):
@@ -205,11 +201,9 @@ def compute_sm_components(
         if not is_sm_component(net, support):
             continue
         component = make_component(net, support)
-        if one_token_only and token_count(net, component) != 1:
+        if token_count(net, component) != 1:
             continue
         components.append(component)
-        if max_components is not None and len(components) >= max_components:
-            break
     return components
 
 
@@ -221,10 +215,9 @@ def compute_sm_components(
 def find_sm_component_containing(
     net: PetriNet,
     place: str,
-    avoiding: Optional[set[str]] = None,
     max_steps: int = 200_000,
 ) -> Optional[StateMachineComponent]:
-    """Find an SM-component containing ``place`` (and avoiding some places).
+    """Find an SM-component containing ``place``.
 
     The search incrementally builds the place set: for every transition
     adjacent to a chosen place, exactly one of its input places and exactly
@@ -232,14 +225,8 @@ def find_sm_component_containing(
     transition generates a choice point.  Backtracking explores the choices;
     ``max_steps`` bounds the effort.
 
-    Returns ``None`` if no SM-component within the step bound satisfies the
-    constraints (including the one-token condition when the net has an
-    initial marking).
+    Returns ``None`` if no SM-component is found within the step bound.
     """
-    avoid = set(avoiding or ())
-    if place in avoid:
-        return None
-
     steps = 0
 
     def search(chosen: dict[str, str], pending: list[tuple[str, str]]) -> Optional[frozenset[str]]:
@@ -251,8 +238,6 @@ def find_sm_component_containing(
             return None
         if not pending:
             places = frozenset(chosen.values()) | {place}
-            if avoid & places:
-                return None
             if not is_sm_component(net, places):
                 return None
             return places
@@ -271,8 +256,6 @@ def find_sm_component_containing(
             new_chosen[key] = selected
             return search(new_chosen, rest)
         for candidate in sorted(candidates):
-            if candidate in avoid:
-                continue
             # Adding ``candidate`` must not give any adjacent transition two
             # input places or two output places inside the current set.
             conflict = False
@@ -322,7 +305,6 @@ def find_sm_component_containing(
 def compute_sm_cover(
     net: PetriNet,
     components: Optional[list[StateMachineComponent]] = None,
-    require_one_token: bool = True,
 ) -> list[StateMachineComponent]:
     """A set of one-token SM-components covering every place of the net.
 
@@ -338,7 +320,7 @@ def compute_sm_cover(
         that are not state-machine coverable).
     """
     if components is None:
-        components = compute_sm_components(net, one_token_only=require_one_token)
+        components = compute_sm_components(net)
     uncovered = set(net.places)
     for component in components:
         uncovered -= component.places
@@ -351,7 +333,7 @@ def compute_sm_cover(
                     f"no SM-component containing place {place!r}; "
                     "the net is not state-machine coverable"
                 )
-            if require_one_token and token_count(net, found) != 1:
+            if token_count(net, found) != 1:
                 raise ValueError(
                     f"SM-component for place {place!r} does not hold exactly one token"
                 )

@@ -141,11 +141,6 @@ class CDCLSolver:
     def num_vars(self) -> int:
         return self._num_vars
 
-    def new_var(self) -> int:
-        """Allocate and return a fresh variable."""
-        self.ensure_vars(self._num_vars + 1)
-        return self._num_vars
-
     def ensure_vars(self, count: int) -> None:
         """Grow the variable universe to at least ``count`` variables."""
         grow = count - self._num_vars

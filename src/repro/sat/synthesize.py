@@ -474,7 +474,6 @@ def _best_gated_latch(
 def exact_synthesize(
     stg: STG,
     signals: Optional[list[str]] = None,
-    check_specification: bool = True,
     regions: Optional[SignalRegions] = None,
     assume_csc: bool = False,
     candidate_budget: int = 4096,
@@ -495,10 +494,9 @@ def exact_synthesize(
     if regions is None:
         regions = state_space(stg)
     stats: dict = {"markings": len(regions.encoded)}
-    if check_specification:
-        check_state_based_specification(
-            stg, regions, assume_csc, error=ExactSynthesisError
-        )
+    check_state_based_specification(
+        stg, regions, assume_csc, error=ExactSynthesisError
+    )
 
     targets = signals if signals is not None else stg.non_input_signals
     variables = tuple(stg.signal_names)

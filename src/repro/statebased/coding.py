@@ -136,14 +136,14 @@ def analyze_state_coding(
     )
 
 
-def check_usc(stg: STG, encoded: Optional[EncodedReachabilityGraph] = None) -> bool:
+def check_usc(stg: STG) -> bool:
     """True if every reachable marking has a unique binary code."""
-    return analyze_state_coding(stg, encoded).satisfies_usc
+    return analyze_state_coding(stg).satisfies_usc
 
 
-def check_csc(stg: STG, encoded: Optional[EncodedReachabilityGraph] = None) -> bool:
+def check_csc(stg: STG) -> bool:
     """True if markings sharing a code enable the same output signals."""
-    return analyze_state_coding(stg, encoded).satisfies_csc
+    return analyze_state_coding(stg).satisfies_csc
 
 
 # ---------------------------------------------------------------------- #

@@ -50,10 +50,9 @@ def next_state_function(
 def next_state_functions(
     stg: STG,
     regions: Optional[SignalRegions] = None,
-    signals: Optional[list[str]] = None,
 ) -> dict[str, BooleanFunction]:
-    """Next-state functions for all (or the given) non-input signals."""
-    targets = signals if signals is not None else stg.non_input_signals
+    """Next-state functions for all non-input signals."""
+    targets = stg.non_input_signals
     if regions is None:
         regions = compute_signal_regions(stg, signals=targets)
     return {

@@ -155,16 +155,6 @@ class SignalRegions:
         """Materialised ER map (copies; kept for API compatibility)."""
         return {t: self.er(t) for t in self._er}
 
-    @property
-    def quiescent(self) -> dict[str, set[Marking]]:
-        """Materialised QR map (copies)."""
-        return {t: self.qr(t) for t in self._qr}
-
-    @property
-    def backward(self) -> dict[str, set[Marking]]:
-        """Materialised BR map (copies)."""
-        return {t: self.br(t) for t in self._br}
-
     # ------------------------------------------------------------------ #
     # Binary-code conversions
     # ------------------------------------------------------------------ #

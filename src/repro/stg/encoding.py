@@ -357,14 +357,10 @@ class EncodedReachabilityGraph:
         """The binary signal vector of a marking (a fresh dict)."""
         return dict(self.code_view(marking))
 
-    def code_string(self, marking: Marking, order: Optional[list[str]] = None) -> str:
-        """The binary code of a marking as a string over a signal order."""
+    def code_string(self, marking: Marking) -> str:
+        """The binary code of a marking as a string in the STG's signal order."""
         code = self.code_int(marking)
-        if order is None:
-            return "".join(
-                str((code >> bit) & 1) for bit in self._signal_bits
-            )
-        return "".join(str((code >> self._bit_of[s]) & 1) for s in order)
+        return "".join(str((code >> bit) & 1) for bit in self._signal_bits)
 
     def value(self, marking: Marking, signal: str) -> int:
         """Binary value of one signal at a marking."""

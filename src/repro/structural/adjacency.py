@@ -170,25 +170,27 @@ def structural_next_relation_checked(
     """``next`` relation using Property 4 plus the sufficient condition.
 
     The search of Property 4 (restricted to non-concurrent places) is first
-    applied.  Additionally, a second search that allows *all* places is run
-    on the forward reduction of the net by the signal transitions: paths that
-    only exist through concurrent places survive only if they remain
-    realizable after removing the transitions of the signal (Property 5).
-    Successors found by either search are reported, keeping the relation a
-    safe over-approximation of the behavioural ``next``.
+    applied.  Additionally, for every other transition ``t2`` of the signal,
+    a second search that allows *all* places is run on the forward reduction
+    of the net by the signal's transitions other than ``t`` and ``t2``:
+    paths that only exist through concurrent places survive only if they
+    remain realizable without firing another transition of the signal
+    (Property 5).  ``t`` itself is never its own successor here: it stays in
+    the reduced net, so a cycle of the net leads back to it.  Successors
+    found by either search are reported.
     """
     necessary = structural_next_relation(stg, concurrency, transitions)
     result: dict[str, set[str]] = {}
     targets = transitions if transitions is not None else stg.transitions
     for transition in targets:
         signal = stg.signal_of(transition)
-        others = set(stg.transitions_of_signal(signal)) - {transition}
-        reduced = forward_reduction(stg.net, others)
+        own = set(stg.transitions_of_signal(signal))
         extra: set[str] = set()
-        if reduced.has_node(transition):
-            # Paths through concurrent places, restricted to the reduced net:
-            # a successor found here is realizable without firing other
-            # transitions of the signal first.
-            extra = _path_successors(stg, transition, signal, net=reduced)
+        for successor in sorted(own - {transition}):
+            reduced = forward_reduction(stg.net, own - {transition, successor})
+            if reduced.has_node(transition) and successor in _path_successors(
+                stg, transition, signal, net=reduced
+            ):
+                extra.add(successor)
         result[transition] = necessary.get(transition, set()) | extra
     return result

@@ -317,7 +317,6 @@ def approximate_signal_regions(
     concurrency: Optional[ConcurrencyRelation] = None,
     cover_functions: Optional[dict[str, Cover]] = None,
     initial_values: Optional[dict[str, int]] = None,
-    compute_backward: bool = True,
     next_relation: Optional[dict[str, set[str]]] = None,
 ) -> SignalRegionApproximation:
     """Build the structural approximation of all signal regions of an STG.
@@ -342,11 +341,7 @@ def approximate_signal_regions(
     if next_relation is None:
         next_relation = structural_next_relation(stg, concurrency)
     qps = compute_qps(stg, next_relation=next_relation)
-    bps = (
-        compute_backward_place_sets(stg, next_relation=next_relation)
-        if compute_backward
-        else {}
-    )
+    bps = compute_backward_place_sets(stg, next_relation=next_relation)
     return SignalRegionApproximation(
         stg=stg,
         concurrency=concurrency,

@@ -14,7 +14,6 @@ This module detects the conflicts; the refinement of Section VII
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.boolean.cover import Cover
 from repro.petri.smcover import StateMachineComponent
@@ -42,14 +41,8 @@ def find_structural_conflicts(
     stg: STG,
     cover_functions: dict[str, Cover],
     sm_cover: list[StateMachineComponent],
-    places: Optional[set[str]] = None,
 ) -> list[StructuralConflict]:
-    """All structural coding conflicts of an STG over an SM-cover.
-
-    ``places`` optionally restricts the report to conflicts involving at
-    least one of the given places (used when only some cover functions are
-    of interest).
-    """
+    """All structural coding conflicts of an STG over an SM-cover."""
     del stg  # the check only needs the cover functions and the SM-cover
     conflicts: list[StructuralConflict] = []
     seen: set[tuple[frozenset[str], frozenset[str]]] = set()
@@ -57,8 +50,6 @@ def find_structural_conflicts(
         members = sorted(component.places)
         for i, first in enumerate(members):
             for second in members[i + 1:]:
-                if places is not None and first not in places and second not in places:
-                    continue
                 cover_first = cover_functions.get(first)
                 cover_second = cover_functions.get(second)
                 if cover_first is None or cover_second is None:

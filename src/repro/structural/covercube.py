@@ -285,7 +285,6 @@ def compute_cover_cubes(
     stg: STG,
     concurrency: Optional[ConcurrencyRelation] = None,
     initial_values: Optional[dict[str, int]] = None,
-    signals: Optional[list[str]] = None,
 ) -> dict[str, Cube]:
     """The single-cube approximation of every marked region (Lemma 10).
 
@@ -298,13 +297,12 @@ def compute_cover_cubes(
         concurrency = compute_concurrency_relation(stg)
     if initial_values is None:
         initial_values = structural_initial_values(stg, concurrency)
-    selected = signals if signals is not None else stg.signal_names
     engine = _engine_for(stg)
     concurrent_to = engine.scr_place_masks(concurrency)
     names = engine.place_names
 
     literals: list[dict[str, int]] = [{} for _ in names]
-    for signal in selected:
+    for signal in stg.signal_names:
         concurrent = concurrent_to(signal)
         zeros, ones = _value_masks(
             stg, engine, signal, initial_values.get(signal), concurrent
@@ -338,11 +336,6 @@ def _reference_compute_cover_cubes(
     return {place: Cube(assignment) for place, assignment in literals.items()}
 
 
-def cover_cube_table(
-    stg: STG,
-    cubes: dict[str, Cube],
-    signal_order: Optional[list[str]] = None,
-) -> dict[str, str]:
+def cover_cube_table(stg: STG, cubes: dict[str, Cube]) -> dict[str, str]:
     """Positional-cube strings for all places (Table III of the paper)."""
-    order = signal_order if signal_order is not None else stg.signal_names
-    return {place: cube.to_string(order) for place, cube in cubes.items()}
+    return {place: cube.to_string(stg.signal_names) for place, cube in cubes.items()}

@@ -15,7 +15,6 @@ CSC for an STG that violates it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.boolean.cover import Cover
 from repro.petri.smcover import StateMachineComponent
@@ -86,30 +85,26 @@ def check_csc_structural(
     stg: STG,
     cover_functions: dict[str, Cover],
     sm_cover: list[StateMachineComponent],
-    places: Optional[set[str]] = None,
-    allow_same_event_sharing: bool = True,
 ) -> StructuralCSCReport:
     """Theorems 14/15: certify CSC from the structural coding conflicts.
 
-    For every place in the preset of an output transition (or the given
-    ``places``), look for an SM-component of the cover containing the place
-    in which it has no structural coding conflict (Theorem 15).  When
-    ``allow_same_event_sharing`` is set, a place whose remaining conflicts
-    are all with places feeding the *same* signal events is also accepted
-    (the Theorem-14-based argument of Section VII-B2: such code sharing
-    relates markings that enable the same output transitions).
+    For every place in the preset of an output transition, look for an
+    SM-component of the cover containing the place in which it has no
+    structural coding conflict (Theorem 15).  A place whose remaining
+    conflicts are all with places feeding the *same* signal events is also
+    accepted (the Theorem-14-based argument of Section VII-B2: such code
+    sharing relates markings that enable the same output transitions).
     """
-    targets = places if places is not None else output_preset_places(stg)
     unresolved: list[str] = []
     witnesses: dict[str, frozenset[str]] = {}
-    for place in sorted(targets):
+    for place in sorted(output_preset_places(stg)):
         containing = [c for c in sm_cover if place in c.places]
         witness = None
         for component in containing:
             if not place_has_conflict_in_component(place, cover_functions, component):
                 witness = component
                 break
-        if witness is None and allow_same_event_sharing:
+        if witness is None:
             for component in containing:
                 if _conflict_is_benign(stg, place, cover_functions, component):
                     witness = component

@@ -223,10 +223,9 @@ def _directional_place_walk(
 
 def compute_qps(
     stg: STG,
-    transitions: Optional[list[str]] = None,
     next_relation: Optional[dict[str, set[str]]] = None,
 ) -> dict[str, set[str]]:
-    """Quiescent place sets QPS(t) for the given transitions (default: all).
+    """Quiescent place sets QPS(t) of every transition.
 
     ``QPS(t)`` contains every place *interleaved* between ``t`` and some
     successor transition ``t' ∈ next(t)``: the place must be reachable from
@@ -243,8 +242,7 @@ def compute_qps(
     engine = _engine_for(stg)
     tindex = engine.transition_index
     result: dict[str, set[str]] = {}
-    targets = transitions if transitions is not None else stg.transitions
-    for transition in targets:
+    for transition in stg.transitions:
         t = tindex[transition]
         forward_places, walk_boundary = engine.walk(t, forward=True)
         if next_relation is not None:
@@ -266,7 +264,6 @@ def compute_qps(
 
 def compute_backward_place_sets(
     stg: STG,
-    transitions: Optional[list[str]] = None,
     next_relation: Optional[dict[str, set[str]]] = None,
 ) -> dict[str, set[str]]:
     """Backward place sets BPS(t) (Appendix E).
@@ -279,13 +276,12 @@ def compute_backward_place_sets(
     engine = _engine_for(stg)
     tindex = engine.transition_index
     result: dict[str, set[str]] = {}
-    targets = transitions if transitions is not None else stg.transitions
     predecessors_of: dict[str, set[str]] = {}
     if next_relation is not None:
         for source, successors in next_relation.items():
             for successor in successors:
                 predecessors_of.setdefault(successor, set()).add(source)
-    for transition in targets:
+    for transition in stg.transitions:
         t = tindex[transition]
         backward_places, walk_boundary = engine.walk(t, forward=False)
         if next_relation is not None:

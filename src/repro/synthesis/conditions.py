@@ -44,7 +44,6 @@ def check_cover_correctness(
     on_set: Cover,
     off_set: CubeSet,
     cover: Cover,
-    what: str = "cover",
 ) -> ConditionReport:
     """Equation (2): ``on_set ⊆ cover`` and ``cover ∩ off_set = ∅``.
 
@@ -52,52 +51,36 @@ def check_cover_correctness(
     """
     violations: list[str] = []
     if not cover.contains_cover(on_set):
-        violations.append(f"{what} does not cover its excitation region")
+        violations.append("cover does not cover its excitation region")
     off_pairs = cube_pairs(off_set)
     if any(
         not (cube._value ^ value) & cube._care & care
         for cube in cover
         for care, value in off_pairs
     ):
-        violations.append(f"{what} intersects its off-set")
+        violations.append("cover intersects its off-set")
     return ConditionReport(not violations, violations)
 
 
 def set_function_sets(
-    regions: SignalRegionApproximation | SignalRegions,
-    signal: str,
-    restricted: bool = False,
+    approximation: SignalRegionApproximation, signal: str
 ) -> tuple[Cover, Cover]:
-    """(on-set, off-set) covers for the set function of ``signal``.
-
-    Works both with the structural approximation and with the exact
-    state-based regions (which expose ``ger_codes``/``gqr_codes``).
-    """
-    if isinstance(regions, SignalRegionApproximation):
-        on_set = regions.ger_cover(signal, "+")
-        off_set = regions.ger_cover(signal, "-").union(
-            regions.gqr_cover(signal, 0, restricted=restricted)
-        )
-    else:
-        on_set = regions.ger_codes(signal, "+")
-        off_set = regions.ger_codes(signal, "-").union(regions.gqr_codes(signal, 0))
+    """(on-set, off-set) covers for the set function of ``signal``."""
+    on_set = approximation.ger_cover(signal, "+")
+    off_set = approximation.ger_cover(signal, "-").union(
+        approximation.gqr_cover(signal, 0)
+    )
     return on_set, off_set
 
 
 def reset_function_sets(
-    regions: SignalRegionApproximation | SignalRegions,
-    signal: str,
-    restricted: bool = False,
+    approximation: SignalRegionApproximation, signal: str
 ) -> tuple[Cover, Cover]:
     """(on-set, off-set) covers for the reset function of ``signal``."""
-    if isinstance(regions, SignalRegionApproximation):
-        on_set = regions.ger_cover(signal, "-")
-        off_set = regions.ger_cover(signal, "+").union(
-            regions.gqr_cover(signal, 1, restricted=restricted)
-        )
-    else:
-        on_set = regions.ger_codes(signal, "-")
-        off_set = regions.ger_codes(signal, "+").union(regions.gqr_codes(signal, 1))
+    on_set = approximation.ger_cover(signal, "-")
+    off_set = approximation.ger_cover(signal, "+").union(
+        approximation.gqr_cover(signal, 1)
+    )
     return on_set, off_set
 
 

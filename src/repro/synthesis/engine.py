@@ -77,14 +77,18 @@ class SynthesisOptions:
     ``level`` selects how many minimization steps are applied (1..5, see the
     module docstring); ``assume_csc`` accepts specifications whose CSC
     property could not be certified structurally (the caller takes
-    responsibility, e.g. after a state-based check); ``check_consistency``
-    can be disabled when the caller already verified it.
+    responsibility, e.g. after a state-based check); ``signals`` restricts
+    synthesis to some non-input signals (default: all of them).
+
+    The rest of the flow has one configuration, the paper's: consistency is
+    always checked, with the Property-4 adjacency (Property 5 stays a library
+    entry point, ``check_consistency_structural(use_sufficient_conditions=
+    True)``); the SM-cover holds one-token components only; and the CSC check
+    accepts Theorem 14's same-event code sharing.
     """
 
     level: int = 5
     assume_csc: bool = False
-    check_consistency: bool = True
-    use_sufficient_adjacency: bool = False
     signals: Optional[list[str]] = None
 
     def __post_init__(self) -> None:
@@ -308,8 +312,8 @@ def prepare_approximation(
     options = options or SynthesisOptions()
     pipeline = Pipeline()
     spec = Spec.from_stg(stg)
-    analysis = pipeline.analyze(spec, options)
-    refinement = pipeline.refine(spec, options)
+    analysis = pipeline.analyze(spec)
+    refinement = pipeline.refine(spec)
     require_csc(refinement, options)
     stats = {
         "sm_components": analysis.sm_components,

@@ -320,13 +320,11 @@ class Circuit:
         )
 
 
-def combinational_implementation(
-    signal: str, cover: Cover, architecture: Architecture = Architecture.COMPLEX_GATE
-) -> SignalImplementation:
+def combinational_implementation(signal: str, cover: Cover) -> SignalImplementation:
     """An implementation without a memory element (complete cover)."""
     return SignalImplementation(
         signal=signal,
-        architecture=architecture,
+        architecture=Architecture.COMPLEX_GATE,
         set_cover=cover,
         reset_cover=Cover.empty(cover.variables),
         uses_latch=False,

@@ -40,7 +40,6 @@ class VerificationReport:
     functional_errors: list[str] = field(default_factory=list)
     hazard_errors: list[str] = field(default_factory=list)
     checked_markings: int = 0
-    checked_signals: list[str] = field(default_factory=list)
 
     def __bool__(self) -> bool:
         return self.speed_independent
@@ -50,7 +49,6 @@ def verify_speed_independence(
     stg: STG,
     circuit: Circuit,
     regions: Optional[SignalRegions] = None,
-    signals: Optional[list[str]] = None,
 ) -> VerificationReport:
     """Verify that ``circuit`` implements ``stg`` without hazards.
 
@@ -70,7 +68,7 @@ def verify_speed_independence(
     (:func:`repro.statebased.regions.state_space`, computed here when
     omitted).
     """
-    return _verify(stg, circuit, regions, signals, _functional_errors)
+    return _verify(stg, circuit, regions, _functional_errors)
 
 
 def _functional_errors(
@@ -107,13 +105,10 @@ def _verify(
     stg: STG,
     circuit: Circuit,
     regions: Optional[SignalRegions],
-    signals: Optional[list[str]],
     functional_errors: Callable[..., list[str]],
 ) -> VerificationReport:
     """Both halves of the check; ``functional_errors`` does correctness."""
-    targets = signals if signals is not None else [
-        s for s in circuit.signals if s in stg.non_input_signals
-    ]
+    targets = [s for s in circuit.signals if s in stg.non_input_signals]
     if regions is None:
         regions = state_space(stg)
     functional = functional_errors(stg, circuit, regions, targets)
@@ -136,7 +131,6 @@ def _verify(
         functional_errors=functional,
         hazard_errors=hazards,
         checked_markings=len(regions.encoded),
-        checked_signals=list(targets),
     )
 
 
@@ -165,7 +159,6 @@ def _reference_verify_speed_independence(
     stg: STG,
     circuit: Circuit,
     regions: Optional[SignalRegions] = None,
-    signals: Optional[list[str]] = None,
 ) -> VerificationReport:
     """Reference check: :func:`verify_speed_independence` per marking."""
-    return _verify(stg, circuit, regions, signals, _reference_functional_errors)
+    return _verify(stg, circuit, regions, _reference_functional_errors)

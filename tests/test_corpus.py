@@ -336,6 +336,14 @@ class TestCampaign:
         assert report.checked == 8
         assert not (tmp_path / "q").exists()
 
+    def test_seeded_campaign_digest_is_pinned(self, tmp_path):
+        """The defaults of ``repro fuzz run --count 25 --seed 7``."""
+        report = run_campaign(
+            CampaignConfig(count=25, seed=7, quarantine=CorpusQuarantine(tmp_path / "q"))
+        )
+        assert report.ok
+        assert report.digest == "156cb97173c250d4"
+
     def test_digest_is_deterministic_and_jobs_independent(self, tmp_path):
         sequential = run_campaign(
             CampaignConfig(count=6, seed=5, jobs=0, max_markings=300, shrink=False)

@@ -353,7 +353,7 @@ class TestObsBundle:
         obs = Obs.parse(f"dir={tmp_path};service=cli;trace=off")
         assert obs.dir == tmp_path
         assert obs.service == "cli"
-        assert not obs.trace_enabled and obs.metrics_enabled
+        assert not obs.trace_enabled
         again = Obs.parse(obs.to_text())
         assert again.dir == obs.dir
         assert again.trace_enabled == obs.trace_enabled
@@ -366,6 +366,8 @@ class TestObsBundle:
             Obs.parse("bogus")
         with pytest.raises(ValueError):
             Obs.parse("color=red")
+        with pytest.raises(ValueError):
+            Obs.parse("metrics=off")  # metrics have no switch
 
     def test_get_obs_resolution_order(self, monkeypatch, tmp_path):
         assert get_obs(None) is None  # env unset by the autouse fixture

@@ -6,13 +6,18 @@ import pytest
 
 from repro.benchmarks.classic import classic_names, load_classic
 from repro.benchmarks.figures import fig7_glatch_stg
+from repro.benchmarks.registry import get_benchmark
 from repro.benchmarks.scalable import muller_pipeline
 from repro.petri.smcover import compute_sm_components, compute_sm_cover
 from repro.statebased.coding import analyze_state_coding
 from repro.statebased.regions import compute_signal_regions
 from repro.stg.consistency import adjacent_transition_pairs, check_consistency_state_based
 from repro.stg.encoding import encode_reachability_graph, infer_initial_values
-from repro.structural.adjacency import forward_reduction, structural_next_relation
+from repro.structural.adjacency import (
+    forward_reduction,
+    structural_next_relation,
+    structural_next_relation_checked,
+)
 from repro.structural.approximation import approximate_signal_regions
 from repro.structural.concurrency import (
     compute_concurrency_relation,
@@ -26,6 +31,8 @@ from repro.structural.qps import compute_qps
 from repro.structural.refinement import refine_cover_functions
 
 ORACLE_NAMES = classic_names(synthesizable_only=True) + ["latch_ctrl"]
+#: every classic and figure spec
+CLASSIC_AND_FIGURES = classic_names() + ["fig1", "fig5", "fig6", "glatch_3"]
 
 
 def _oracle_stgs():
@@ -66,14 +73,29 @@ class TestStructuralConsistency:
         state_based = check_consistency_state_based(stg, check_semimodularity=False)
         assert structural.consistent == state_based.consistent
 
-    @pytest.mark.parametrize("name", ["fig1"])
-    def test_next_relation_is_a_safe_over_approximation(self, name, fig1):
-        stg = fig1
+    @pytest.mark.parametrize("name", CLASSIC_AND_FIGURES)
+    def test_next_relation_is_a_safe_over_approximation(self, name):
+        stg = get_benchmark(name)
         relation = compute_concurrency_relation(stg)
         structural = structural_next_relation(stg, relation)
         oracle = adjacent_transition_pairs(stg)
         for transition, successors in oracle.items():
             assert successors <= structural[transition], transition
+
+    @pytest.mark.parametrize("name", CLASSIC_AND_FIGURES)
+    def test_sufficient_conditions_add_only_behavioural_successors(self, name):
+        """Property 5 never reports a successor the state graph does not have."""
+        stg = get_benchmark(name)
+        relation = compute_concurrency_relation(stg)
+        necessary = structural_next_relation(stg, relation)
+        checked = structural_next_relation_checked(stg, relation)
+        oracle = adjacent_transition_pairs(stg)
+        for transition, successors in checked.items():
+            added = successors - necessary[transition]
+            assert added <= oracle.get(transition, set()), (transition, added)
+        report = check_consistency_structural(stg, relation, use_sufficient_conditions=True)
+        state_based = check_consistency_state_based(stg, check_semimodularity=False)
+        assert report.consistent == state_based.consistent
 
     def test_autoconcurrency_detected(self):
         # two concurrent transitions of the same signal
@@ -216,3 +238,12 @@ class TestConflictsRefinementCSC:
         assert refinement.conflict_free
         report = check_csc_structural(stg, refinement.cover_functions, sm_cover)
         assert report.satisfied
+
+    def test_same_event_sharing_has_no_switch(self, fig1):
+        approximation = approximate_signal_regions(fig1)
+        sm_cover = compute_sm_cover(fig1.net, compute_sm_components(fig1.net))
+        with pytest.raises(TypeError):
+            check_csc_structural(
+                fig1, approximation.cover_functions, sm_cover,
+                allow_same_event_sharing=False,
+            )

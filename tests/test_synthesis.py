@@ -24,6 +24,13 @@ from repro.verify import verify_speed_independence
 SYNTHESIZABLE = classic_names(synthesizable_only=True)
 
 
+@pytest.mark.parametrize("field", ["check_consistency", "use_sufficient_adjacency"])
+def test_options_have_one_flow_configuration(field):
+    """Consistency is always checked, with the Property-4 adjacency."""
+    with pytest.raises(TypeError):
+        SynthesisOptions(**{field: False})
+
+
 class TestStructuralSynthesis:
     @pytest.mark.parametrize("name", SYNTHESIZABLE)
     def test_classic_suite_is_synthesized_and_speed_independent(self, name):
