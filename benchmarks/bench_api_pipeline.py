@@ -4,9 +4,11 @@ The seed exposed one-shot ``synthesize(stg, options)`` as the public entry
 point, so an M1..M5 sweep through the public API re-ran the analysis
 front-end (concurrency, consistency, approximation, SM-cover, refinement,
 CSC) once per level; the experiment scripts had to re-wire the reuse by
-hand.  The unified :class:`repro.api.Pipeline` memoises the ``analyze`` /
-``refine`` artifacts on the spec hash, so the same sweep pays for the
-front-end once per benchmark.  This bench measures both flavours over the
+hand.  The seed-style sweep is replayed here with one fresh pipeline per
+(benchmark, level), which is the work that one-shot call did.  The unified
+:class:`repro.api.Pipeline` memoises the ``analyze`` / ``refine`` artifacts
+on the spec hash, so the same sweep pays for the front-end once per
+benchmark.  This bench measures both flavours over the
 classic suite and records the speedup in the PR2 perf record.
 """
 
@@ -16,19 +18,20 @@ import time
 
 from repro.api import Pipeline, Spec, SynthesisOptions
 from repro.benchmarks.classic import classic_names, load_classic
-from repro.synthesis.engine import synthesize
 
 LEVELS = (1, 2, 3, 4, 5)
 
 
 def _sweep_per_level_recomputation(names: list[str]) -> int:
-    """Seed-style sweep: one full ``synthesize`` call per (benchmark, level)."""
+    """Seed-style sweep: one fresh pipeline per (benchmark, level)."""
     total_literals = 0
     for name in names:
         stg = load_classic(name)
         for level in LEVELS:
-            result = synthesize(stg, SynthesisOptions(level=level, assume_csc=True))
-            total_literals += result.circuit.literal_count()
+            artifact = Pipeline().synthesize(
+                stg, SynthesisOptions(level=level, assume_csc=True)
+            )
+            total_literals += artifact.circuit.literal_count()
     return total_literals
 
 

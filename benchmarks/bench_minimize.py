@@ -25,6 +25,7 @@ import repro.statebased.synthesis as statebased_synthesis
 from repro.api import Spec
 from repro.boolean.cover import Cover
 from repro.boolean.minimize import _reference_minimize, minimize_cover
+from repro.statebased.regions import state_space
 
 #: the state-based workload's heaviest minimizer inputs
 CASES = ("glatch_8", "philosophers_5", "independent_cells_5", "muller_pipeline_8")
@@ -47,7 +48,8 @@ def _recorded_calls(monkeypatch, name: str) -> list[tuple]:
 
     with monkeypatch.context() as patch:
         patch.setattr(statebased_synthesis, "minimize_cover", recording)
-        statebased_synthesis.synthesize_state_based(Spec.from_benchmark(name).stg)
+        stg = Spec.from_benchmark(name).stg
+        statebased_synthesis.synthesize_state_based(stg, state_space(stg))
     return calls
 
 

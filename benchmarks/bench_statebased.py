@@ -33,6 +33,7 @@ from repro.statebased.coding import (
 from repro.statebased.regions import (
     _reference_signal_region_sets,
     compute_signal_regions,
+    state_space,
 )
 from repro.stg.encoding import (
     _reference_encode_reachability_graph,
@@ -222,10 +223,10 @@ def test_statebased_smoke(benchmark):
 
     def run() -> None:
         spec = Spec.from_benchmark("sequencer")
-        result = synthesize_state_based(spec.stg)
-        assert result.circuit.signals
-        netlist = map_circuit(result.circuit).netlist
-        report = verify_mapped_netlist(spec.stg, result.circuit, netlist)
+        circuit = synthesize_state_based(spec.stg, state_space(spec.stg))
+        assert circuit.signals
+        netlist = map_circuit(circuit).netlist
+        report = verify_mapped_netlist(spec.stg, circuit, netlist)
         assert report.equivalent and report.checked_codes > 0
 
     benchmark.pedantic(run, iterations=1, rounds=1)

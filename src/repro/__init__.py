@@ -21,9 +21,11 @@ convenience::
 * :class:`repro.Pipeline` — staged ``analyze → refine → synthesize → map →
   verify`` flow with per-stage memoisation;
 * backends — ``structural`` (the paper's contribution), ``statebased``
-  (the exhaustive baseline), and the differential :func:`repro.compare`;
-* ``python -m repro`` — the same flows as a CLI
-  (``synthesize`` / ``verify`` / ``compare`` / ``bench`` / ``list``).
+  (the exhaustive baseline), ``sat`` (provably minimum covers), and the
+  differential :func:`repro.compare`;
+* ``python -m repro`` — the same flows as a CLI (``synthesize`` /
+  ``verify`` / ``export`` / ``compare`` / ``bench`` / ``gap`` / ``cache`` /
+  ``serve`` / ``trace`` / ``top`` / ``fuzz`` / ``list``).
 
 Public sub-packages
 -------------------
@@ -34,9 +36,13 @@ Public sub-packages
 ``repro.statebased``  exhaustive (state-based) analysis and synthesis baseline
 ``repro.structural``  structural approximations (the paper's contribution)
 ``repro.synthesis``   speed-independent synthesis flow and architectures
+``repro.sat``         exact synthesis: CDCL solver and cover encodings
+``repro.gates``       gate-level netlists, simulation and exporters
 ``repro.verify``      speed-independence verification of the synthesized nets
 ``repro.benchmarks``  benchmark STGs and scalable generators
 ``repro.experiments`` table/figure reproduction harness
+``repro.corpus``      generated-spec corpus, fuzzing campaigns, shrinking
+``repro.obs``         tracing, metrics and the ``repro top`` dashboard
 """
 
 from repro.api import (

@@ -8,10 +8,13 @@ public surface around three concepts:
 * :class:`Pipeline` — the staged flow ``analyze → refine → synthesize →
   map → verify`` with per-stage memoisation keyed on spec hash + options,
   so sweeps and batches reuse the shared analysis front-end;
-* backends — :class:`StructuralBackend` (the paper's contribution) and
-  :class:`StateBasedBackend` (the exhaustive baseline), plus the
-  *differential* mode :func:`compare` that runs both and cross-checks the
-  circuits' next-state functions.
+* backends — the fixed set :data:`BACKEND_NAMES`:
+  :class:`StructuralBackend` (the paper's contribution),
+  :class:`StateBasedBackend` (the exhaustive baseline) and ``sat`` (the
+  exact CDCL backend), plus the *differential* mode :func:`compare` that
+  runs two of them and cross-checks the circuits' next-state functions.
+  ``Pipeline().synthesize(spec, options, backend=...)`` is the one path
+  from a spec to a circuit.
 
 Since PR 5 the API is *durable*: every artifact is losslessly
 JSON-serializable, a content-addressed on-disk store
@@ -72,14 +75,12 @@ from repro.api.artifacts import (
     VerificationArtifact,
 )
 from repro.api.backends import (
-    Backend,
     BACKEND_NAMES,
     ComparisonReport,
     StateBasedBackend,
     StructuralBackend,
     compare,
     get_backend,
-    register_backend,
 )
 from repro.api.batch import synthesize_many
 from repro.api.client import Client, ClientError, CircuitOpenError
@@ -158,7 +159,6 @@ def run(
 __all__ = [
     "AnalysisArtifact",
     "ArtifactStore",
-    "Backend",
     "BACKEND_NAMES",
     "CircuitOpenError",
     "Client",
@@ -202,7 +202,6 @@ __all__ = [
     "get_store",
     "make_jobs",
     "progress_printer",
-    "register_backend",
     "run",
     "synthesize_many",
 ]

@@ -1,18 +1,23 @@
-"""Pluggable synthesis backends and the differential comparison mode.
+"""The three synthesis backends and the differential comparison mode.
 
 A backend turns a :class:`~repro.api.spec.Spec` into a
-:class:`~repro.api.artifacts.SynthesisArtifact`.  Two implementations ship
-with the reproduction:
+:class:`~repro.api.artifacts.SynthesisArtifact`: it resolves what its
+algorithm reads from the calling pipeline's stages, then calls that
+algorithm, which returns the :class:`~repro.synthesis.netlist.Circuit`.
+:meth:`Pipeline.synthesize <repro.api.pipeline.Pipeline.synthesize>` picks
+one by name (:data:`BACKEND_NAMES`):
 
 * :class:`StructuralBackend` — the paper's contribution: region
   approximations, never enumerating the reachability graph.  It consumes the
-  cached ``analyze``/``refine`` artifacts of the calling pipeline, so level
-  sweeps share the front-end.
+  cached ``refine`` artifact of the pipeline, so level sweeps share the
+  front-end, and calls :func:`repro.synthesis.engine.synthesize`.
 * :class:`StateBasedBackend` — the exhaustive SIS/ASSASSIN-style baseline:
-  full reachability analysis and exact regions.
+  the pipeline's ``states`` stage (full reachability analysis and exact
+  regions) into :func:`repro.statebased.synthesis.synthesize_state_based`.
 * :class:`SATBackend` — provably minimum implementations from the CDCL
-  descent of :mod:`repro.sat` (ROADMAP item 2's exact backend); its
-  artifacts carry the per-signal minima counts in ``details``.
+  descent of :mod:`repro.sat` (:func:`repro.sat.synthesize.exact_synthesize`
+  on the same state space); its artifacts carry the per-signal minima
+  counts in ``details``.
 
 :func:`compare` is the *differential* mode: it runs two backends (by
 default structural vs state-based — the paper's Table VI/VII comparison,
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, Union, runtime_checkable
+from typing import Optional
 
 from repro.api.artifacts import Report, SynthesisArtifact, _clean
 from repro.api.spec import Spec, SpecLike
@@ -34,22 +39,6 @@ from repro.statebased.synthesis import synthesize_state_based
 from repro.stg.encoding import state_indices
 from repro.synthesis.engine import SynthesisOptions, require_csc
 from repro.synthesis.engine import synthesize as _structural_synthesize
-
-
-@runtime_checkable
-class Backend(Protocol):
-    """The backend protocol: spec + options in, synthesis artifact out."""
-
-    name: str
-
-    def synthesize(
-        self,
-        pipeline,
-        spec: Spec,
-        options: SynthesisOptions,
-        max_markings: Optional[int] = None,
-    ) -> SynthesisArtifact:
-        ...
 
 
 def _artifact(
@@ -92,10 +81,8 @@ class StructuralBackend:
         # approximation object (refined cover functions) on demand
         refinement.ensure_handles(spec.stg)
         start = time.perf_counter()
-        result = _structural_synthesize(
-            spec.stg, options, approximation=refinement.approximation
-        )
-        return _artifact(self.name, spec, options, result.circuit, start, refinement=refinement)
+        circuit = _structural_synthesize(refinement.approximation, options)
+        return _artifact(self.name, spec, options, circuit, start, refinement=refinement)
 
 
 class StateBasedBackend:
@@ -114,15 +101,12 @@ class StateBasedBackend:
         # synthesis pays for its enumeration, as the baseline's column of
         # Tables VI/VII requires
         start = time.perf_counter()
-        result = synthesize_state_based(
-            spec.stg,
-            signals=options.signals,
-            regions=pipeline.states(spec, max_markings),
-            assume_csc=options.assume_csc,
+        regions = pipeline.states(spec, max_markings)
+        circuit = synthesize_state_based(
+            spec.stg, regions, signals=options.signals, assume_csc=options.assume_csc
         )
         return _artifact(
-            self.name, spec, options, result.circuit, start,
-            markings=result.statistics.get("markings"),
+            self.name, spec, options, circuit, start, markings=len(regions.encoded)
         )
 
 
@@ -141,19 +125,18 @@ class SATBackend:
         from repro.sat.synthesize import exact_synthesize
 
         start = time.perf_counter()
-        result = exact_synthesize(
-            spec.stg,
-            signals=options.signals,
-            regions=pipeline.states(spec, max_markings),
-            assume_csc=options.assume_csc,
+        regions = pipeline.states(spec, max_markings)
+        circuit = exact_synthesize(
+            spec.stg, regions, signals=options.signals, assume_csc=options.assume_csc
         )
+        signals = circuit.metadata["sat"]["signals"]
         return _artifact(
-            self.name, spec, options, result.circuit, start,
-            markings=result.statistics.get("markings"),
+            self.name, spec, options, circuit, start,
+            markings=len(regions.encoded),
             details={
                 "exact": True,
-                "minima": result.statistics.get("minima", {}),
-                "signals": result.statistics.get("signals", {}),
+                "minima": {signal: info["minima"] for signal, info in signals.items()},
+                "signals": signals,
             },
         )
 
@@ -167,23 +150,16 @@ _BACKENDS = {
 BACKEND_NAMES = tuple(sorted(_BACKENDS))
 
 
-def register_backend(name: str, factory) -> None:
-    """Register a custom backend factory under a name."""
-    _BACKENDS[name] = factory
-
-
-def get_backend(backend: Union[str, Backend]) -> Backend:
-    """Resolve a backend name (or pass an instance through)."""
-    if isinstance(backend, str):
-        try:
-            return _BACKENDS[backend]()
-        except KeyError as error:
-            raise ValueError(
-                f"unknown backend {backend!r}; available: {', '.join(sorted(_BACKENDS))}"
-            ) from error
-    if isinstance(backend, Backend):
-        return backend
-    raise TypeError(f"backend must be a name or a Backend, got {type(backend).__name__}")
+def get_backend(name: str):
+    """The backend registered under ``name`` (one of :data:`BACKEND_NAMES`)."""
+    if not isinstance(name, str):
+        raise TypeError(f"backend must be a name, got {type(name).__name__}")
+    try:
+        return _BACKENDS[name]()
+    except KeyError as error:
+        raise ValueError(
+            f"unknown backend {name!r}; available: {', '.join(BACKEND_NAMES)}"
+        ) from error
 
 
 # ---------------------------------------------------------------------- #

@@ -10,7 +10,7 @@ stages::
   (the shared front-end of the structural flow);
 * ``refine``     — cover-function refinement (Section VII) plus the
   structural CSC check;
-* ``synthesize`` — circuit generation by a pluggable backend
+* ``synthesize`` — circuit generation by one of three backends
   (:mod:`repro.api.backends`): the structural engine at one of the
   minimization levels M1..M5, the exhaustive state-based baseline, or the
   exact SAT backend (:mod:`repro.sat`, provably minimum circuits whose
@@ -416,7 +416,7 @@ class Pipeline:
         self,
         spec: SpecLike,
         options: Optional[SynthesisOptions] = None,
-        backend: Union[str, "object"] = "structural",
+        backend: str = "structural",
         max_markings: Optional[int] = None,
     ) -> SynthesisArtifact:
         """Generate the circuit with the requested backend."""
@@ -450,7 +450,7 @@ class Pipeline:
         self,
         spec: SpecLike,
         options: Optional[SynthesisOptions] = None,
-        backend: Union[str, "object"] = "structural",
+        backend: str = "structural",
         library: Union[GateLibrary, str, None] = None,
         max_markings: Optional[int] = None,
     ) -> MappingArtifact:
@@ -505,7 +505,7 @@ class Pipeline:
         self,
         spec: SpecLike,
         options: Optional[SynthesisOptions] = None,
-        backend: Union[str, "object"] = "structural",
+        backend: str = "structural",
         max_markings: Optional[int] = None,
     ) -> VerificationArtifact:
         """Verify the synthesized circuit to be speed independent."""
@@ -547,7 +547,7 @@ class Pipeline:
         self,
         spec: SpecLike,
         options: Optional[SynthesisOptions] = None,
-        backend: Union[str, "object"] = "structural",
+        backend: str = "structural",
         library: Union[GateLibrary, str, None] = None,
         max_markings: Optional[int] = None,
     ) -> MappedVerificationArtifact:
@@ -614,7 +614,7 @@ class Pipeline:
         self,
         spec: SpecLike,
         options: Optional[SynthesisOptions] = None,
-        backend: Union[str, "object"] = "structural",
+        backend: str = "structural",
         map_technology: bool = False,
         verify: bool = False,
         verify_mapped: bool = False,

@@ -57,10 +57,10 @@ class Spec:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def from_text(cls, text: str, name: Optional[str] = None) -> "Spec":
+    def from_text(cls, text: str) -> "Spec":
         """Parse an inline ``.g`` description."""
         try:
-            stg = parse_g(text, name=name)
+            stg = parse_g(text)
         except GFormatError as error:
             raise SpecError(f"malformed .g specification: {error}") from error
         return cls(stg.name, write_g(stg), "text", stg)

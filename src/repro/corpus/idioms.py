@@ -21,14 +21,12 @@ from repro.stg.signals import SignalType
 from repro.stg.stg import STG
 
 
-def _ring(stg: STG, transitions: list[str], marked_arc: int = -1, tokens: int = 1) -> None:
-    """Close ``transitions`` into a cycle, marking one implicit place."""
+def _ring(stg: STG, transitions: list[str]) -> None:
+    """Close ``transitions`` into a cycle, marking the place that closes it."""
     count = len(transitions)
     for i, source in enumerate(transitions):
         stg.add_arc(source, transitions[(i + 1) % count])
-    source = transitions[marked_arc % count]
-    target = transitions[(marked_arc + 1) % count]
-    stg.net.set_initial_tokens(f"<{source},{target}>", tokens)
+    stg.net.set_initial_tokens(f"<{transitions[-1]},{transitions[0]}>", 1)
 
 
 def independent_cell(prefix: str) -> STG:

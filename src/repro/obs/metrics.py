@@ -214,8 +214,8 @@ class Registry:
     def counter(self, name: str, help: str = "", labelnames: tuple = ()) -> Counter:  # noqa: A002
         return self._get_or_create(Counter, name, help, labelnames)
 
-    def gauge(self, name: str, help: str = "", labelnames: tuple = ()) -> Gauge:  # noqa: A002
-        return self._get_or_create(Gauge, name, help, labelnames)
+    def gauge(self, name: str, help: str = "") -> Gauge:  # noqa: A002
+        return self._get_or_create(Gauge, name, help, ())
 
     def histogram(
         self,

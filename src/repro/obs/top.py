@@ -174,15 +174,14 @@ def run_top(
     run_dir: Optional[str] = None,
     interval: float = 1.0,
     iterations: Optional[int] = None,
-    clear: bool = True,
     json_output: bool = False,
-    stream=None,
 ) -> int:
-    """The ``repro top`` loop; returns an exit code."""
-    if stream is None:
-        stream = sys.stdout
+    """The ``repro top`` loop, printing to stdout; returns an exit code.
+
+    A live loop (``iterations`` unset) clears the screen before each frame.
+    """
     if (url is None) == (run_dir is None):
-        print("repro top: exactly one of --url / --run-dir is required", file=stream)
+        print("repro top: exactly one of --url / --run-dir is required")
         return 2
     source = url or run_dir
     before = None
@@ -194,18 +193,18 @@ def run_top(
                 _families_from_url(url) if url else _families_from_run_dir(run_dir)
             )
         except (urllib.error.URLError, OSError, ValueError) as error:
-            print(f"repro top: cannot sample {source}: {error}", file=stream)
+            print(f"repro top: cannot sample {source}: {error}")
             return 1
         now = time.monotonic()
         current = sample(families)
         rate = _rate(current, before, now - (before_at or now))
         if json_output:
-            print(json.dumps({**current, "req_per_s": rate}, default=str), file=stream)
+            print(json.dumps({**current, "req_per_s": rate}, default=str))
         else:
-            if clear and iterations is None:
-                stream.write(_CLEAR)
-            print(render(current, rate, source), file=stream)
-            stream.flush()
+            if iterations is None:
+                sys.stdout.write(_CLEAR)
+            print(render(current, rate, source))
+            sys.stdout.flush()
         before, before_at = current, now
         count += 1
         if iterations is not None and count >= iterations:

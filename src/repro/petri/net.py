@@ -9,7 +9,7 @@ structure (presets, postsets) and the token-flow semantics is provided by
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -271,21 +271,6 @@ class PetriNet:
             clone.add_transition(transition)
         for source, target in self.arcs():
             clone.add_arc(source, target)
-        return clone
-
-    def subnet(self, nodes: Iterable[str], name: str = "subnet") -> "PetriNet":
-        """Subnet induced by a set of nodes (arcs restricted to the set)."""
-        selected = set(nodes)
-        clone = PetriNet(name)
-        for place in self._places:
-            if place in selected:
-                clone.add_place(place, self._initial_tokens.get(place, 0))
-        for transition in self._transitions:
-            if transition in selected:
-                clone.add_transition(transition)
-        for source, target in self.arcs():
-            if source in selected and target in selected:
-                clone.add_arc(source, target)
         return clone
 
     def __repr__(self) -> str:

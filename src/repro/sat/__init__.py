@@ -14,16 +14,11 @@ table.
 
 from repro.sat.encode import SatBudgetExceeded
 from repro.sat.solver import CDCLSolver
-from repro.sat.synthesize import (
-    ExactSynthesisError,
-    ExactSynthesisResult,
-    exact_synthesize,
-)
+from repro.sat.synthesize import ExactSynthesisError, exact_synthesize
 
 __all__ = [
     "CDCLSolver",
     "ExactSynthesisError",
-    "ExactSynthesisResult",
     "SatBudgetExceeded",
     "exact_synthesize",
 ]

@@ -61,7 +61,7 @@ from repro.sat.encode import (
     signal_order_remap,
 )
 from repro.sat.solver import CDCLSolver
-from repro.statebased.regions import SignalRegions, state_space
+from repro.statebased.regions import SignalRegions
 from repro.statebased.synthesis import (
     StateBasedSynthesisError,
     check_state_based_specification,
@@ -77,7 +77,6 @@ from repro.synthesis.netlist import (
 
 __all__ = [
     "ExactSynthesisError",
-    "ExactSynthesisResult",
     "ProblemSolution",
     "exact_synthesize",
     "minimize_problem",
@@ -106,15 +105,6 @@ class ProblemSolution:
     stats: dict = field(default_factory=dict)
     #: the built CNF (kept for the gated-latch search; not serialized)
     encoding: Optional[SignalEncoding] = None
-
-
-@dataclass
-class ExactSynthesisResult:
-    """Provably minimum circuit plus the exact regions and statistics."""
-
-    circuit: Circuit
-    regions: SignalRegions
-    statistics: dict = field(default_factory=dict)
 
 
 #: solver work counters surfaced into the ``repro_sat_total`` metric
@@ -473,27 +463,25 @@ def _best_gated_latch(
 
 def exact_synthesize(
     stg: STG,
+    regions: SignalRegions,
     signals: Optional[list[str]] = None,
-    regions: Optional[SignalRegions] = None,
     assume_csc: bool = False,
     candidate_budget: int = 4096,
-) -> ExactSynthesisResult:
+) -> Circuit:
     """Synthesize the provably minimum-literal circuit of a specification.
 
     Mirrors :func:`repro.statebased.synthesis.synthesize_state_based`'s
-    contract (same state space ``regions``, computed here when omitted, and
-    the same specification check) but replaces heuristic two-level
-    minimization with the SAT descent of :func:`minimize_problem`, then
-    picks the cheapest of the three implementation architectures per
-    signal.  ``candidate_budget`` bounds the per-problem implicant space;
-    blowing it raises :class:`~repro.sat.encode.SatBudgetExceeded` (a
-    capacity skip, not a synthesis failure).  Enumeration keeps at most
+    contract (the state space ``regions`` from
+    :func:`repro.statebased.regions.state_space`, the same specification
+    check) but replaces heuristic two-level minimization with the SAT
+    descent of :func:`minimize_problem`, then picks the cheapest of the
+    three implementation architectures per signal.  The per-signal search
+    summaries land in ``circuit.metadata["sat"]["signals"]``.
+    ``candidate_budget`` bounds the per-problem implicant space; blowing it
+    raises :class:`~repro.sat.encode.SatBudgetExceeded` (a capacity skip,
+    not a synthesis failure).  Enumeration keeps at most
     ``minimize_problem``'s default of 64 minima per cover problem.
     """
-    start = time.perf_counter()
-    if regions is None:
-        regions = state_space(stg)
-    stats: dict = {"markings": len(regions.encoded)}
     check_state_based_specification(
         stg, regions, assume_csc, error=ExactSynthesisError
     )
@@ -509,16 +497,11 @@ def exact_synthesize(
         )
         circuit.implementations[signal] = implementation
         signal_stats[signal] = info
-    stats["signals"] = signal_stats
-    stats["minima"] = {
-        signal: info["minima"] for signal, info in signal_stats.items()
-    }
-    stats["seconds"] = time.perf_counter() - start
     circuit.metadata["sat"] = {
         "exact": True,
         "signals": signal_stats,
     }
-    return ExactSynthesisResult(circuit=circuit, regions=regions, statistics=stats)
+    return circuit
 
 
 def _synthesize_signal(

@@ -18,14 +18,12 @@ rather than dict churn per marking.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.boolean.cover import Cover
 from repro.boolean.minimize import OffSetColumns, minimize_cover
 from repro.statebased.coding import analyze_state_coding
-from repro.statebased.regions import SignalRegions, state_space
+from repro.statebased.regions import SignalRegions
 from repro.stg.consistency import check_consistency_state_based
 from repro.stg.stg import STG
 from repro.synthesis.conditions import (
@@ -41,15 +39,6 @@ from repro.synthesis.netlist import (
 
 class StateBasedSynthesisError(RuntimeError):
     """Raised when the specification cannot be synthesized state-based."""
-
-
-@dataclass
-class StateBasedResult:
-    """Synthesized circuit plus the exact regions and statistics."""
-
-    circuit: Circuit
-    regions: SignalRegions
-    statistics: dict = field(default_factory=dict)
 
 
 def check_state_based_specification(
@@ -76,31 +65,28 @@ def check_state_based_specification(
 
 def synthesize_state_based(
     stg: STG,
+    regions: SignalRegions,
     signals: Optional[list[str]] = None,
     allow_combinational: bool = True,
-    check_specification: bool = True,
-    regions: Optional[SignalRegions] = None,
     assume_csc: bool = False,
-) -> StateBasedResult:
+) -> Circuit:
     """Synthesize a circuit by exhaustive reachability analysis.
 
     Parameters
     ----------
     regions:
         The specification's state space from
-        :func:`repro.statebased.regions.state_space` (computed here when
-        omitted); the pipeline passes its memoised ``states`` stage.
+        :func:`repro.statebased.regions.state_space`; the pipeline passes
+        its memoised ``states`` stage.
+    allow_combinational:
+        Offer the complex gate per signal next to the set/reset latch
+        (``False`` keeps every signal a latch).
     assume_csc:
         Skip only the CSC part of the specification check (the caller takes
         responsibility, mirroring the structural flow's ``assume_csc``);
-        consistency is still verified when ``check_specification`` is set.
+        consistency is always verified.
     """
-    start = time.perf_counter()
-    if regions is None:
-        regions = state_space(stg)
-    stats: dict = {"markings": len(regions.encoded)}
-    if check_specification:
-        check_state_based_specification(stg, regions, assume_csc)
+    check_state_based_specification(stg, regions, assume_csc)
 
     targets = signals if signals is not None else stg.non_input_signals
     variables = tuple(stg.signal_names)
@@ -112,8 +98,7 @@ def synthesize_state_based(
         circuit.implementations[signal] = _synthesize_signal(
             stg, regions, signal, used_keys, unreachable, allow_combinational
         )
-    stats["seconds"] = time.perf_counter() - start
-    return StateBasedResult(circuit=circuit, regions=regions, statistics=stats)
+    return circuit
 
 
 def _synthesize_signal(

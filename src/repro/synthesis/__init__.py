@@ -2,15 +2,14 @@
 
 Implements the three implementation architectures of Section III, the
 correctness and monotonicity conditions (equations (1)–(4), Property 16), the
-minimization loop of Section VIII and the Appendix, a small gate library with
-Boolean-matching technology mapping, and the top-level synthesis engines:
+minimization loop of Section VIII and the Appendix, and a small gate library
+with Boolean-matching technology mapping.
 
-* :func:`repro.synthesis.engine.synthesize` — the structural flow (the
-  paper's contribution), driven by the region approximations of
-  :mod:`repro.structural`;
-* :func:`repro.statebased.synthesis.synthesize_state_based` — the exhaustive
-  baseline (SIS/ASSASSIN style), driven by the exact regions of
-  :mod:`repro.statebased`.
+:func:`repro.synthesis.engine.synthesize` is the structural algorithm of
+Section VIII: it turns a refined signal-region approximation
+(:mod:`repro.structural`) into a circuit.  The paths from a spec to a circuit
+are the backends of :mod:`repro.api` (``Pipeline().synthesize``), which run
+the analysis front-end first.
 """
 
 from repro.synthesis.netlist import Architecture, Circuit, SignalImplementation
@@ -29,7 +28,7 @@ from repro.synthesis.mapping import (
     map_circuit,
     two_input_library,
 )
-from repro.synthesis.engine import SynthesisError, SynthesisOptions, synthesize
+from repro.synthesis.engine import SynthesisError, SynthesisOptions
 
 __all__ = [
     "Architecture",
@@ -48,5 +47,4 @@ __all__ = [
     "two_input_library",
     "SynthesisError",
     "SynthesisOptions",
-    "synthesize",
 ]

@@ -28,13 +28,11 @@ Every expansion is accepted only if the resulting cover stays correct
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.boolean.cover import Cover
 from repro.boolean.minimize import minimize_cover
-from repro.stg.stg import STG
 from repro.structural.approximation import SignalRegionApproximation
 from repro.synthesis.conditions import (
     check_cover_correctness,
@@ -94,37 +92,6 @@ class SynthesisOptions:
     def __post_init__(self) -> None:
         if not 1 <= self.level <= 5:
             raise ValueError("minimization level must be between 1 and 5")
-
-
-@dataclass
-class SynthesisResult:
-    """A synthesized circuit together with flow statistics.
-
-    The circuit's cost and rendering queries are delegated explicitly (a
-    ``__getattr__`` passthrough would recurse infinitely under
-    ``copy.copy``/pickle while ``circuit`` is not yet set, which breaks
-    process-pool batch results).
-    """
-
-    circuit: Circuit
-    approximation: SignalRegionApproximation
-    statistics: dict = field(default_factory=dict)
-
-    def literal_count(self) -> int:
-        """Total literal count of the synthesized circuit."""
-        return self.circuit.literal_count()
-
-    def transistor_estimate(self) -> int:
-        """Total estimated transistor count of the synthesized circuit."""
-        return self.circuit.transistor_estimate()
-
-    def num_latches(self) -> int:
-        """Number of memory elements in the synthesized circuit."""
-        return self.circuit.num_latches()
-
-    def describe(self) -> str:
-        """Multi-line human readable netlist of the synthesized circuit."""
-        return self.circuit.describe()
 
 
 def _minimize_against(
@@ -291,70 +258,23 @@ def _backward_expand(
     return expanded
 
 
-def prepare_approximation(
-    stg: STG, options: Optional[SynthesisOptions] = None
-) -> tuple[SignalRegionApproximation, dict]:
-    """Run the analysis front-end: consistency, approximation, refinement, CSC.
-
-    .. deprecated::
-        Thin shim over the staged :class:`repro.api.pipeline.Pipeline`
-        (stages ``analyze`` and ``refine``), kept for the historical
-        module-level API.  New code should drive the pipeline directly —
-        it memoises the artifacts so sweeps reuse the front-end.
-
-    Returns the (refined) signal-region approximation and a statistics
-    dictionary.  Raises :class:`SynthesisError` on consistency or CSC
-    failures (unless ``options.assume_csc``).
-    """
-    from repro.api.pipeline import Pipeline
-    from repro.api.spec import Spec
-
-    options = options or SynthesisOptions()
-    pipeline = Pipeline()
-    spec = Spec.from_stg(stg)
-    analysis = pipeline.analyze(spec)
-    refinement = pipeline.refine(spec)
-    require_csc(refinement, options)
-    stats = {
-        "sm_components": analysis.sm_components,
-        "sm_cover": analysis.sm_cover_size,
-        "conflicts_before": refinement.conflicts_before,
-        "conflicts_after": refinement.conflicts_after,
-        "csc_certified": refinement.csc_certified,
-        "cubes": refinement.cubes,
-        "analysis_seconds": analysis.seconds + refinement.seconds,
-    }
-    return refinement.approximation, stats
-
-
 def synthesize(
-    stg: STG,
-    options: Optional[SynthesisOptions] = None,
-    approximation: Optional[SignalRegionApproximation] = None,
-) -> SynthesisResult:
-    """Synthesize a speed-independent circuit from an STG, structurally.
+    approximation: SignalRegionApproximation, options: SynthesisOptions
+) -> Circuit:
+    """Synthesize the circuit of ``approximation.stg`` from its (refined)
+    signal-region approximation, at ``options.level``.
 
-    This is the legacy module-level entry point, retained as a shim (the
-    structural backend of :mod:`repro.api` calls it with a pre-computed
-    approximation).  Prefer :func:`repro.api.run` / the staged
-    :class:`repro.api.pipeline.Pipeline` for new code: they add artifact
-    caching, pluggable backends, batch execution and typed reports.
+    The structural backend of :mod:`repro.api` resolves the approximation
+    (the ``refine`` stage) and the CSC check before it calls this.
     """
-    options = options or SynthesisOptions()
-    stats: dict = {}
-    if approximation is None:
-        approximation, stats = prepare_approximation(stg, options)
-    start = time.perf_counter()
-
+    stg = approximation.stg
     signals = options.signals if options.signals is not None else stg.non_input_signals
     circuit = Circuit(name=stg.name, signal_order=tuple(stg.signal_names))
     for signal in signals:
         circuit.implementations[signal] = _synthesize_signal(
             approximation, signal, options
         )
-    stats["synthesis_seconds"] = time.perf_counter() - start
-    stats["level"] = options.level
-    return SynthesisResult(circuit=circuit, approximation=approximation, statistics=stats)
+    return circuit
 
 
 def _synthesize_signal(

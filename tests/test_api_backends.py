@@ -1,4 +1,4 @@
-"""Tests of the pluggable backends and the differential comparison mode."""
+"""Tests of the three backends and the differential comparison mode."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from repro.api import (
     SynthesisOptions,
     compare,
     get_backend,
-    register_backend,
 )
 
 #: small registry benchmarks with enumerable state spaces and certified CSC
@@ -35,30 +34,11 @@ class TestBackendResolution:
         assert isinstance(get_backend("structural"), StructuralBackend)
         assert isinstance(get_backend("statebased"), StateBasedBackend)
 
-    def test_instances_pass_through(self):
-        backend = StructuralBackend()
-        assert get_backend(backend) is backend
-
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown backend"):
             get_backend("quantum")
         with pytest.raises(TypeError):
             get_backend(42)
-
-    def test_custom_backend_registration(self):
-        class EchoBackend(StructuralBackend):
-            name = "echo"
-
-        register_backend("echo", EchoBackend)
-        try:
-            artifact = Pipeline().synthesize(
-                "handshake_seq", SynthesisOptions(assume_csc=True), backend="echo"
-            )
-            assert artifact.backend == "echo"
-        finally:
-            from repro.api.backends import _BACKENDS
-
-            _BACKENDS.pop("echo", None)
 
 
 class TestDifferentialMode:
@@ -127,15 +107,14 @@ class TestDifferentialMode:
 
 class TestCSCRefusal:
     def test_refusal_text_does_not_depend_on_the_hash_seed(self):
-        """``latch_ctrl`` violates CSC; both refusal sites must name its
+        """``latch_ctrl`` violates CSC; both entry points must name its
         unresolved places in the same order under any ``PYTHONHASHSEED``."""
         script = (
-            "from repro.api import Pipeline, SynthesisOptions\n"
-            "from repro.api.spec import Spec\n"
-            "from repro.synthesis.engine import SynthesisError, prepare_approximation\n"
+            "from repro.api import Pipeline, SynthesisOptions, run\n"
+            "from repro.synthesis.engine import SynthesisError\n"
             "for attempt in (\n"
             "    lambda: Pipeline().synthesize('latch_ctrl', SynthesisOptions()),\n"
-            "    lambda: prepare_approximation(Spec.load('latch_ctrl').stg),\n"
+            "    lambda: run('latch_ctrl'),\n"
             "):\n"
             "    try:\n"
             "        attempt()\n"

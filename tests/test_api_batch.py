@@ -7,7 +7,7 @@ import pickle
 
 from repro.api import Pipeline, Spec, SynthesisOptions, synthesize_many
 from repro.benchmarks.classic import load_classic
-from repro.synthesis.engine import SynthesisResult, synthesize
+from repro.synthesis.netlist import Circuit
 
 
 class TestSequentialBatch:
@@ -66,18 +66,22 @@ class TestPicklability:
         vector = {s: 0 for s in report.circuit.signal_order}
         assert clone.circuit.next_values(vector) == report.circuit.next_values(vector)
 
-    def test_synthesis_result_copy_and_pickle_do_not_recurse(self):
-        """The historical ``__getattr__`` passthrough recursed infinitely here."""
+    def test_circuit_copy_and_pickle_do_not_recurse(self):
+        """Batch results carry circuits: copying or pickling one must not
+        recurse (the historical ``__getattr__`` passthrough of a result
+        wrapper did)."""
         stg = load_classic("handshake_seq")
-        result = synthesize(stg, SynthesisOptions(level=5, assume_csc=True))
-        shallow = copy.copy(result)
-        assert shallow.circuit is result.circuit
-        deep = copy.deepcopy(result)
-        assert deep.circuit.literal_count() == result.circuit.literal_count()
-        clone = pickle.loads(pickle.dumps(result))
-        assert isinstance(clone, SynthesisResult)
-        assert clone.literal_count() == result.literal_count()
-        assert clone.describe() == result.describe()
+        circuit = Pipeline().synthesize(
+            stg, SynthesisOptions(level=5, assume_csc=True)
+        ).circuit
+        shallow = copy.copy(circuit)
+        assert shallow.implementations is circuit.implementations
+        deep = copy.deepcopy(circuit)
+        assert deep.literal_count() == circuit.literal_count()
+        clone = pickle.loads(pickle.dumps(circuit))
+        assert isinstance(clone, Circuit)
+        assert clone.literal_count() == circuit.literal_count()
+        assert clone.describe() == circuit.describe()
 
     def test_spec_pickles_without_the_parsed_stg(self):
         spec = Spec.from_benchmark("sequencer")

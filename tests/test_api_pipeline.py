@@ -1,4 +1,4 @@
-"""Tests of the staged pipeline: memoisation, sweeps, reports, shims."""
+"""Tests of the staged pipeline: memoisation, sweeps, reports."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 from repro.api import Pipeline, Report, Spec, SynthesisError, SynthesisOptions, run
 from repro.api import compare as pipeline_compare
 from repro.petri.reachability import StateSpaceLimitExceeded
-from repro.synthesis.engine import prepare_approximation, synthesize
 
 
 class TestStageMemoisation:
@@ -263,32 +262,3 @@ class TestErrorPaths:
         assert pipeline.verify("glatch_3").speed_independent
         with pytest.raises(StateSpaceLimitExceeded):
             pipeline.verify("glatch_3", max_markings=1)
-
-
-class TestLegacyShims:
-    """The historical module-level API keeps working on top of the pipeline."""
-
-    def test_prepare_approximation_stats_shape(self):
-        from repro.benchmarks.classic import load_classic
-
-        stg = load_classic("sequencer")
-        approximation, stats = prepare_approximation(
-            stg, SynthesisOptions(assume_csc=True)
-        )
-        assert approximation.stg is stg
-        assert stats["csc_certified"] is True
-        assert stats["sm_cover"] >= 1
-        assert stats["conflicts_after"] >= 0
-        assert stats["cubes"] > 0
-        assert stats["analysis_seconds"] >= 0
-
-    def test_legacy_synthesize_matches_the_pipeline(self):
-        from repro.benchmarks.classic import load_classic
-
-        stg = load_classic("sequencer")
-        legacy = synthesize(stg, SynthesisOptions(level=5, assume_csc=True))
-        artifact = Pipeline().synthesize(
-            "sequencer", SynthesisOptions(level=5, assume_csc=True)
-        )
-        assert legacy.circuit.literal_count() == artifact.literals
-        assert legacy.literal_count() == artifact.literals

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.api import Pipeline
 from repro.benchmarks.registry import get_benchmark
 from repro.gates import GateLevelSimulator, GateNetlist
 from repro.gates.verify import (
@@ -56,7 +57,7 @@ from repro.structural.qps import (
     compute_backward_place_sets,
     compute_qps,
 )
-from repro.synthesis import SynthesisOptions, map_circuit, synthesize
+from repro.synthesis import SynthesisOptions, map_circuit
 
 MAX_MARKINGS = 400
 
@@ -400,7 +401,7 @@ class TestNetlistEvaluatorDifferential:
         for name in ("sequencer", "glatch_3", "parallelizer"):
             for library in ("generic-cmos", "two-input-only", "latch-free"):
                 stg = get_benchmark(name)
-                result = synthesize(stg, SynthesisOptions(level=5, assume_csc=True))
+                result = Pipeline().synthesize(stg, SynthesisOptions(level=5, assume_csc=True))
                 netlist = map_circuit(result.circuit, library).netlist
                 simulator = GateLevelSimulator(netlist)
                 for _ in range(40):
@@ -410,7 +411,7 @@ class TestNetlistEvaluatorDifferential:
     def test_verify_mapped_matches_reference(self):
         for name in ("sequencer", "glatch_3", "muller_pipeline_4"):
             stg = get_benchmark(name)
-            result = synthesize(stg, SynthesisOptions(level=5, assume_csc=True))
+            result = Pipeline().synthesize(stg, SynthesisOptions(level=5, assume_csc=True))
             netlist = map_circuit(result.circuit).netlist
             compiled = verify_mapped_netlist(stg, result.circuit, netlist)
             reference = _reference_verify_mapped_netlist(stg, result.circuit, netlist)
@@ -420,7 +421,7 @@ class TestNetlistEvaluatorDifferential:
 
     def test_verify_mismatch_parity_on_corrupted_netlist(self):
         stg = get_benchmark("sequencer")
-        result = synthesize(stg, SynthesisOptions(level=5, assume_csc=True))
+        result = Pipeline().synthesize(stg, SynthesisOptions(level=5, assume_csc=True))
         netlist = map_circuit(result.circuit).netlist
         data = netlist.to_json()
         corrupted = None

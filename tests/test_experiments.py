@@ -82,7 +82,7 @@ class TestFig13:
 
 class TestTable5:
     def test_rows_include_totals_and_verification(self):
-        rows = table5_rows(["handshake_seq", "completion"], verify=True)
+        rows = table5_rows(["handshake_seq", "completion"])
         assert rows[-1]["benchmark"] == "TOTAL"
         assert all(row["s3c_SI"] for row in rows[:-1])
         assert all(row["base_SI"] for row in rows[:-1])

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.api import Pipeline
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
 from repro.gates import (
@@ -24,7 +25,7 @@ from repro.gates import (
     latch_free_library,
     two_input_library,
 )
-from repro.synthesis import SynthesisOptions, map_circuit, synthesize
+from repro.synthesis import SynthesisOptions, map_circuit
 from repro.synthesis.netlist import (
     Architecture,
     Circuit,
@@ -294,7 +295,7 @@ class TestMappedStructures:
             assert simulator.settle(code)["x"] == implementation.next_value(code)
 
     def test_er_one_hot_from_engine_level_1(self, fig1):
-        result = synthesize(fig1, SynthesisOptions(level=1))
+        result = Pipeline().synthesize(fig1, SynthesisOptions(level=1))
         mapped = map_circuit(result.circuit)
         for implementation in result.circuit:
             assert implementation.architecture is Architecture.ER_ONE_HOT
@@ -320,13 +321,13 @@ class TestMappedStructures:
             assert simulator.settle(code)["x"] == implementation.next_value(code)
 
     def test_two_input_library_uses_only_basic_cells(self, fig1):
-        result = synthesize(fig1, SynthesisOptions(level=5))
+        result = Pipeline().synthesize(fig1, SynthesisOptions(level=5))
         mapped = map_circuit(result.circuit, "two-input-only")
         allowed = {"inv", "and2", "or2", "c-latch", "gated-latch", "const0", "const1"}
         assert set(mapped.netlist.cell_histogram()) <= allowed
 
     def test_mapping_area_equals_netlist_area(self, fig1):
-        result = synthesize(fig1, SynthesisOptions(level=5))
+        result = Pipeline().synthesize(fig1, SynthesisOptions(level=5))
         mapped = map_circuit(result.circuit)
         assert mapped.total_area == mapped.netlist.total_area()
         assert mapped.total_area == sum(mapped.per_signal_area.values())

@@ -173,3 +173,82 @@ def test_scan_flags_a_third_party_import(tmp_path):
         "pkg/mod.py:6: numpy",
         "pkg/mod.py:10: yaml",
     ]
+
+
+#: the packages of the paper's algorithms; ``repro.api`` drives them, so
+#: none of them may reach back into it
+ALGORITHM_PACKAGES = (
+    "boolean",
+    "petri",
+    "stg",
+    "structural",
+    "statebased",
+    "synthesis",
+    "sat",
+    "verify",
+    "gates",
+)
+
+
+def _imported_modules(tree: ast.Module, module: str, is_package: bool):
+    """(line, absolute dotted name) of every import, in a def or not.
+
+    ``from a import b`` yields ``a.b`` (``b`` may be a submodule), and a
+    relative import is resolved against ``module``.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                package = module.split(".")[: None if is_package else -1]
+                package = package[: len(package) - node.level + 1]
+                base = ".".join(package + ([base] if base else []))
+            for alias in node.names:
+                yield node.lineno, f"{base}.{alias.name}"
+
+
+def api_imports(root: Path = SRC) -> list[str]:
+    findings = []
+    for path in sorted(root.rglob("*.py")):
+        module = _module_name(path, root)
+        parts = module.split(".")
+        if parts[0] != "repro" or len(parts) < 2 or parts[1] not in ALGORITHM_PACKAGES:
+            continue
+        tree = ast.parse(path.read_text())
+        for line, name in sorted(_imported_modules(tree, module, path.name == "__init__.py")):
+            if name == "repro.api" or name.startswith("repro.api."):
+                findings.append(f"{path.relative_to(root)}:{line}: {name}")
+    return findings
+
+
+def test_algorithm_layers_do_not_import_the_api():
+    assert api_imports() == []
+
+
+def test_scan_flags_an_api_import(tmp_path):
+    synthesis = tmp_path / "repro" / "synthesis"
+    synthesis.mkdir(parents=True)
+    (tmp_path / "repro" / "api").mkdir()
+    (tmp_path / "repro" / "api" / "driver.py").write_text(
+        "from repro.api.spec import Spec\n"
+    )
+    (synthesis / "__init__.py").write_text("from ..api import pipeline\n")
+    (synthesis / "engine.py").write_text(
+        "import repro.apiary\n"
+        "from repro import api\n"
+        "from repro.boolean.cover import Cover\n"
+        "def prepare():\n"
+        "    from repro.api.pipeline import Pipeline\n"
+        "    from ..api import spec\n"
+        "    import repro.api.store\n"
+    )
+    assert api_imports(tmp_path) == [
+        "repro/synthesis/__init__.py:1: repro.api.pipeline",
+        "repro/synthesis/engine.py:2: repro.api",
+        "repro/synthesis/engine.py:5: repro.api.pipeline.Pipeline",
+        "repro/synthesis/engine.py:6: repro.api.spec",
+        "repro/synthesis/engine.py:7: repro.api.store",
+    ]

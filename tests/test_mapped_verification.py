@@ -20,7 +20,7 @@ from repro.petri.reachability import (
     StateSpaceLimitExceeded,
     count_reachable_markings,
 )
-from repro.synthesis import SynthesisOptions, map_circuit, synthesize
+from repro.synthesis import SynthesisOptions, map_circuit
 
 #: benchmarks beyond this marking count are excluded from exhaustive
 #: simulation (the state-based verify stage has the same practical bound)
@@ -71,7 +71,7 @@ class TestRegistryDifferential:
 class TestVerifierCatchesBrokenNetlists:
     def test_swapped_latch_inputs_are_detected(self):
         stg = get_benchmark("glatch_3")
-        result = synthesize(stg, SynthesisOptions(level=2))
+        result = Pipeline().synthesize(stg, SynthesisOptions(level=2))
         mapped = map_circuit(result.circuit)
         netlist = mapped.netlist
         latches = [g for g in netlist.gates if g.kind is not GateKind.SOP]
@@ -88,7 +88,7 @@ class TestVerifierCatchesBrokenNetlists:
 
     def test_dropped_term_is_detected(self):
         stg = get_benchmark("sequencer")
-        result = synthesize(stg, SynthesisOptions(level=5))
+        result = Pipeline().synthesize(stg, SynthesisOptions(level=5))
         mapped = map_circuit(result.circuit)
         netlist = mapped.netlist
         for index, gate in enumerate(netlist.gates):

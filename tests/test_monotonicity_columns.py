@@ -80,8 +80,8 @@ def _candidates(name: str):
     stg = get_benchmark(name)
     regions = state_space(stg)
     circuit = synthesize_state_based(
-        stg, regions=regions, allow_combinational=False, check_specification=False
-    ).circuit
+        stg, regions, allow_combinational=False, assume_csc=True
+    )
     for signal in stg.non_input_signals:
         implementation = circuit[signal]
         for direction, cover in (

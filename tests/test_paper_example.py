@@ -8,6 +8,7 @@ speed-independent implementation of the output signals.
 
 from __future__ import annotations
 
+from repro.api import Pipeline, SynthesisOptions
 from repro.petri.properties import is_free_choice, is_live, is_safe
 from repro.petri.reachability import build_reachability_graph
 from repro.petri.smcover import compute_sm_components, compute_sm_cover
@@ -17,7 +18,6 @@ from repro.stg.consistency import check_consistency_state_based
 from repro.structural.approximation import approximate_signal_regions
 from repro.structural.consistency import check_consistency_structural
 from repro.structural.covercube import cover_cube_table
-from repro.synthesis import SynthesisOptions, synthesize
 from repro.verify import verify_speed_independence
 
 
@@ -76,9 +76,9 @@ class TestRunningExample:
             assert approximation.er_cover(transition).contains_cover(exact)
 
     def test_synthesis_and_verification(self, fig1):
-        result = synthesize(fig1, SynthesisOptions(level=5))
+        result = Pipeline().synthesize(fig1, SynthesisOptions(level=5))
         report = verify_speed_independence(fig1, result.circuit)
         assert report.speed_independent
         assert report.checked_markings == 11
-        # structural statistics record the certified CSC
-        assert result.statistics["csc_certified"]
+        # the structural refinement records the certified CSC
+        assert result.refinement.csc_certified

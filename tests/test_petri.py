@@ -82,14 +82,11 @@ class TestNetStructure:
         with pytest.raises(ValueError):
             net.add_arc("p", "q")
 
-    def test_copy_and_subnet(self):
+    def test_copy(self):
         net = fork_join()
         clone = net.copy()
         assert set(clone.places) == set(net.places)
         assert clone.initial_marking == net.initial_marking
-        sub = net.subnet(["p0", "fork", "pa"])
-        assert set(sub.places) == {"p0", "pa"}
-        assert sub.preset("fork") == frozenset({"p0"})
 
 
 class TestFiring:

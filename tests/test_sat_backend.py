@@ -32,6 +32,7 @@ from repro.sat.encode import (
 )
 from repro.sat.solver import CDCLSolver
 from repro.sat.synthesize import exact_synthesize, minimize_problem
+from repro.statebased.regions import state_space
 
 #: small specs with enumerable state spaces and certified CSC
 EXACT_NAMES = ["handshake_seq", "sequencer", "converter_2to4", "muller_pipeline_2"]
@@ -288,7 +289,8 @@ def _solved(name: str) -> list:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sat_synthesize, "CDCLSolver", counting_solver)
         patch.setattr(sat_synthesize, "minimize_problem", recording)
-        exact_synthesize(Spec.from_benchmark(name).stg, assume_csc=True)
+        stg = Spec.from_benchmark(name).stg
+        exact_synthesize(stg, state_space(stg), assume_csc=True)
     return solved
 
 
@@ -356,28 +358,29 @@ class TestOneSolverDescent:
 
 class TestExactSynthesize:
     def test_fig6_circuit_is_minimal_and_correct(self, fig6):
-        result = exact_synthesize(fig6)
-        assert result.circuit.metadata["sat"]["exact"] is True
-        assert result.statistics["markings"] > 0
+        regions = state_space(fig6)
+        circuit = exact_synthesize(fig6, regions)
+        assert circuit.metadata["sat"]["exact"] is True
+        assert len(regions.encoded) > 0
         # exact never beats the spec: verify against the state-based baseline
         from repro.statebased.synthesis import synthesize_state_based
 
-        baseline = synthesize_state_based(fig6)
-        assert result.circuit.literal_count() <= baseline.circuit.literal_count()
+        baseline = synthesize_state_based(fig6, regions)
+        assert circuit.literal_count() <= baseline.literal_count()
 
     def test_signals_subset(self, fig6):
         signal = sorted(fig6.non_input_signals)[0]
-        result = exact_synthesize(fig6, signals=[signal])
-        assert list(result.circuit.implementations) == [signal]
+        circuit = exact_synthesize(fig6, state_space(fig6), signals=[signal])
+        assert list(circuit.implementations) == [signal]
 
     def test_budget_exhaustion_raises_skip(self, fig6):
         with pytest.raises(SatBudgetExceeded):
-            exact_synthesize(fig6, candidate_budget=1)
+            exact_synthesize(fig6, state_space(fig6), candidate_budget=1)
 
     @pytest.mark.parametrize("option", ["prefer", "seed", "max_solutions"])
     def test_search_takes_no_solver_options(self, fig6, option):
         with pytest.raises(TypeError, match=option):
-            exact_synthesize(fig6, **{option: 1})
+            exact_synthesize(fig6, state_space(fig6), **{option: 1})
 
     def test_environment_selects_no_solver(self, monkeypatch):
         # the search depends only on the spec: a solver-selecting variable
@@ -428,6 +431,11 @@ class TestSATBackend:
         )
         assert artifact.details["exact"] is True
         assert artifact.details["minima"]  # per-signal minima counts
+        signals = artifact.circuit.metadata["sat"]["signals"]
+        assert artifact.details["signals"] == signals
+        assert artifact.details["minima"] == {
+            signal: info["minima"] for signal, info in signals.items()
+        }
         restored = SynthesisArtifact.from_json(json.loads(json.dumps(artifact.to_json())))
         assert restored.details == json.loads(json.dumps(artifact.details))
         assert restored.literals == artifact.literals

@@ -48,6 +48,7 @@ import repro.sat.synthesize as sat_synthesize
 from repro.api.spec import Spec
 from repro.experiments.optimality_gap import GAP_SPECS
 from repro.sat.solver import CDCLSolver
+from repro.statebased.regions import state_space
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "sat_search_trace.json"
@@ -102,8 +103,9 @@ def _recording():
 def trace(name: str) -> list[dict]:
     """The recorded descent of one spec's exact synthesis, as ``repro gap`` runs it."""
     stg = Spec.from_benchmark(name).stg
+    regions = state_space(stg)
     with _recording() as problems:
-        sat_synthesize.exact_synthesize(stg, assume_csc=True)
+        sat_synthesize.exact_synthesize(stg, regions, assume_csc=True)
     return problems
 
 

@@ -7,7 +7,7 @@ import pytest
 from repro.benchmarks.classic import load_classic
 from repro.statebased.coding import analyze_state_coding, check_csc, check_usc
 from repro.statebased.nextstate import next_state_function, next_state_functions
-from repro.statebased.regions import compute_signal_regions
+from repro.statebased.regions import compute_signal_regions, state_space
 from repro.statebased.synthesis import StateBasedSynthesisError, synthesize_state_based
 from repro.stg.encoding import encode_reachability_graph
 
@@ -82,24 +82,23 @@ class TestNextStateFunctions:
 
 class TestStateBasedSynthesis:
     def test_fig1_synthesis_produces_expected_gates(self, fig1):
-        result = synthesize_state_based(fig1)
-        circuit = result.circuit
+        circuit = synthesize_state_based(fig1, state_space(fig1))
         assert set(circuit.signals) == {"c", "d"}
         # the running example collapses to simple combinational gates
         assert circuit.literal_count() <= 8
 
     def test_csc_violation_rejected(self, fig5):
         with pytest.raises(StateBasedSynthesisError):
-            synthesize_state_based(fig5)
+            synthesize_state_based(fig5, state_space(fig5))
 
     def test_internal_signal_makes_fig6_synthesizable(self, fig6):
-        result = synthesize_state_based(fig6)
-        assert set(result.circuit.signals) == {"y", "s"}
+        circuit = synthesize_state_based(fig6, state_space(fig6))
+        assert set(circuit.signals) == {"y", "s"}
 
     def test_circuit_behaviour_matches_specification(self, glatch3):
-        result = synthesize_state_based(glatch3)
+        regions = state_space(glatch3)
+        circuit = synthesize_state_based(glatch3, regions)
         encoded = encode_reachability_graph(glatch3)
-        regions = result.regions
         from repro.statebased.nextstate import next_state_value
 
         for marking in encoded.markings:
@@ -107,4 +106,4 @@ class TestStateBasedSynthesis:
             for signal in glatch3.non_input_signals:
                 implied = next_state_value(glatch3, regions, signal, marking)
                 if implied is not None:
-                    assert result.circuit.next_value(signal, code) == implied
+                    assert circuit.next_value(signal, code) == implied

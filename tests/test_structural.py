@@ -8,6 +8,9 @@ from repro.benchmarks.classic import classic_names, load_classic
 from repro.benchmarks.figures import fig7_glatch_stg
 from repro.benchmarks.registry import get_benchmark
 from repro.benchmarks.scalable import muller_pipeline
+from repro.corpus.generator import generate_spec
+from repro.petri.properties import is_free_choice, is_live, is_safe
+from repro.petri.reachability import StateSpaceLimitExceeded, build_reachability_graph
 from repro.petri.smcover import compute_sm_components, compute_sm_cover
 from repro.statebased.coding import analyze_state_coding
 from repro.statebased.regions import compute_signal_regions
@@ -33,11 +36,41 @@ from repro.structural.refinement import refine_cover_functions
 ORACLE_NAMES = classic_names(synthesizable_only=True) + ["latch_ctrl"]
 #: every classic and figure spec
 CLASSIC_AND_FIGURES = classic_names() + ["fig1", "fig5", "fig6", "glatch_3"]
+#: the indices i < 80 of ``generate_spec(3, i)`` whose net is live, safe and
+#: free-choice (the paper's hypothesis) within 2000 markings
+CORPUS_IN_HYPOTHESIS = (
+    5, 7, 9, 13, 14, 19, 23, 24, 26, 28, 29, 33,
+    41, 42, 50, 51, 52, 56, 57, 61, 62, 63, 75, 76,
+)
 
 
 def _oracle_stgs():
     for name in ORACLE_NAMES:
         yield name, load_classic(name)
+
+
+def _in_hypothesis(stg) -> bool:
+    """Live, safe and free-choice, with at most 2000 reachable markings."""
+    try:
+        graph = build_reachability_graph(stg.net, max_markings=2000)
+    except StateSpaceLimitExceeded:
+        return False
+    return is_free_choice(stg.net) and is_live(stg.net, graph) and is_safe(stg.net, graph)
+
+
+def _check_sufficient_conditions(stg) -> None:
+    """Property 5 adds only successors the state graph has, and the
+    consistency verdict with it agrees with the state-based one."""
+    relation = compute_concurrency_relation(stg)
+    necessary = structural_next_relation(stg, relation)
+    checked = structural_next_relation_checked(stg, relation)
+    oracle = adjacent_transition_pairs(stg)
+    for transition, successors in checked.items():
+        added = successors - necessary[transition]
+        assert added <= oracle.get(transition, set()), (transition, added)
+    report = check_consistency_structural(stg, relation, use_sufficient_conditions=True)
+    state_based = check_consistency_state_based(stg, check_semimodularity=False)
+    assert report.consistent == state_based.consistent
 
 
 class TestConcurrencyRelation:
@@ -85,17 +118,19 @@ class TestStructuralConsistency:
     @pytest.mark.parametrize("name", CLASSIC_AND_FIGURES)
     def test_sufficient_conditions_add_only_behavioural_successors(self, name):
         """Property 5 never reports a successor the state graph does not have."""
-        stg = get_benchmark(name)
-        relation = compute_concurrency_relation(stg)
-        necessary = structural_next_relation(stg, relation)
-        checked = structural_next_relation_checked(stg, relation)
-        oracle = adjacent_transition_pairs(stg)
-        for transition, successors in checked.items():
-            added = successors - necessary[transition]
-            assert added <= oracle.get(transition, set()), (transition, added)
-        report = check_consistency_structural(stg, relation, use_sufficient_conditions=True)
-        state_based = check_consistency_state_based(stg, check_semimodularity=False)
-        assert report.consistent == state_based.consistent
+        _check_sufficient_conditions(get_benchmark(name))
+
+    @pytest.mark.parametrize("index", CORPUS_IN_HYPOTHESIS)
+    def test_sufficient_conditions_on_corpus_specs(self, index):
+        """The same on generated specs inside the paper's hypothesis."""
+        stg = generate_spec(3, index).spec.stg
+        assert _in_hypothesis(stg)
+        _check_sufficient_conditions(stg)
+
+    def test_corpus_specs_in_hypothesis_are_pinned(self):
+        """``CORPUS_IN_HYPOTHESIS`` is every such spec among the first 80."""
+        selected = [i for i in range(80) if _in_hypothesis(generate_spec(3, i).spec.stg)]
+        assert selected == list(CORPUS_IN_HYPOTHESIS)
 
     def test_autoconcurrency_detected(self):
         # two concurrent transitions of the same signal

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Pipeline
 from repro.benchmarks.classic import classic_names, load_classic
 from repro.benchmarks.figures import fig7_glatch_stg
 from repro.benchmarks.scalable import dining_philosophers, independent_cells, muller_pipeline
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
+from repro.statebased.regions import state_space
 from repro.statebased.synthesis import synthesize_state_based
 from repro.synthesis import (
     Architecture,
@@ -16,7 +18,6 @@ from repro.synthesis import (
     SynthesisOptions,
     default_library,
     map_circuit,
-    synthesize,
 )
 from repro.synthesis.netlist import latch_implementation
 from repro.verify import verify_speed_independence
@@ -35,21 +36,21 @@ class TestStructuralSynthesis:
     @pytest.mark.parametrize("name", SYNTHESIZABLE)
     def test_classic_suite_is_synthesized_and_speed_independent(self, name):
         stg = load_classic(name)
-        result = synthesize(stg, SynthesisOptions(level=5))
+        result = Pipeline().synthesize(stg, SynthesisOptions(level=5))
         report = verify_speed_independence(stg, result.circuit)
         assert report.speed_independent, report.functional_errors + report.hazard_errors
 
     @pytest.mark.parametrize("name", SYNTHESIZABLE)
     def test_quality_close_to_state_based_baseline(self, name):
         stg = load_classic(name)
-        structural = synthesize(stg, SynthesisOptions(level=5))
-        baseline = synthesize_state_based(stg)
+        structural = Pipeline().synthesize(stg, SynthesisOptions(level=5))
+        baseline = synthesize_state_based(stg, state_space(stg))
         assert structural.circuit.literal_count() <= 3 * max(
-            baseline.circuit.literal_count(), 1
+            baseline.literal_count(), 1
         )
 
     def test_fig1_running_example(self, fig1):
-        result = synthesize(fig1, SynthesisOptions(level=5))
+        result = Pipeline().synthesize(fig1, SynthesisOptions(level=5))
         circuit = result.circuit
         assert set(circuit.signals) == {"c", "d"}
         assert verify_speed_independence(fig1, circuit).speed_independent
@@ -58,7 +59,7 @@ class TestStructuralSynthesis:
 
     def test_glatch_produces_c_element(self):
         stg = fig7_glatch_stg(3)
-        result = synthesize(stg, SynthesisOptions(level=5))
+        result = Pipeline().synthesize(stg, SynthesisOptions(level=5))
         y = result.circuit["y"]
         # y turns on exactly when all inputs are high (C-element set
         # condition) — either as a latch or as a complex gate with feedback
@@ -69,33 +70,33 @@ class TestStructuralSynthesis:
     def test_csc_violation_is_rejected_without_override(self):
         stg = load_classic("latch_ctrl")
         with pytest.raises(SynthesisError):
-            synthesize(stg)
+            Pipeline().synthesize(stg)
 
     def test_minimization_levels_never_increase_cost(self, fig1):
         costs = []
         for level in range(1, 6):
-            result = synthesize(fig1, SynthesisOptions(level=level))
+            result = Pipeline().synthesize(fig1, SynthesisOptions(level=level))
             costs.append(result.circuit.literal_count())
         assert all(later <= earlier for earlier, later in zip(costs, costs[1:]))
 
     def test_level1_uses_per_region_architecture(self, fig1):
-        result = synthesize(fig1, SynthesisOptions(level=1))
+        result = Pipeline().synthesize(fig1, SynthesisOptions(level=1))
         for implementation in result.circuit:
             assert implementation.architecture is Architecture.ER_ONE_HOT
             assert implementation.region_covers
 
     def test_scalable_families_synthesize_structurally(self):
         for stg in [muller_pipeline(6), independent_cells(6), dining_philosophers(3)]:
-            result = synthesize(stg, SynthesisOptions(level=3, assume_csc=True))
+            result = Pipeline().synthesize(stg, SynthesisOptions(level=3, assume_csc=True))
             assert result.circuit.literal_count() > 0
             report = verify_speed_independence(stg, result.circuit)
             assert report.speed_independent, stg.name
 
     def test_statistics_are_reported(self, fig1):
-        result = synthesize(fig1, SynthesisOptions(level=5))
-        assert result.statistics["csc_certified"] is True
-        assert result.statistics["sm_cover"] >= 1
-        assert result.statistics["analysis_seconds"] >= 0
+        refinement = Pipeline().synthesize(fig1, SynthesisOptions(level=5)).refinement
+        assert refinement.csc_certified is True
+        assert refinement.analysis.sm_cover_size >= 1
+        assert refinement.analysis.seconds + refinement.seconds >= 0
 
 
 class TestNetlistAndMapping:
@@ -120,7 +121,7 @@ class TestNetlistAndMapping:
         assert implementation.literal_count() == 3  # common 'a' + data/control
 
     def test_library_mapping_costs(self, fig1):
-        result = synthesize(fig1, SynthesisOptions(level=5))
+        result = Pipeline().synthesize(fig1, SynthesisOptions(level=5))
         mapped = map_circuit(result.circuit, default_library())
         assert mapped.total_area > 0
         assert set(mapped.per_signal_area) == set(result.circuit.signals)
@@ -128,7 +129,7 @@ class TestNetlistAndMapping:
         assert all(mapped.cells_used[s] for s in result.circuit.signals)
 
     def test_circuit_describe_mentions_every_signal(self, fig1):
-        result = synthesize(fig1, SynthesisOptions(level=5))
+        result = Pipeline().synthesize(fig1, SynthesisOptions(level=5))
         text = result.circuit.describe()
         for signal in result.circuit.signals:
             assert signal in text
@@ -136,7 +137,7 @@ class TestNetlistAndMapping:
 
 class TestVerifierCatchesBadCircuits:
     def test_wrong_polarity_is_detected(self, fig1):
-        result = synthesize(fig1, SynthesisOptions(level=5))
+        result = Pipeline().synthesize(fig1, SynthesisOptions(level=5))
         circuit = result.circuit
         good = circuit["c"]
         broken = latch_implementation(
@@ -152,7 +153,7 @@ class TestVerifierCatchesBadCircuits:
         stg = fig7_glatch_stg(2)
         # at level 2 y is a latch: set x0 x1, reset x0' x1' (at higher
         # levels it is implemented combinationally)
-        result = synthesize(stg, SynthesisOptions(level=2))
+        result = Pipeline().synthesize(stg, SynthesisOptions(level=2))
         circuit = result.circuit
         y = circuit["y"]
         assert y.uses_latch
