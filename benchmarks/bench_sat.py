@@ -31,9 +31,7 @@ def _encode_only_seconds(stg) -> tuple[float, int, int]:
     candidates = clauses = 0
     for signal in stg.non_input_signals:
         for problem in _signal_problems(regions, signal):
-            encoding = build_encoding(
-                problem, budget=4096, primes_only=problem.kind == "complete"
-            )
+            encoding = build_encoding(problem, primes_only=problem.kind == "complete")
             candidates += len(encoding.candidates)
             clauses += len(encoding.clauses)
     return time.perf_counter() - start, candidates, clauses

@@ -184,7 +184,13 @@ def run_check_suite(
         return report
 
     report.states = len(graph)
-    safe = all(marking.is_safe() for marking in graph.markings)
+    # the kernel's verdict: a safe net completes on the 1-bit rung
+    safe = all(marking.is_safe() for marking in reference.markings)
+    if graph._compiled is not None:
+        bits = graph._compiled.bits
+        if (bits == 1) != safe:
+            fail("reachability", f"{bits}-bit rung disagrees with reference safe={safe}")
+        safe = bits == 1
     report.klass = "safe" if safe else "k-bounded"
     report.live = not graph.deadlocks()
 

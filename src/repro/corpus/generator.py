@@ -28,7 +28,6 @@ from typing import Iterator, Optional
 
 from repro.api.spec import Spec
 from repro.corpus.idioms import IDIOMS, build_idiom
-from repro.petri.compiled import CompiledBoundedNet
 from repro.petri.reachability import (
     StateSpaceLimitExceeded,
     build_reachability_graph,
@@ -369,10 +368,10 @@ def classify_stg(stg: STG, max_markings: int = 600) -> Optional[Classification]:
     except StateSpaceLimitExceeded:
         return None
     states = len(graph)
-    if isinstance(graph._compiled, CompiledBoundedNet) or graph._compiled is None:
+    if graph._compiled is None:
         safe = all(marking.is_safe() for marking in graph.markings)
     else:
-        safe = True  # the 1-bit kernel only completes on safe nets
+        safe = graph._compiled.bits == 1  # the 1-bit rung completes on safe nets only
     live = not graph.deadlocks()
     consistent = True
     try:

@@ -1,7 +1,6 @@
-"""Bit-packed compiled kernel for safe Petri nets.
+"""Bit-packed compiled kernel: structural tables and the token game.
 
-This module is the machine-level core that every hot reachability path runs
-on.  A :class:`CompiledNet` freezes the structure of a
+A :class:`CompiledNet` freezes the structure of a
 :class:`~repro.petri.net.PetriNet` — the ``(P, T, F)`` part of the paper's
 ``(P, T, F, m0)`` four-tuple (Section II-B) — into integer masks over an
 interned place order:
@@ -11,32 +10,19 @@ interned place order:
     (the preset ``•t`` restricted to places).
 ``post_masks[t]``
     Bit ``i`` is set iff place ``i`` is an output place of ``t`` (``t•``).
-``deltas[t]``
-    ``pre_masks[t] ^ post_masks[t]`` — the places whose token count changes
-    when ``t`` fires (self-loop places, ``•t ∩ t•``, keep their token).
 ``consumers[p]`` / ``producers[p]``
     The transition indices with ``p ∈ •t`` / ``p ∈ t•``, in index order:
     the place-to-transition tables of the worklist walks
-    (:meth:`repro.structural.qps._WalkEngine.reach`) and of the
-    SM-component test (:func:`repro.petri.smcover.is_sm_component`).
+    (:meth:`repro.structural.qps._WalkEngine.reach`), of the SM-component
+    test (:func:`repro.petri.smcover.is_sm_component`) and of the token
+    game's dirty-frontier index.
 
-A marking ``m`` of a *safe* net is then a plain ``int`` with bit ``i`` set
-iff place ``i`` is marked, and the token-flow semantics collapses to:
-
-``is_enabled(t, m)``  ==  ``m & pre_masks[t] == pre_masks[t]``
-``fire(t, m)``        ==  ``(m & ~pre_masks[t]) | post_masks[t]``
-
-(the reference semantics of ``PetriNet.is_enabled`` / ``PetriNet.fire`` for
-1-bounded markings).  Firing a transition whose output place is already
-marked would create a second token; the kernel detects this and raises
-:class:`UnsafeNetError`, at which point callers fall back to the dict-based
-reference path, so unsafe nets keep the exact multiset semantics.
-
-Reachability exploration additionally maintains the enabled set of each
-marking incrementally ("dirty-frontier"): when ``t`` fires, only transitions
-adjacent to the changed places (``consumers`` of ``deltas[t]``) can
-change their enabled status, so the per-successor work is proportional to
-the local fan-out instead of ``|T|``.
+The token game itself is :class:`CompiledBoundedNet`, built from those
+tables: a marking is one int of ``bits``-bit count fields, one per place.
+Reachability (:mod:`repro.petri.reachability`) climbs the field widths of
+:data:`BOUNDED_BITS_LADDER`; a safe net completes on the first rung, whose
+1-bit fields are one bit per place, so "the 1-bit rung completed" is the
+safety verdict.  Past the last rung the dict-based reference BFS takes over.
 """
 
 from __future__ import annotations
@@ -48,13 +34,13 @@ from repro.petri.net import PetriNet
 
 
 class UnsafeNetError(RuntimeError):
-    """Raised when a marking cannot be represented as one bit per place.
+    """Raised when a marking cannot be packed into the compiled kernel.
 
-    Either the starting marking carries multiple tokens on a place (or tokens
-    on places unknown to the net), or exploration fired a transition into an
-    already-marked output place.  Callers catch this and fall back to the
-    k-bounded kernel (:class:`CompiledBoundedNet`) and ultimately to the
-    dict-based reference semantics.
+    :meth:`CompiledBoundedNet.pack` raises it for a marking that puts
+    tokens on a place the net does not know about; callers then fall back
+    to the dict-based reference semantics.  Its subclass
+    :class:`BoundExceededError` reports a token count too large for the
+    current field width.
     """
 
 
@@ -72,12 +58,23 @@ class StateSpaceLimitExceeded(RuntimeError):
     """Raised when reachability exploration exceeds the marking limit."""
 
 
+def _bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, lowest first."""
+    indices = []
+    while mask:
+        low = mask & -mask
+        indices.append(low.bit_length() - 1)
+        mask ^= low
+    return indices
+
+
 class CompiledNet:
-    """Bit-packed read-only view of a Petri net.
+    """Bit-packed read-only structural tables of a Petri net.
 
     The compiled form is cached on the net keyed by its structural version,
     so repeated analyses of the same net compile once (see
-    :func:`compile_net`).
+    :func:`compile_net`); the token-game rungs built from it are cached
+    with it (see :func:`compile_bounded_net`).
     """
 
     __slots__ = (
@@ -87,12 +84,9 @@ class CompiledNet:
         "transition_index",
         "pre_masks",
         "post_masks",
-        "deltas",
         "consumers",
         "producers",
-        "_not_pre",
-        "_post_only",
-        "_affected",
+        "_rungs",
     )
 
     def __init__(self, net: PetriNet):
@@ -118,172 +112,15 @@ class CompiledNet:
             post_masks.append(post)
         self.pre_masks = pre_masks
         self.post_masks = post_masks
-        self.deltas = [pre ^ post for pre, post in zip(pre_masks, post_masks)]
         # Walk tables: for each place, the transitions it feeds forward
         # (``p ∈ •t``) and backward (``p ∈ t•``), in index order.
         self.consumers: list[list[int]] = [[] for _ in self.place_names]
         self.producers: list[list[int]] = [[] for _ in self.place_names]
         for table, masks in ((self.consumers, pre_masks), (self.producers, post_masks)):
             for transition, mask in enumerate(masks):
-                while mask:
-                    low = mask & -mask
-                    table[low.bit_length() - 1].append(transition)
-                    mask ^= low
-        self._not_pre = [~pre for pre in pre_masks]
-        # Tokens may appear on an output place that is not consumed; if it is
-        # already marked the successor would be 2-bounded.
-        self._post_only = [post & ~pre for pre, post in zip(pre_masks, post_masks)]
-        # Dirty-frontier index: for each transition t, the transitions whose
-        # preset touches a place changed by firing t (the only ones whose
-        # enabled status can differ between m and fire(t, m)).
-        self._affected: list[list[int]] = []
-        consumers = self.consumers
-        for delta in self.deltas:
-            affected: set[int] = set()
-            while delta:
-                low = delta & -delta
-                affected.update(consumers[low.bit_length() - 1])
-                delta ^= low
-            self._affected.append(sorted(affected))
-
-    # ------------------------------------------------------------------ #
-    # Marking conversion (API boundary)
-    # ------------------------------------------------------------------ #
-
-    def pack(self, marking: Marking) -> int:
-        """Pack a safe marking into an int (bit i == place i marked).
-
-        Raises
-        ------
-        UnsafeNetError
-            If the marking holds more than one token on a place or marks a
-            place the net does not know about.
-        """
-        bits = 0
-        place_index = self.place_index
-        for place, count in marking.items():
-            if count > 1:
-                raise UnsafeNetError(
-                    f"place {place!r} holds {count} tokens; markings of "
-                    "unsafe nets cannot be bit-packed"
-                )
-            index = place_index.get(place)
-            if index is None:
-                raise UnsafeNetError(f"marked place {place!r} is not part of the net")
-            bits |= 1 << index
-        return bits
-
-    def unpack(self, bits: int) -> Marking:
-        """Unpack an int marking back into a name-based :class:`Marking`."""
-        names = self.place_names
-        marked = []
-        while bits:
-            low = bits & -bits
-            marked.append(names[low.bit_length() - 1])
-            bits ^= low
-        return Marking.from_marked(marked)
-
-    # ------------------------------------------------------------------ #
-    # Token-flow semantics on int markings
-    # ------------------------------------------------------------------ #
-
-    def is_enabled(self, transition: int, marking: int) -> bool:
-        """True if every input place of transition index ``transition`` is marked."""
-        pre = self.pre_masks[transition]
-        return marking & pre == pre
-
-    def fire(self, transition: int, marking: int) -> int:
-        """Successor marking (assumes the transition is enabled and safe)."""
-        return (marking & self._not_pre[transition]) | self.post_masks[transition]
-
-    def enabled_mask(self, marking: int) -> int:
-        """Bitmask over transition indices of the enabled transitions."""
-        mask = 0
-        bit = 1
-        for pre in self.pre_masks:
-            if marking & pre == pre:
-                mask |= bit
-            bit <<= 1
-        return mask
-
-    def enabled_transitions(self, marking: int) -> list[int]:
-        """Enabled transition indices in index (= insertion) order."""
-        return [
-            t for t, pre in enumerate(self.pre_masks) if marking & pre == pre
-        ]
-
-    # ------------------------------------------------------------------ #
-    # Reachability (BFS over int markings)
-    # ------------------------------------------------------------------ #
-
-    def explore(
-        self,
-        initial: int,
-        max_markings: Optional[int] = None,
-        want_edges: bool = False,
-    ) -> tuple[list[int], list[int], Optional[list[tuple[int, int, int]]]]:
-        """Breadth-first exploration from a packed initial marking.
-
-        Returns ``(markings, enabled, edges)`` where ``markings`` holds the
-        packed markings in discovery order (the same order as the reference
-        BFS over :class:`Marking` objects), ``enabled`` the enabled-transition
-        bitmask of each marking, and ``edges`` (if requested) the triples
-        ``(source_index, transition_index, target_index)`` in firing order.
-
-        Raises
-        ------
-        StateSpaceLimitExceeded
-            When more than ``max_markings`` markings are reachable.
-        UnsafeNetError
-            When a firing would place a second token on a place.
-        """
-        pre_masks = self.pre_masks
-        post_masks = self.post_masks
-        not_pre = self._not_pre
-        post_only = self._post_only
-        affected = self._affected
-        transition_names = self.transition_names
-
-        order = [initial]
-        index_of = {initial: 0}
-        enabled = [self.enabled_mask(initial)]
-        edges: Optional[list[tuple[int, int, int]]] = [] if want_edges else None
-        head = 0
-        while head < len(order):
-            marking = order[head]
-            source = head
-            pending = enabled[head]
-            head += 1
-            while pending:
-                low = pending & -pending
-                pending ^= low
-                transition = low.bit_length() - 1
-                if marking & post_only[transition]:
-                    raise UnsafeNetError(
-                        f"firing {transition_names[transition]!r} produces a "
-                        "second token; falling back to multiset semantics"
-                    )
-                successor = (marking & not_pre[transition]) | post_masks[transition]
-                target = index_of.get(successor)
-                if target is None:
-                    if max_markings is not None and len(order) >= max_markings:
-                        raise StateSpaceLimitExceeded(
-                            f"more than {max_markings} reachable markings"
-                        )
-                    successor_enabled = enabled[source]
-                    for u in affected[transition]:
-                        pre_u = pre_masks[u]
-                        if successor & pre_u == pre_u:
-                            successor_enabled |= 1 << u
-                        else:
-                            successor_enabled &= ~(1 << u)
-                    target = len(order)
-                    index_of[successor] = target
-                    order.append(successor)
-                    enabled.append(successor_enabled)
-                if edges is not None:
-                    edges.append((source, transition, target))
-        return order, enabled, edges
+                for place in _bit_indices(mask):
+                    table[place].append(transition)
+        self._rungs: dict[int, CompiledBoundedNet] = {}
 
 
 def compile_net(net: PetriNet) -> CompiledNet:
@@ -301,10 +138,10 @@ def compile_net(net: PetriNet) -> CompiledNet:
 
 
 class CompiledBoundedNet:
-    """Packed view of a k-bounded net: ``bits``-bit token fields per place.
+    """Packed token game of a k-bounded net: ``bits``-bit fields per place.
 
-    Generalizes :class:`CompiledNet` from safe (1-bounded) nets to
-    ``(2**bits - 1)``-bounded nets.  A marking is a single int carved into
+    Plays the token game of ``(2**bits - 1)``-bounded nets; at ``bits=1``
+    it is the safe-net game.  A marking is a single int carved into
     fields of ``bits + 1`` bits per place — ``bits`` count bits plus one
     *guard* bit that stays zero in every valid marking.  The guard bit makes
     the token-flow semantics branch-free across all places at once (SWAR):
@@ -321,10 +158,12 @@ class CompiledBoundedNet:
         mask test (:class:`BoundExceededError` — callers widen the fields or
         fall back to the unbounded reference semantics).
 
+    The names, indices and masks come from :func:`compile_net`.
     Exploration keeps the exact BFS discovery order of the reference
     multiset semantics, so graphs built on this kernel are
     indistinguishable from reference-built ones (the differential tests in
-    ``tests/test_bounded_kernel.py`` pin this).
+    ``tests/test_bounded_kernel.py`` and ``tests/test_compiled_kernel.py``
+    pin this).
     """
 
     __slots__ = (
@@ -343,64 +182,43 @@ class CompiledBoundedNet:
         "_affected",
     )
 
-    def __init__(self, net: PetriNet, bits: int = 2):
+    def __init__(self, net: PetriNet, bits: int):
         if bits < 1:
             raise ValueError(f"need at least 1 count bit per place, got {bits}")
+        structure = compile_net(net)
         self.bits = bits
         self.capacity = (1 << bits) - 1
         width = bits + 1
         self._width = width
         self.field_mask = (1 << bits) - 1
-        self.place_names: list[str] = net.places
-        self.place_index: dict[str, int] = {
-            name: i for i, name in enumerate(self.place_names)
-        }
-        self.transition_names: list[str] = net.transitions
-        self.transition_index: dict[str, int] = {
-            name: i for i, name in enumerate(self.transition_names)
-        }
-        place_index = self.place_index
-        guard_all = 0
-        for i in range(len(self.place_names)):
-            guard_all |= 1 << (i * width + bits)
-        self.guard_all = guard_all
-        pre_guards: list[int] = []
-        pre_subs: list[int] = []
-        deltas: list[int] = []
-        changed_guards: list[int] = []
-        for transition in self.transition_names:
-            pre = set(net.preset(transition))
-            post = set(net.postset(transition))
-            guard = 0
-            sub = 0
-            for place in pre:
-                shift = place_index[place] * width
-                guard |= 1 << (shift + bits)
-                sub |= 1 << shift
-            delta = 0
-            changed = 0
-            for place in post - pre:
-                shift = place_index[place] * width
-                delta += 1 << shift
-                changed |= 1 << (shift + bits)
-            for place in pre - post:
-                shift = place_index[place] * width
-                delta -= 1 << shift
-                changed |= 1 << (shift + bits)
-            pre_guards.append(guard)
-            pre_subs.append(sub)
-            deltas.append(delta)
-            changed_guards.append(changed)
-        self.pre_guards = pre_guards
-        self.pre_subs = pre_subs
-        self.deltas = deltas
+        self.place_names = structure.place_names
+        self.place_index = structure.place_index
+        self.transition_names = structure.transition_names
+        self.transition_index = structure.transition_index
+
+        units = [1 << (place * width) for place in range(len(self.place_names))]
+
+        def ones(places: int) -> int:
+            """One token on each place of a place mask, as packed fields."""
+            return sum([units[place] for place in _bit_indices(places)])
+
+        self.guard_all = sum(units) << bits
+        self.pre_subs = [ones(pre) for pre in structure.pre_masks]
+        self.pre_guards = [sub << bits for sub in self.pre_subs]
+        self.deltas = [
+            ones(post & ~pre) - ones(pre & ~post)
+            for pre, post in zip(structure.pre_masks, structure.post_masks)
+        ]
         # Dirty-frontier index: transitions whose preset touches a place
         # whose token count changes when t fires (self-loop places keep
         # their count, so they never flip anyone's enabled status).
-        self._affected: list[list[int]] = [
-            [u for u, guard in enumerate(pre_guards) if guard & changed]
-            for changed in changed_guards
-        ]
+        consumers = structure.consumers
+        self._affected: list[list[int]] = []
+        for pre, post in zip(structure.pre_masks, structure.post_masks):
+            affected: set[int] = set()
+            for place in _bit_indices(pre ^ post):
+                affected.update(consumers[place])
+            self._affected.append(sorted(affected))
 
     # ------------------------------------------------------------------ #
     # Marking conversion (API boundary)
@@ -442,9 +260,10 @@ class CompiledBoundedNet:
             low = packed & -packed
             index = (low.bit_length() - 1) // width
             shift = index * width
-            tokens[names[index]] = (packed >> shift) & field_mask
-            packed &= ~(field_mask << shift)
-        return Marking(tokens)
+            count = (packed >> shift) & field_mask
+            tokens[names[index]] = count
+            packed ^= count << shift
+        return Marking.from_counts(tokens)
 
     # ------------------------------------------------------------------ #
     # Token-flow semantics on int markings
@@ -499,7 +318,11 @@ class CompiledBoundedNet:
     ) -> tuple[list[int], list[int], Optional[list[tuple[int, int, int]]]]:
         """Breadth-first exploration from a packed initial marking.
 
-        Same contract and discovery order as :meth:`CompiledNet.explore`.
+        Returns ``(markings, enabled, edges)`` where ``markings`` holds the
+        packed markings in discovery order (the same order as the reference
+        BFS over :class:`Marking` objects), ``enabled`` the enabled-transition
+        bitmask of each marking, and ``edges`` (if requested) the triples
+        ``(source_index, transition_index, target_index)`` in firing order.
 
         Raises
         ------
@@ -558,22 +381,14 @@ class CompiledBoundedNet:
 
 
 #: Field widths tried, in order, before falling back to the reference
-#: semantics: 3-bounded, 15-bounded, 255-bounded.
-BOUNDED_BITS_LADDER = (2, 4, 8)
+#: semantics: safe, 3-bounded, 15-bounded, 255-bounded.
+BOUNDED_BITS_LADDER = (1, 2, 4, 8)
 
 
-def compile_bounded_net(net: PetriNet, bits: int = 2) -> CompiledBoundedNet:
-    """Bounded compiled view of a net, cached per (version, bits)."""
-    version = getattr(net, "_version", None)
-    cached = getattr(net, "_bounded_compiled_cache", None)
-    if cached is not None and cached[0] == version and bits in cached[1]:
-        return cached[1][bits]
-    compiled = CompiledBoundedNet(net, bits)
-    try:
-        if cached is None or cached[0] != version:
-            net._bounded_compiled_cache = (version, {bits: compiled})
-        else:
-            cached[1][bits] = compiled
-    except AttributeError:
-        pass  # net-like object without attribute support; skip caching
+def compile_bounded_net(net: PetriNet, bits: int) -> CompiledBoundedNet:
+    """Token game of a net at one field width, cached with its structure."""
+    rungs = compile_net(net)._rungs
+    compiled = rungs.get(bits)
+    if compiled is None:
+        compiled = rungs[bits] = CompiledBoundedNet(net, bits)
     return compiled

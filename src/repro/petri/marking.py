@@ -34,14 +34,14 @@ class Marking(Mapping[str, int]):
         self._hash: int | None = None
 
     @classmethod
-    def from_marked(cls, places: Iterable[str]) -> "Marking":
-        """Fast constructor for a safe marking given its marked places.
+    def from_counts(cls, tokens: dict[str, int]) -> "Marking":
+        """Fast constructor taking ownership of a dict of positive counts.
 
-        Skips the validation loop of ``__init__``; used by the compiled
-        kernel when unpacking bit-packed markings at the API boundary.
+        Skips the copy and validation loop of ``__init__``; used by the
+        compiled kernel when unpacking packed markings at the API boundary.
         """
         self = cls.__new__(cls)
-        self._tokens = {place: 1 for place in places}
+        self._tokens = tokens
         self._hash = None
         return self
 

@@ -5,12 +5,15 @@ here both as the correctness oracle for the structural algorithms (on small
 and medium STGs) and as the baseline synthesis engine used for the CPU-time
 comparisons of Tables VI and VII.
 
-The exploration itself runs on the bit-packed compiled kernel
-(:mod:`repro.petri.compiled`): markings are plain ints during BFS and are
-converted back to :class:`~repro.petri.marking.Marking` objects only at the
-API boundary.  Nets that are not safe (or markings that cannot be packed)
-transparently fall back to the dict-based reference implementation, which is
-also kept as the oracle for the kernel's differential tests.
+The exploration itself runs on the packed token game of
+:mod:`repro.petri.compiled`: markings are plain ints of ``bits``-bit count
+fields during BFS and are converted back to
+:class:`~repro.petri.marking.Marking` objects only at the API boundary.
+The field width climbs :data:`~repro.petri.compiled.BOUNDED_BITS_LADDER`
+(a safe net completes on the 1-bit rung); a net that is not 255-bounded,
+or a marking on a place the net does not know, falls back to the
+dict-based reference implementation, which is also kept as the oracle for
+the kernel's differential tests.
 """
 
 from __future__ import annotations
@@ -23,11 +26,9 @@ from repro.petri.compiled import (
     BOUNDED_BITS_LADDER,
     BoundExceededError,
     CompiledBoundedNet,
-    CompiledNet,
     StateSpaceLimitExceeded,
     UnsafeNetError,
     compile_bounded_net,
-    compile_net,
 )
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
@@ -59,7 +60,7 @@ class ReachabilityGraph:
         self._successors: dict[Marking, list[tuple[str, Marking]]] = {}
         self._predecessors: dict[Marking, list[tuple[str, Marking]]] = {}
         # Packed payload (populated by the compiled builder only).
-        self._compiled: Optional[CompiledNet] = None
+        self._compiled: Optional[CompiledBoundedNet] = None
         self._packed: Optional[list[int]] = None
         self._packed_enabled: Optional[list[int]] = None
         self._marking_list: Optional[list[Marking]] = None
@@ -353,10 +354,11 @@ def build_reachability_graph(
 ) -> ReachabilityGraph:
     """Breadth-first exhaustive exploration of the reachable markings.
 
-    Runs on the bit-packed kernel (markings are ints during the BFS) and
-    falls back to the dict-based reference exploration when the net is not
-    safe.  Both paths produce identical graphs for safe nets — the
-    differential tests in ``tests/test_compiled_kernel.py`` enforce this.
+    Runs on the packed kernel (markings are ints during the BFS), widening
+    its fields along the ladder, and falls back to the dict-based reference
+    exploration past the last rung.  Both paths produce identical graphs —
+    the differential tests in ``tests/test_compiled_kernel.py`` and
+    ``tests/test_bounded_kernel.py`` enforce this.
 
     Parameters
     ----------
@@ -368,22 +370,11 @@ def build_reachability_graph(
         the state-explosion of the baseline.
     """
     start = net.initial_marking
-    compiled = compile_net(net)
-    try:
-        packed_start = compiled.pack(start)
-        order, enabled, edges = compiled.explore(
-            packed_start, max_markings=max_markings, want_edges=True
-        )
-    except UnsafeNetError:
-        bounded = _bounded_explore(net, start, max_markings, want_edges=True)
-        if bounded is None:
-            return _reference_build_reachability_graph(net, start, max_markings)
-        compiled, order, enabled, edges = bounded
+    explored = _bounded_explore(net, start, max_markings, want_edges=True)
+    if explored is None:
+        return _reference_build_reachability_graph(net, start, max_markings)
     graph = ReachabilityGraph(net, start)
-    graph._compiled = compiled
-    graph._packed = order
-    graph._packed_enabled = enabled
-    graph._packed_edges = edges
+    graph._compiled, graph._packed, graph._packed_enabled, graph._packed_edges = explored
     graph._materialized = False
     return graph
 
@@ -394,16 +385,10 @@ def count_reachable_markings(
 ) -> int:
     """Count reachable markings without storing the edges."""
     start = net.initial_marking
-    compiled = compile_net(net)
-    try:
-        packed_start = compiled.pack(start)
-        order, _, _ = compiled.explore(packed_start, max_markings=max_markings)
-    except UnsafeNetError:
-        bounded = _bounded_explore(net, start, max_markings, want_edges=False)
-        if bounded is None:
-            return _reference_count_reachable_markings(net, start, max_markings)
-        return len(bounded[1])
-    return len(order)
+    explored = _bounded_explore(net, start, max_markings, want_edges=False)
+    if explored is None:
+        return _reference_count_reachable_markings(net, start, max_markings)
+    return len(explored[1])
 
 
 def _bounded_explore(
@@ -412,7 +397,7 @@ def _bounded_explore(
     max_markings: Optional[int],
     want_edges: bool,
 ):
-    """Run the k-bounded kernel, widening the fields until the net fits.
+    """Run the packed kernel, widening the fields until the net fits.
 
     Returns ``(compiled, order, enabled, edges)`` on success, or ``None``
     when the net is not 255-bounded (or the marking is unpackable) and the
@@ -440,46 +425,12 @@ def concurrent_pairs_from_rg(graph: ReachabilityGraph) -> set[frozenset[str]]:
 
     Two transitions are concurrent when both are enabled at some marking and
     firing one does not disable the other (Section II-B).  This is the oracle
-    against which the structural concurrency relation is validated.
+    against which the structural concurrency relation is validated.  Runs
+    the kernel's SWAR enabled test on the packed markings.
     """
     compiled = graph._compiled
     if compiled is None or graph._packed is None or graph._packed_enabled is None:
         return _reference_concurrent_pairs_from_rg(graph)
-    if isinstance(compiled, CompiledBoundedNet):
-        return _bounded_concurrent_pairs_from_rg(graph, compiled)
-    pre_masks = compiled.pre_masks
-    post_masks = compiled.post_masks
-    not_pre = compiled._not_pre
-    confirmed: set[tuple[int, int]] = set()
-    for marking, enabled in zip(graph._packed, graph._packed_enabled):
-        if enabled & (enabled - 1) == 0:
-            continue  # fewer than two enabled transitions
-        transitions = []
-        pending = enabled
-        while pending:
-            low = pending & -pending
-            pending ^= low
-            transitions.append(low.bit_length() - 1)
-        for i, first in enumerate(transitions):
-            after_first = (marking & not_pre[first]) | post_masks[first]
-            for second in transitions[i + 1:]:
-                if (first, second) in confirmed:
-                    continue
-                pre_second = pre_masks[second]
-                if after_first & pre_second != pre_second:
-                    continue
-                after_second = (marking & not_pre[second]) | post_masks[second]
-                pre_first = pre_masks[first]
-                if after_second & pre_first == pre_first:
-                    confirmed.add((first, second))
-    names = compiled.transition_names
-    return {frozenset((names[a], names[b])) for a, b in confirmed}
-
-
-def _bounded_concurrent_pairs_from_rg(
-    graph: ReachabilityGraph, compiled: "CompiledBoundedNet"
-) -> set[frozenset[str]]:
-    """Concurrency extraction over k-bit packed markings (SWAR enabled test)."""
     pre_guards = compiled.pre_guards
     pre_subs = compiled.pre_subs
     deltas = compiled.deltas
@@ -522,25 +473,15 @@ def marking_sets_of_places(graph: ReachabilityGraph, places: Iterable[str]) -> d
     result: dict[str, set[Marking]] = {place: set() for place in places}
     packed = graph._packed
     marking_list = graph._marking_list
-    if isinstance(compiled, CompiledBoundedNet):
-        width = compiled._width
-        field_mask = compiled.field_mask
-        for place, bucket in result.items():
-            index = compiled.place_index.get(place)
-            if index is None:
-                continue
-            field = field_mask << (index * width)
-            for bits, marking in zip(packed, marking_list):
-                if bits & field:
-                    bucket.add(marking)
-        return result
+    width = compiled._width
+    field_mask = compiled.field_mask
     for place, bucket in result.items():
         index = compiled.place_index.get(place)
         if index is None:
             continue
-        bit = 1 << index
+        field = field_mask << (index * width)
         for bits, marking in zip(packed, marking_list):
-            if bits & bit:
+            if bits & field:
                 bucket.add(marking)
     return result
 
@@ -549,9 +490,9 @@ def marking_sets_of_places(graph: ReachabilityGraph, places: Iterable[str]) -> d
 # Dict-based reference implementations
 #
 # These are the original Marking-object paths.  They serve two purposes:
-# the automatic fallback for nets the kernel cannot pack (non-safe nets,
-# markings on unknown places), and the oracle side of the differential
-# tests that pin the compiled kernel to the reference semantics.
+# the automatic fallback for nets the kernel cannot pack (nets that are not
+# 255-bounded, markings on unknown places), and the oracle side of the
+# differential tests that pin the compiled kernel to the reference semantics.
 # ---------------------------------------------------------------------- #
 
 

@@ -47,6 +47,7 @@ from repro.boolean.cube import Cube
 from repro.boolean.interning import var_name
 
 __all__ = [
+    "CANDIDATE_BUDGET",
     "SatBudgetExceeded",
     "CoverProblem",
     "SignalEncoding",
@@ -57,6 +58,12 @@ __all__ = [
     "cube_of_masks",
     "cover_of_masks",
 ]
+
+
+#: Most valid candidate cubes one cover problem may enumerate before
+#: :func:`build_encoding` raises :class:`SatBudgetExceeded`.  Read at call
+#: time, so a test can lower it.
+CANDIDATE_BUDGET = 4096
 
 
 class SatBudgetExceeded(RuntimeError):
@@ -133,7 +140,7 @@ def enumerate_implicants(
     signals_mask: int,
     seed_codes: Sequence[int],
     off_pairs: Sequence[tuple[int, int]],
-    budget: int = 4096,
+    budget: int,
     primes_only: bool = False,
     signal_bits: tuple[int, ...] = (),
 ) -> list[tuple[int, int]]:
@@ -259,10 +266,10 @@ class SignalEncoding:
         return cubes, literals
 
 
-def build_encoding(
-    problem: CoverProblem, budget: int = 4096, primes_only: bool = False
-) -> SignalEncoding:
+def build_encoding(problem: CoverProblem, primes_only: bool = False) -> SignalEncoding:
     """Candidate enumeration plus coverage/monotonicity clauses.
+
+    The enumeration stops at :data:`CANDIDATE_BUDGET` candidates.
 
     The full selection is always a model: it covers every on-set code (each
     minterm is its own candidate), excludes the off-set by construction,
@@ -275,7 +282,7 @@ def build_encoding(
         problem.signals_mask,
         seeds,
         problem.off_pairs,
-        budget=budget,
+        budget=CANDIDATE_BUDGET,
         primes_only=primes_only and not problem.quiescent_states,
         signal_bits=problem.signal_bits,
     )

@@ -26,7 +26,8 @@ answer ends a solver, because bounds only tighten; the next step loads a
 fresh one with every bound some model met.  On the 13 ``repro gap`` specs
 87 cover problems load 92 solvers.  Every solver is a
 :class:`~repro.sat.solver.CDCLSolver` at its default seed, and the search
-has no setting beyond the candidate budget, so the minima and the
+has no setting beyond the module-level candidate budget
+(:data:`~repro.sat.encode.CANDIDATE_BUDGET`), so the minima and the
 reported ``conflicts`` depend on the specification alone.
 
 The minima are sorted by candidate indices and the circuit is built from
@@ -224,14 +225,11 @@ class _Descent:
 
 def minimize_problem(
     problem: CoverProblem,
-    budget: int = 4096,
     max_solutions: int = 64,
 ) -> ProblemSolution:
     """Lexicographic (cubes, literals) minimization plus full enumeration."""
     start = time.perf_counter()
-    encoding = build_encoding(
-        problem, budget=budget, primes_only=problem.kind == "complete"
-    )
+    encoding = build_encoding(problem, primes_only=problem.kind == "complete")
     if not problem.on_codes:
         return ProblemSolution(
             problem=problem,
@@ -394,10 +392,10 @@ def _signal_problems(
 # ---------------------------------------------------------------------- #
 
 
-def _valid_single_cubes(solution: ProblemSolution, budget: int) -> list[tuple[int, int]]:
+def _valid_single_cubes(solution: ProblemSolution) -> list[tuple[int, int]]:
     """Candidate cubes that alone form a correct monotone cover."""
     problem = solution.problem
-    encoding = solution.encoding or build_encoding(problem, budget=budget)
+    encoding = solution.encoding or build_encoding(problem)
     edges = problem.quiescent_edges
     valid = []
     for care, value in encoding.candidates:
@@ -420,7 +418,6 @@ def _valid_single_cubes(solution: ProblemSolution, budget: int) -> list[tuple[in
 def _best_gated_latch(
     set_solution: ProblemSolution,
     reset_solution: ProblemSolution,
-    budget: int,
 ) -> Optional[tuple[int, list[tuple[tuple[int, int], tuple[int, int]]]]]:
     """Minimum-cost (set cube, reset cube) pairs collapsible to a gated latch.
 
@@ -432,10 +429,10 @@ def _best_gated_latch(
     """
     if not set_solution.problem.on_codes or not reset_solution.problem.on_codes:
         return None
-    set_cubes = _valid_single_cubes(set_solution, budget)
+    set_cubes = _valid_single_cubes(set_solution)
     if not set_cubes:
         return None
-    reset_cubes = _valid_single_cubes(reset_solution, budget)
+    reset_cubes = _valid_single_cubes(reset_solution)
     best_cost: Optional[int] = None
     best_pairs: list[tuple[tuple[int, int], tuple[int, int]]] = []
     by_care: dict[int, list[int]] = {}
@@ -466,7 +463,6 @@ def exact_synthesize(
     regions: SignalRegions,
     signals: Optional[list[str]] = None,
     assume_csc: bool = False,
-    candidate_budget: int = 4096,
 ) -> Circuit:
     """Synthesize the provably minimum-literal circuit of a specification.
 
@@ -477,9 +473,10 @@ def exact_synthesize(
     descent of :func:`minimize_problem`, then picks the cheapest of the
     three implementation architectures per signal.  The per-signal search
     summaries land in ``circuit.metadata["sat"]["signals"]``.
-    ``candidate_budget`` bounds the per-problem implicant space; blowing it
-    raises :class:`~repro.sat.encode.SatBudgetExceeded` (a capacity skip,
-    not a synthesis failure).  Enumeration keeps at most
+    :data:`~repro.sat.encode.CANDIDATE_BUDGET` bounds the per-problem
+    implicant space; blowing it raises
+    :class:`~repro.sat.encode.SatBudgetExceeded` (a capacity skip, not a
+    synthesis failure).  Enumeration keeps at most
     ``minimize_problem``'s default of 64 minima per cover problem.
     """
     check_state_based_specification(
@@ -492,9 +489,7 @@ def exact_synthesize(
     circuit = Circuit(name=stg.name, signal_order=variables)
     signal_stats: dict[str, dict] = {}
     for signal in targets:
-        implementation, info = _synthesize_signal(
-            regions, signal, variables, budget=candidate_budget
-        )
+        implementation, info = _synthesize_signal(regions, signal, variables)
         circuit.implementations[signal] = implementation
         signal_stats[signal] = info
     circuit.metadata["sat"] = {
@@ -508,14 +503,13 @@ def _synthesize_signal(
     regions: SignalRegions,
     signal: str,
     variables: tuple[str, ...],
-    budget: int,
 ):
     """Minimum implementation of one signal across all architectures."""
     set_problem, reset_problem, complete_problem = _signal_problems(regions, signal)
-    set_solution = minimize_problem(set_problem, budget=budget)
-    reset_solution = minimize_problem(reset_problem, budget=budget)
-    complete_solution = minimize_problem(complete_problem, budget=budget)
-    gated = _best_gated_latch(set_solution, reset_solution, budget)
+    set_solution = minimize_problem(set_problem)
+    reset_solution = minimize_problem(reset_problem)
+    complete_solution = minimize_problem(complete_problem)
+    gated = _best_gated_latch(set_solution, reset_solution)
 
     latch_cost = set_solution.literals + reset_solution.literals
     costs = [

@@ -14,7 +14,6 @@ from repro.petri.compiled import (
     BOUNDED_BITS_LADDER,
     BoundExceededError,
     CompiledBoundedNet,
-    CompiledNet,
     UnsafeNetError,
     compile_bounded_net,
 )
@@ -150,15 +149,18 @@ class TestDifferentialExploration:
             assert marking_sets_of_places(
                 graph, net.places
             ) == _reference_marking_sets_of_places(reference, net.places)
-            if isinstance(graph._compiled, CompiledBoundedNet):
+            # safety is "the 1-bit rung completed"
+            assert (graph._compiled.bits == 1) == all(
+                m.is_safe() for m in reference.markings
+            )
+            if graph._compiled.bits > 1:
                 bounded_hits += 1
         assert bounded_hits > 20  # the corpus actually exercises the kernel
 
     def test_safe_nets_still_use_the_one_bit_kernel(self):
         net = token_ring(1)
         graph = build_reachability_graph(net)
-        assert isinstance(graph._compiled, CompiledNet)
-        assert not isinstance(graph._compiled, CompiledBoundedNet)
+        assert graph._compiled.bits == 1
 
     def test_ladder_escalates_field_width(self):
         # 5 tokens exceed the 2-bit capacity (3) but fit 4 bits (15)

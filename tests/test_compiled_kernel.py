@@ -22,7 +22,7 @@ import pytest
 
 from repro.boolean.cover import Cover
 from repro.boolean.cube import Cube
-from repro.petri.compiled import CompiledNet, UnsafeNetError, compile_net
+from repro.petri.compiled import UnsafeNetError, compile_bounded_net, compile_net
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
 from repro.petri.reachability import (
@@ -163,7 +163,7 @@ class TestReachabilityDifferential:
         net.add_place("p", tokens=2)
         net.add_transition("t")
         net.add_arc("p", "t")
-        compiled = CompiledNet(net)
+        compiled = compile_bounded_net(net, 1)
         with pytest.raises(UnsafeNetError):
             compiled.pack(net.initial_marking)
         # the public API transparently falls back to multiset semantics

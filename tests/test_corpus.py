@@ -21,7 +21,10 @@ from repro.corpus.generator import (
 from repro.corpus.idioms import IDIOMS, build_idiom
 from repro.corpus.quarantine import CorpusQuarantine
 from repro.corpus.shrink import shrink_recipe, shrink_stg
-from repro.petri.reachability import build_reachability_graph
+from repro.petri.reachability import (
+    _reference_build_reachability_graph,
+    build_reachability_graph,
+)
 from repro.stg.parser import parse_g
 from repro.stg.writer import write_g
 
@@ -99,6 +102,13 @@ class TestGenerator:
         klasses = {cs.klass for cs in corpus}
         assert "safe" in klasses
         assert "k-bounded" in klasses
+        for cs in corpus:
+            stg = cs.spec.stg
+            reference = _reference_build_reachability_graph(
+                stg.net, stg.initial_marking, FAST.max_markings
+            )
+            safe = all(m.is_safe() for m in reference.markings)
+            assert cs.klass == ("safe" if safe else "k-bounded"), cs.spec.name
         assert any(cs.consistent for cs in corpus)
         assert any(not cs.consistent for cs in corpus)
 

@@ -21,6 +21,7 @@ from repro.api.artifacts import SynthesisArtifact
 from repro.api.backends import BACKEND_NAMES, SATBackend
 from repro.api.spec import Spec
 from repro.experiments.optimality_gap import GAP_SPECS
+from repro.sat import encode as sat_encode
 from repro.sat import synthesize as sat_synthesize
 from repro.sat.encode import (
     CoverProblem,
@@ -373,11 +374,14 @@ class TestExactSynthesize:
         circuit = exact_synthesize(fig6, state_space(fig6), signals=[signal])
         assert list(circuit.implementations) == [signal]
 
-    def test_budget_exhaustion_raises_skip(self, fig6):
+    def test_budget_exhaustion_raises_skip(self, fig6, monkeypatch):
+        monkeypatch.setattr(sat_encode, "CANDIDATE_BUDGET", 1)
         with pytest.raises(SatBudgetExceeded):
-            exact_synthesize(fig6, state_space(fig6), candidate_budget=1)
+            exact_synthesize(fig6, state_space(fig6))
 
-    @pytest.mark.parametrize("option", ["prefer", "seed", "max_solutions"])
+    @pytest.mark.parametrize(
+        "option", ["prefer", "seed", "max_solutions", "candidate_budget"]
+    )
     def test_search_takes_no_solver_options(self, fig6, option):
         with pytest.raises(TypeError, match=option):
             exact_synthesize(fig6, state_space(fig6), **{option: 1})

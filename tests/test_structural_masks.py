@@ -35,7 +35,12 @@ from repro.boolean.cube import Cube
 from repro.boolean.minimize import OffSetColumns, minimize_cover
 from repro.corpus.generator import generate_spec, random_stg
 from repro.petri import properties
-from repro.petri.compiled import CompiledNet, StateSpaceLimitExceeded, UnsafeNetError
+from repro.petri.compiled import (
+    StateSpaceLimitExceeded,
+    UnsafeNetError,
+    compile_bounded_net,
+    compile_net,
+)
 from repro.petri.invariants import place_invariants
 from repro.petri.net import PetriNet
 from repro.petri.reachability import build_reachability_graph
@@ -195,12 +200,14 @@ def assert_qr_covers_match(stg: STG, concurrency: ConcurrencyRelation) -> None:
 
 
 def assert_affected_index_matches(stg: STG) -> None:
-    """The dirty-frontier index, built from the walk tables."""
-    compiled = CompiledNet(stg.net)
-    assert compiled._affected == [
-        [u for u, pre in enumerate(compiled.pre_masks) if pre & delta]
-        for delta in compiled.deltas
+    """The token game's dirty-frontier index, built from the walk tables."""
+    structure = compile_net(stg.net)
+    expected = [
+        [u for u, pre_u in enumerate(structure.pre_masks) if pre_u & (pre ^ post)]
+        for pre, post in zip(structure.pre_masks, structure.post_masks)
     ]
+    for bits in (1, 2):
+        assert compile_bounded_net(stg.net, bits)._affected == expected, bits
 
 
 def assert_front_end_matches(stg: STG, seed: int) -> None:
